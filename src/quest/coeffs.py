@@ -10,14 +10,15 @@ w^2 + x^2 + y^2 + z^2; dividing it out leaves one degree-4 equation in the
 coefficient matrix A with A @ x = 0 for the monomial vector x of the true
 rotation.
 
-Rows are produced by symbolic expansion at build time rather than from
-hard-coded closed-form coefficient formulas: it is self-contained, immune
-to transcription slips, and testable against a numeric-determinant oracle.
-The row builder expands the determinant by generalized Laplace expansion
-along the two columns shared by both row blocks, which collapses it to six
-products of three quadratics and vectorizes over dense coefficient
-vectors; tests pin it to the generic memoized-cofactor expansion in
-`polymat` term by term.
+The row builder never expands a determinant symbolically. Each point
+contributes three quadratic factors (2x2 minors of its two columns), the
+generalized Laplace expansion along the two columns of the first point
+writes the determinant as six signed products of one factor per point,
+and polynomial products and the division by the norm polynomial are
+fixed linear maps over the monomial bases, built once at import. So
+build_A computes all C(n, 3) rows in one batched pass of a few array
+operations. `build_triple_matrix` and the generic cofactor expansion in
+`polymat` stay as the test oracle the rows are checked against.
 """
 
 from __future__ import annotations
@@ -61,35 +62,80 @@ _R_TERMS = [
 
 R_POLY = PolyMatrix([[Poly4(t) for t in row] for row in _R_TERMS])
 
-# Dense mirror of R_POLY over the degree-2 monomial basis: (row, col, 10).
+# R_POLY as one dense matrix over the degree-2 monomials: row t maps the
+# ray entry m_t to the three rows of R m, (3, 3 rows x 10 monomials).
 _RP = np.zeros((3, 3, len(_DEG2)))
 for _r in range(3):
     for _c in range(3):
         for _exp, _coeff in R_POLY[_r, _c].terms.items():
-            _RP[_r, _c, _POS2[_exp]] = _coeff
+            _RP[_c, _r, _POS2[_exp]] = _coeff
+_RP = _RP.reshape(3, -1)
 
-# Monomial-product index tables: deg2 x deg2 -> deg4 and deg4 x deg2 -> deg6.
-_T22 = np.array([[_POS4[tuple(np.add(e1, e2))] for e2 in _DEG2] for e1 in _DEG2])
-_T42 = np.array([[_POS6[tuple(np.add(e4, e2))] for e2 in _DEG2] for e4 in _DEG4])
 
-# Long division of a homogeneous degree-6 vector by the norm polynomial,
-# unrolled over the descending-lex order: position i is reduced into
-# quotient slot _DIV_Q[i] while positions _DIV_SUB[i] absorb the lower
-# cross terms; positions with _DIV_Q[i] < 0 are remainder.
-_DIV_Q = np.full(len(_DEG6), -1, dtype=int)
-_DIV_SUB = np.zeros((len(_DEG6), 3), dtype=int)
-for _i, (_a, _b, _c2, _d) in enumerate(_DEG6):
-    if _a >= 2:
-        _DIV_Q[_i] = _POS4[(_a - 2, _b, _c2, _d)]
-        _DIV_SUB[_i] = (
-            _POS6[(_a - 2, _b + 2, _c2, _d)],
-            _POS6[(_a - 2, _b, _c2 + 2, _d)],
-            _POS6[(_a - 2, _b, _c2, _d + 2)],
-        )
+def _product_map(left: int, right: int) -> np.ndarray:
+    """0/1 map from the flattened outer product of a degree-`left` and a
+    degree-`right` coefficient vector to the coefficients of the product."""
+    lhs, rhs = monomials_of_degree(left), monomials_of_degree(right)
+    pos = monomial_positions(left + right)
+    out = np.zeros((len(lhs) * len(rhs), len(pos)))
+    for a, ea in enumerate(lhs):
+        for b, eb in enumerate(rhs):
+            out[a * len(rhs) + b, pos[tuple(np.add(ea, eb))]] = 1.0
+    return out
 
-_ROW_PAIRS = ((0, 1), (0, 2), (1, 2))
-_PAIR_INDEX = {p: i for i, p in enumerate(_ROW_PAIRS)}
-_COMPLEMENT = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+
+def _division_maps():
+    """Quotient (84x35) and remainder (84x49) maps of the long division of
+    a degree-6 vector by the norm polynomial, made by dividing every unit
+    vector at once (one row of `work` each). In descending-lex order, a
+    monomial w^a x^b y^c z^d with a >= 2 moves into the quotient and
+    subtracts its three cross terms; the monomials with a < 2 remain."""
+    work = np.eye(len(_DEG6))
+    quot = np.zeros((len(_DEG6), len(_DEG4)))
+    rem = []
+    for i, (a, b, c, d) in enumerate(_DEG6):
+        if a < 2:
+            rem.append(i)
+            continue
+        quot[:, _POS4[(a - 2, b, c, d)]] = work[:, i]
+        for sub in ((a - 2, b + 2, c, d), (a - 2, b, c + 2, d), (a - 2, b, c, d + 2)):
+            work[:, _POS6[sub]] -= work[:, i]
+    return quot, work[:, rem]
+
+
+def _columns(dense: np.ndarray):
+    """A linear map in sparse column form for _apply: source index and
+    weight of each nonzero by output column, and where each column starts
+    (no column of these maps is zero, as reduceat needs)."""
+    col, src = np.nonzero(dense.T)
+    return src, dense[src, col], np.searchsorted(col, np.arange(dense.shape[1]))
+
+
+def _apply(x: np.ndarray, cmap) -> np.ndarray:
+    """x @ dense for cmap = _columns(dense). Each output sums its few terms
+    in a fixed order, so a row never depends on the other rows of x (BLAS
+    reorders sums with the row count) and coefficient_row is bit-exact."""
+    src, weight, starts = cmap
+    terms = x[:, src]
+    terms *= weight
+    return np.add.reduceat(terms, starts, axis=1)
+
+
+_MUL22 = _product_map(2, 2)
+_MUL42 = _columns(_product_map(4, 2))
+_DIVIDE = _columns(np.hstack(_division_maps()))  # 35 quotient then 49 remainder columns
+
+# Factor p of a point is the quadratic (R m)_u * n_v - (R m)_v * n_u for
+# the row pair (u, v) = (_PAIR_U[p], _PAIR_V[p]).
+_PAIR_U, _PAIR_V = [0, 0, 1], [1, 2, 2]
+
+# Generalized Laplace expansion along the two columns of point i: rows a
+# (top block) and b (bottom block) for them leave independent 2x2 blocks
+# for points j and k. One row per (a, b), a != b, in lexicographic order:
+# factor of point i (pair (a, b) is factor a + b - 1), of point j (rows
+# other than a: 2 - a), of point k (2 - b), and the Laplace sign
+# (-1)^(a+b+1), negated when point i's pair is taken as (b, a).
+_LAPLACE = np.array([(0, 2, 1, 1), (1, 2, 0, -1), (0, 1, 2, -1), (2, 1, 0, 1), (1, 0, 2, 1), (2, 0, 1, -1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,88 +179,49 @@ def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Corresponden
     return PolyMatrix(rows)
 
 
-def _point_factors(c: Correspondence) -> np.ndarray:
-    """Per-point quadratic factors of the determinant expansion.
+def _rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Unit-norm constraint rows, one per triple, from fixed maps applied to
+    all rows at once.
 
-    Row p holds the degree-2 coefficient vector of
-    (R m)_u * n_v - (R m)_v * n_u for the row pair (u, v) = _ROW_PAIRS[p].
-    """
-    a = np.einsum("rtk,t->rk", _RP, c.m)
-    return np.stack([a[u] * c.n[v] - a[v] * c.n[u] for (u, v) in _ROW_PAIRS])
-
-
-def _det6_from_factors(Ki, Kj, Kk) -> np.ndarray:
-    """Degree-6 coefficient vector of the 6x6 determinant.
-
-    Laplace expansion along the two columns holding point i: the
-    complementary 4x4 splits into independent 2x2 blocks for points j and
-    k, leaving six signed products of one quadratic factor per point."""
-    det6 = np.zeros(len(_DEG6))
-    p4 = np.empty(len(_DEG4))
-    for a in range(3):
-        kj = Kj[_PAIR_INDEX[_COMPLEMENT[a]]]
-        for b in range(3):
-            if a == b:
-                continue
-            ki = Ki[_PAIR_INDEX[(a, b)]] if a < b else -Ki[_PAIR_INDEX[(b, a)]]
-            kk = Kk[_PAIR_INDEX[_COMPLEMENT[b]]]
-            sign = -1.0 if (a + b) % 2 == 0 else 1.0
-            p4[:] = 0.0
-            np.add.at(p4, _T22, np.outer(ki, kj))
-            np.add.at(det6, _T42, np.outer(p4, sign * kk))
-    return det6
-
-
-def _divide_norm(det6: np.ndarray):
-    """Divide a homogeneous degree-6 vector by the norm polynomial.
-
-    Returns (quotient over the 35 degree-4 monomials, max remainder
-    coefficient relative to the largest input coefficient)."""
-    scale = np.abs(det6).max()
-    if scale == 0.0:
-        return np.zeros(len(_DEG4)), 0.0
-    work = det6.astype(float).copy()
-    quot = np.zeros(len(_DEG4))
-    rem_max = 0.0
-    for i in range(len(_DEG6)):
-        c = work[i]
-        if c == 0.0:
-            continue
-        q = _DIV_Q[i]
-        if q >= 0:
-            quot[q] = c
-            work[_DIV_SUB[i]] -= c
-        else:
-            rem_max = max(rem_max, abs(c))
-    return quot, rem_max / scale
-
-
-def _finish_row(quot: np.ndarray, rem_norm: float) -> np.ndarray:
-    if rem_norm > 1e-6:
-        raise DegenerateTripleError(
-            f"norm-factor division left a relative remainder of {rem_norm:.3e}"
-        )
-    if np.abs(quot).max() < 1e-12:
-        raise DegenerateTripleError("constraint row vanished (repeated or collinear points?)")
-    row = quot / np.linalg.norm(quot)
-    for v in row:
-        if abs(v) > 1e-12:
-            if v < 0.0:
-                row = -row
-            break
-    return row
+    M and N hold the first- and second-view rays of the points (n x 3);
+    triples holds the point indices of each row (T x 3). Each row is the
+    6x6 determinant divided by the norm polynomial, scaled to unit norm
+    and sign-fixed so its first non-negligible coefficient is positive.
+    Raises DegenerateTripleError naming the first triple whose row
+    vanishes or whose norm factor fails to divide out (relative remainder
+    above 1e-6)."""
+    rm = (M[:, :, None] * _RP).sum(axis=1).reshape(-1, 3, len(_DEG2))
+    factors = rm[:, _PAIR_U] * N[:, _PAIR_V, None] - rm[:, _PAIR_V] * N[:, _PAIR_U, None]
+    fi, fj, fk, sign = _LAPLACE.T
+    ki = factors[triples[:, :1], fi] * sign[:, None]
+    kj = factors[triples[:, 1:2], fj]
+    kk = factors[triples[:, 2:], fk]
+    t = len(triples)
+    # stacked products make one BLAS call per triple, so rows stay batch-independent
+    x = (ki[..., :, None] * kj[..., None, :]).reshape(t, len(_LAPLACE), -1) @ _MUL22
+    x = (x.transpose(0, 2, 1) @ kk).reshape(t, -1)  # six degree-4 x degree-2 products, summed
+    det6 = _apply(x, _MUL42)
+    divided = _apply(det6, _DIVIDE)
+    quot = divided[:, : len(_DEG4)]
+    rem = np.abs(divided[:, len(_DEG4) :]).max(axis=1)
+    scale = np.abs(det6).max(axis=1)
+    bad_rem = rem > 1e-6 * scale
+    bad = bad_rem | (np.abs(quot).max(axis=1) < 1e-12)
+    if bad.any():
+        r = int(np.argmax(bad))
+        why = "constraint row vanished (repeated or collinear points?)"
+        if bad_rem[r]:
+            why = f"norm-factor division left a relative remainder of {rem[r] / scale[r]:.3e}"
+        raise DegenerateTripleError(f"triple {tuple(triples[r].tolist())}: {why}")
+    rows = quot / np.linalg.norm(quot, axis=1, keepdims=True)
+    first = np.argmax(np.abs(rows) > 1e-12, axis=1)
+    return rows * np.copysign(1.0, rows[np.arange(t), first])[:, None]
 
 
 def coefficient_row(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> np.ndarray:
-    """One unit-norm constraint row (35 monomial coefficients) for a triple.
-
-    Sign-fixed so the first non-negligible coefficient is positive; raises
-    DegenerateTripleError when the triple carries no constraint or the norm
-    factor fails to divide out (relative remainder above 1e-6)."""
-    quot, rem = _divide_norm(
-        _det6_from_factors(_point_factors(ci), _point_factors(cj), _point_factors(ck))
-    )
-    return _finish_row(quot, rem)
+    """One unit-norm constraint row (35 monomial coefficients) for a triple:
+    the row build_A makes for it, from the same kernel."""
+    return _rows(np.array([ci.m, cj.m, ck.m]), np.array([ci.n, cj.n, ck.n]), np.array([(0, 1, 2)]))[0]
 
 
 def build_A(points) -> CoefficientMatrix:
@@ -224,14 +231,7 @@ def build_A(points) -> CoefficientMatrix:
     n = len(points)
     if n < 6:
         raise InsufficientPointsError(f"need at least 6 correspondences, got {n}")
-    factors = [_point_factors(c) for c in points]
-    rows = []
-    triples = []
-    for (i, j, k) in combinations(range(n), 3):
-        try:
-            quot, rem = _divide_norm(_det6_from_factors(factors[i], factors[j], factors[k]))
-            rows.append(_finish_row(quot, rem))
-        except DegenerateTripleError as e:
-            raise DegenerateTripleError(f"triple ({i}, {j}, {k}): {e}") from e
-        triples.append((i, j, k))
-    return CoefficientMatrix(np.array(rows), tuple(triples), n)
+    triples = tuple(combinations(range(n), 3))
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    return CoefficientMatrix(_rows(M, N, np.array(triples)), triples, n)

@@ -87,10 +87,11 @@ def _frozen_vector(values, size) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Correspondence:
     """One matched feature point: homogeneous normalized coordinates in the
-    first view (m) and second view (n), last entry exactly 1."""
+    first view (m) and second view (n), last entry exactly 1. Slotted,
+    since callers hold many of them (RANSAC sets, benchmark inputs)."""
 
     m: np.ndarray
     n: np.ndarray

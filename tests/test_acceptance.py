@@ -235,11 +235,13 @@ def test_c08_ransac_robustness():
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     ok = precision >= 0.95 and recall >= 0.95 and max(rot_errs) < 0.01
+    worst = int(np.argmax(rot_errs))
     assert report(
         8,
         ok,
         f"precision {precision:.4f}, recall {recall:.4f}, "
-        f"rot_err median {np.median(rot_errs):.4f} max {max(rot_errs):.4f}",
+        f"rot_err median {np.median(rot_errs):.4f} max {max(rot_errs):.4f} "
+        f"(worst outlier set {worst}, slack {0.01 - rot_errs[worst]:.4f} to the 0.01 bound)",
     )
 
 

@@ -126,6 +126,24 @@ def test_matrix_shapes(n, rows):
     assert_allclose(np.linalg.norm(A.A, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_batched_rows_match_reference_path(n):
+    for seed in range(3):
+        pts = list(bench.generate_scene(bench.SceneConfig(n_points=n, rng_seed=seed)).correspondences)
+        A = build_A(pts)
+        for r, (i, j, k) in enumerate(A.triples):
+            assert_allclose(A.A[r], reference_row(pts[i], pts[j], pts[k]), atol=1e-12)
+
+
+def test_coefficient_row_is_the_batched_row(rng):
+    # one kernel: a triple's row does not depend on the other rows built with it
+    for n in (6, 7, 8):
+        pts = [random_correspondence(rng) for _ in range(n)]
+        A = build_A(pts)
+        for r, (i, j, k) in enumerate(A.triples):
+            assert np.array_equal(coefficient_row(pts[i], pts[j], pts[k]), A.A[r])
+
+
 def test_insufficient_points_rejected():
     scene = bench.generate_scene(bench.SceneConfig(n_points=5, rng_seed=2))
     with pytest.raises(InsufficientPointsError):

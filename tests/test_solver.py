@@ -400,6 +400,20 @@ def test_estimate_pose_half_turn_gauge_guard(method):
     assert core.trans_error(cands[0].t, sc.pose.t) < 1e-6
 
 
+def test_gauge_retry_solves_general_scene_after_critical_surface_error():
+    # An exact general 7-point scene (w = 0.89, far from the half turn)
+    # whose first-frame elimination block falls below the pseudo-inverse
+    # cut: smallest/largest singular value 1.2e-13 against 1e-10. A gauge
+    # frame solves it, so estimate_pose must keep retrying after a
+    # CriticalSurfaceError instead of passing it on.
+    sc = scene(91, n=7)
+    with pytest.raises(CriticalSurfaceError):
+        solver.quest7_rotations(coeffs.build_A(sc.correspondences))
+    cands = solver.estimate_pose(list(sc.correspondences), "quest7")
+    assert core.rot_error(cands[0].q, sc.pose.q) < 1e-8
+    assert core.trans_error(cands[0].t, sc.pose.t) < 1e-6
+
+
 def test_estimate_pose_insufficient_points():
     sc = scene(0, n=6)
     with pytest.raises(InsufficientPointsError):
