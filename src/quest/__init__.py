@@ -12,6 +12,7 @@ from .core import (
     Correspondence,
     IDENTITY_QUATERNION,
     Pose,
+    PoseCandidate,
     Quaternion,
     monomial_vector,
     monomials_of_degree,
@@ -23,7 +24,6 @@ from .core import (
 )
 from .coeffs import CoefficientMatrix, build_A, build_triple_matrix, coefficient_row
 from .solver import (
-    PoseCandidate,
     SplitSpec,
     estimate_pose,
     quest6_rotations,

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import quat_from_rotation
+from .core import PoseCandidate, quat_from_rotation, triangulate_uv
 from .errors import ChiralityFailureError, DegenerateConfigurationError, InsufficientPointsError
-from .solver import PoseCandidate, _triangulate_uv
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +97,7 @@ def decompose_essential(E: EssentialMatrix, points) -> PoseCandidate:
     best = None
     for R in (U @ W @ Vt, U @ W.T @ Vt):
         for t in (t_unit, -t_unit):
-            u, v, _ = _triangulate_uv(R, t, points)
+            u, v, _ = triangulate_uv(R, t, points)
             pos = int(np.sum((u > 0.0) & (v > 0.0)))
             if best is None or pos > best[0]:
                 best = (pos, R, t, u, v)

@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline import decompose_essential, eight_point
 from .core import Correspondence, Pose, Quaternion, quat_to_rotation, rot_error, trans_error
 from .errors import InfeasibleConfigError, QuestError
-from .solver import estimate_pose
+from .solver import MINIMAL_POINTS, estimate_pose
 
 _MIN_DEPTH = 0.1
 _MAX_REJECTIONS = 1000
@@ -208,30 +207,27 @@ def add_pixel_noise(correspondences, sigma: float, cam: SyntheticCamera, seed: i
     return [Correspondence(m, n) for m, n in zip(out[0], out[1])]
 
 
-#: Methods runnable by the benchmark harness, with their minimal point counts.
-BENCH_METHODS = {"quest6": 6, "quest7": 7, "eightpt": 8}
+def _run_trial(method: str, sigma: float, trial: int, points, pose: Pose) -> BenchRecord:
+    """Time one solve on the method's minimal point count and score it.
 
-
-def run_method(method: str, points):
-    """Run one pose method on its minimal point count; returns candidates."""
-    k = BENCH_METHODS[method]
-    subset = list(points)[:k]
-    if method == "eightpt":
-        return [decompose_essential(eight_point(subset), subset)]
-    return estimate_pose(subset, method)
-
-
-def _closest_record(method, sigma, trial, cands, pose, runtime):
-    # Benchmark-only selection: score the candidate closest to ground truth
-    # in the rotation metric, sidestepping the noise-sensitive chirality
-    # ranking so that curves measure the solver, not the disambiguation.
+    A QuestError becomes a failed record. Benchmark-only selection: the
+    candidate closest to ground truth in the rotation metric is scored,
+    sidestepping the noise-sensitive chirality ranking so that curves
+    measure the solver, not the disambiguation."""
+    t0 = time.perf_counter()
+    try:
+        cands = estimate_pose(points[: MINIMAL_POINTS[method]], method)
+    except QuestError:
+        return BenchRecord(method, sigma, trial, math.nan, math.nan,
+                           time.perf_counter() - t0, 0, True)
+    runtime = time.perf_counter() - t0
     best = min(cands, key=lambda c: rot_error(c.q, pose.q))
-    re_ = rot_error(best.q, pose.q)
     try:
         te = trans_error(best.t, pose.t)
     except ValueError:
         return BenchRecord(method, sigma, trial, math.nan, math.nan, runtime, len(cands), True)
-    return BenchRecord(method, sigma, trial, re_, te, runtime, len(cands), False)
+    return BenchRecord(method, sigma, trial, rot_error(best.q, pose.q), te, runtime,
+                       len(cands), False)
 
 
 def run_noise_benchmark(methods, sigmas, trials_per_sigma: int, cfg: SceneConfig,
@@ -246,17 +242,7 @@ def run_noise_benchmark(methods, sigmas, trials_per_sigma: int, cfg: SceneConfig
             scene = generate_scene(replace(cfg, rng_seed=scene_seed))
             noisy = add_pixel_noise(scene.correspondences, sigma, cam, noise_seed)
             for method in methods:
-                t0 = time.perf_counter()
-                try:
-                    cands = run_method(method, noisy)
-                except QuestError:
-                    records.append(
-                        BenchRecord(method, sigma, trial, math.nan, math.nan,
-                                    time.perf_counter() - t0, 0, True)
-                    )
-                    continue
-                runtime = time.perf_counter() - t0
-                records.append(_closest_record(method, sigma, trial, cands, scene.pose, runtime))
+                records.append(_run_trial(method, sigma, trial, noisy, scene.pose))
     return records
 
 
@@ -277,15 +263,7 @@ def run_time_benchmark(methods, trials: int, cfg: SceneConfig, cam: SyntheticCam
         scene = generate_scene(replace(cfg, rng_seed=scene_seed, geometry=geometry))
         noisy = add_pixel_noise(scene.correspondences, sigma, cam, noise_seed)
         for method in methods:
-            t0 = time.perf_counter()
-            try:
-                cands = run_method(method, noisy)
-            except QuestError:
-                rec = BenchRecord(method, sigma, trial - warmup, math.nan, math.nan,
-                                  time.perf_counter() - t0, 0, True)
-            else:
-                rec = _closest_record(method, sigma, trial - warmup, cands, scene.pose,
-                                      time.perf_counter() - t0)
+            rec = _run_trial(method, sigma, trial - warmup, noisy, scene.pose)
             if trial >= warmup:
                 records.append(rec)
     stats = {}

@@ -8,6 +8,9 @@ File formats:
   no calibration file is needed.
 - calibration: one line "fx fy cx cy skew" (pixels).
 - ground-truth pose: one line "w x y z tx ty tz".
+- all three text formats share one line reader: blank and '#' lines are
+  skipped, and a wrong value count, an unparsable value or a NaN/Inf is
+  rejected with its line number.
 - estimates: JSON with ranked candidates (written by `estimate`, read by
   `eval`).
 - benchmark output: CSV with one row per (method, sigma, trial) plus a
@@ -32,7 +35,7 @@ from . import bench as bench_mod
 from .bench import SceneConfig, SyntheticCamera, add_pixel_noise, generate_scene
 from .core import Correspondence, Quaternion, normalize_pixels, rot_error, trans_error
 from .errors import DegeneracyError, CriticalSurfaceError, InsufficientPointsError, QuestError
-from .solver import estimate_pose, ransac_pose
+from .solver import MINIMAL_POINTS, estimate_pose, ransac_pose
 
 
 class FileFormatError(Exception):
@@ -46,71 +49,64 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def read_correspondence_file(path):
-    """Returns (rows, normalized_flag); rows are (x1, y1, x2, y2) floats."""
+def _read_rows(path, fields: str):
+    """Returns ([(line_no, values)], normalized_flag) for a text file of
+    whitespace-separated floats, one row per line laid out as `fields`.
+
+    Blank lines and '#' comments are skipped; a '# normalized' comment sets
+    the flag. A wrong value count, an unparsable value or a NaN/Inf raises
+    FileFormatError naming the line."""
     rows = []
     normalized = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                if line[1:].strip().lower() == "normalized":
-                    normalized = True
+                normalized = normalized or line[1:].strip().lower() == "normalized"
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise FileFormatError(path, line_no, f"expected 4 values, got {len(parts)}")
+            if not parts:
+                continue
+            if len(parts) != len(fields.split()):
+                raise FileFormatError(path, line_no, f"expected '{fields}', got {len(parts)} values")
             try:
                 vals = [float(p) for p in parts]
             except ValueError as e:
                 raise FileFormatError(path, line_no, str(e)) from e
             if not all(math.isfinite(v) for v in vals):
-                raise FileFormatError(path, line_no, "NaN/Inf coordinate")
-            rows.append(vals)
+                raise FileFormatError(path, line_no, "NaN/Inf value")
+            rows.append((line_no, vals))
     return rows, normalized
 
 
+def _first_row(path, fields: str, what: str):
+    rows, _ = _read_rows(path, fields)
+    if not rows:
+        raise FileFormatError(path, 0, f"empty {what} file")
+    return rows[0]
+
+
+def read_correspondence_file(path):
+    """Returns (rows, normalized_flag); rows are (x1, y1, x2, y2) floats."""
+    rows, normalized = _read_rows(path, "x1 y1 x2 y2")
+    return [vals for _, vals in rows], normalized
+
+
 def read_calibration_file(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise FileFormatError(path, line_no, f"expected 'fx fy cx cy skew', got {len(parts)} values")
-            try:
-                fx, fy, cx, cy, skew = (float(p) for p in parts)
-            except ValueError as e:
-                raise FileFormatError(path, line_no, str(e)) from e
-            if fx <= 0 or fy <= 0:
-                raise FileFormatError(path, line_no, "focal lengths must be positive")
-            return np.array([[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-    raise FileFormatError(path, 0, "empty calibration file")
+    line_no, (fx, fy, cx, cy, skew) = _first_row(path, "fx fy cx cy skew", "calibration")
+    if fx <= 0 or fy <= 0:
+        raise FileFormatError(path, line_no, "focal lengths must be positive")
+    return np.array([[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
 
 
 def read_pose_file(path):
     """Returns (Quaternion, translation). Quaternion is normalized on load;
     deviations beyond 1e-3 from unit norm are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise FileFormatError(path, line_no, f"expected 'w x y z tx ty tz', got {len(parts)} values")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as e:
-                raise FileFormatError(path, line_no, str(e)) from e
-            q = Quaternion(*vals[:4])
-            if abs(q.norm() - 1.0) > 1e-3:
-                raise FileFormatError(path, line_no, f"quaternion norm {q.norm():.6f} too far from 1")
-            return q.normalized().canonical(), np.array(vals[4:])
-    raise FileFormatError(path, 0, "empty pose file")
+    line_no, vals = _first_row(path, "w x y z tx ty tz", "pose")
+    q = Quaternion(*vals[:4])
+    if abs(q.norm() - 1.0) > 1e-3:
+        raise FileFormatError(path, line_no, f"quaternion norm {q.norm():.6f} too far from 1")
+    return q.normalized().canonical(), np.array(vals[4:])
 
 
 def load_correspondences(corr_path, calib_path=None):
@@ -152,14 +148,7 @@ def _default_seed(value):
 def cmd_estimate(args) -> int:
     points = load_correspondences(args.input, args.calib)
     result = {"method": args.method, "input": args.input}
-    if args.method == "eightpt":
-        if args.ransac:
-            raise ValueError("RANSAC sampling is only defined for quest6/quest7")
-        from .baseline import decompose_essential, eight_point
-
-        cand = decompose_essential(eight_point(points), points)
-        result["candidates"] = [_candidate_dict(cand)]
-    elif args.ransac:
+    if args.ransac:
         seed = _default_seed(args.seed)
         cand, mask = ransac_pose(
             points, args.method, threshold=args.threshold, max_iters=args.max_iters, seed=seed
@@ -249,7 +238,7 @@ def cmd_bench(args) -> int:
     cam = SyntheticCamera()
     methods = args.methods.split(",")
     for m in methods:
-        if m not in bench_mod.BENCH_METHODS:
+        if m not in MINIMAL_POINTS:
             raise ValueError(f"unknown method {m!r}")
     if args.kind == "noise":
         sigmas = [float(s) for s in args.sigmas.split(",")]
@@ -325,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate pose from a correspondence file")
     p.add_argument("input", help="correspondence file (pixels, or '# normalized')")
     p.add_argument("--calib", help="calibration file 'fx fy cx cy skew'")
-    p.add_argument("--method", choices=["quest6", "quest7", "eightpt"], default="quest6")
+    p.add_argument("--method", choices=list(MINIMAL_POINTS), default="quest6")
     p.add_argument("--ransac", action="store_true", help="robustify with RANSAC")
     p.add_argument("--threshold", type=float, default=0.005, help="RANSAC inlier angle (rad)")
     p.add_argument("--max-iters", type=int, default=200)
@@ -335,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a Monte Carlo benchmark, write CSV")
     p.add_argument("kind", choices=["noise", "time"])
-    p.add_argument("--methods", default="quest6,quest7,eightpt")
+    p.add_argument("--methods", default=",".join(MINIMAL_POINTS))
     p.add_argument("--sigmas", default="0,1,2,4,8", help="comma-separated pixel sigmas (noise kind)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--points", type=int, default=8)

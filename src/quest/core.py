@@ -123,6 +123,50 @@ class Pose:
         object.__setattr__(self, "depths_v", _frozen_vector(self.depths_v, -1))
 
 
+@dataclass(frozen=True, eq=False)
+class PoseCandidate:
+    """One ranked pose hypothesis.
+
+    algebraic_residual is ||A @ x(q)|| on unit-norm rows; chirality_ok
+    means every recovered depth is strictly positive. t_depth_ratio is
+    ||t|| relative to the mean absolute depth before normalization (it
+    vanishes for a camera that only rotates), scale_note records which
+    normalization was applied, and ambiguous_depths flags a non-isolated
+    smallest singular value in the depth recovery (small-parallax regime).
+    """
+
+    q: Quaternion
+    algebraic_residual: float
+    t: np.ndarray | None = None
+    depths_u: np.ndarray | None = None
+    depths_v: np.ndarray | None = None
+    chirality_ok: bool = False
+    scale_note: str = ""
+    t_depth_ratio: float = math.nan
+    ambiguous_depths: bool = False
+
+
+def triangulate_uv(R: np.ndarray, t: np.ndarray, points):
+    """Least-squares (u, v) per point for u * R @ m - v * n = -t.
+
+    Vectorized 2x2 normal equations; returns arrays u, v and the
+    reprojected second-view rays u * R @ m + t."""
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    a = M @ R.T
+    aa = np.einsum("ij,ij->i", a, a)
+    an = np.einsum("ij,ij->i", a, N)
+    nn = np.einsum("ij,ij->i", N, N)
+    rhs_u = -(a @ t)
+    rhs_v = N @ t
+    det = aa * nn - an * an
+    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+    u = (rhs_u * nn + an * rhs_v) / det
+    v = (an * rhs_u + aa * rhs_v) / det
+    reproj = u[:, None] * a + t[None, :]
+    return u, v, reproj
+
+
 # ---------------------------------------------------------------------------
 # Monomial index
 # ---------------------------------------------------------------------------

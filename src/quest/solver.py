@@ -18,6 +18,9 @@ Translation and both views' depths then come from the null vector of the
 stacked rigid-motion system, and candidates are ranked by the algebraic
 residual ||A @ x(q)|| with chirality (all depths positive) used to demote
 mirrored solutions.
+
+MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
+8-point essential-matrix baseline ("eightpt") so every caller shares it.
 """
 
 from __future__ import annotations
@@ -28,15 +31,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import baseline
 from .coeffs import CoefficientMatrix, build_A
 from .core import (
     Correspondence,
+    PoseCandidate,
     Quaternion,
     monomial_positions,
     monomial_vector,
     monomials_of_degree,
     quat_from_rotation,
     quat_to_rotation,
+    triangulate_uv,
 )
 from .errors import (
     CriticalSurfaceError,
@@ -60,8 +66,8 @@ _PINV_RCOND = 1e-10
 _RANK_FLOOR = 1e-12
 _IMAG_RATIO = 1e-6
 
-#: Minimal point count per rotation method.
-MINIMAL_POINTS = {"quest6": 6, "quest7": 7}
+#: Minimal point count per pose method: the only method table.
+MINIMAL_POINTS = {"quest6": 6, "quest7": 7, "eightpt": 8}
 
 
 @dataclass(frozen=True)
@@ -86,29 +92,6 @@ def split_for_quest6() -> SplitSpec:
     x1 = tuple(i for i, e in enumerate(_DEG4) if e[0] >= 1)
     x2 = tuple(i for i, e in enumerate(_DEG4) if e[0] == 0)
     return SplitSpec(x1, x2, "x/w")
-
-
-@dataclass(frozen=True, eq=False)
-class PoseCandidate:
-    """One ranked pose hypothesis.
-
-    algebraic_residual is ||A @ x(q)|| on unit-norm rows; chirality_ok
-    means every recovered depth is strictly positive. t_depth_ratio is
-    ||t|| relative to the mean absolute depth before normalization (it
-    vanishes for a camera that only rotates), scale_note records which
-    normalization was applied, and ambiguous_depths flags a non-isolated
-    smallest singular value in the depth recovery (small-parallax regime).
-    """
-
-    q: Quaternion
-    algebraic_residual: float
-    t: np.ndarray | None = None
-    depths_u: np.ndarray | None = None
-    depths_v: np.ndarray | None = None
-    chirality_ok: bool = False
-    scale_note: str = ""
-    t_depth_ratio: float = math.nan
-    ambiguous_depths: bool = False
 
 
 class TranslationResult(NamedTuple):
@@ -371,21 +354,10 @@ def _rotation_candidates(points, method):
 def _finish_candidates(A, qs, points):
     """Score rotations on A, recover translation/depths on all points, and
     rank with chirality failures demoted below every passing candidate."""
-    filled = []
-    for cand in score_candidates(A, qs):
-        tr = recover_translation_depths(cand.q, points)
-        filled.append(
-            replace(
-                cand,
-                t=tr.t,
-                depths_u=tr.depths_u,
-                depths_v=tr.depths_v,
-                chirality_ok=tr.chirality_ok,
-                scale_note=tr.scale_note,
-                t_depth_ratio=tr.t_depth_ratio,
-                ambiguous_depths=tr.ambiguous_depths,
-            )
-        )
+    filled = [
+        replace(cand, **recover_translation_depths(cand.q, points)._asdict())
+        for cand in score_candidates(A, qs)
+    ]
     return _rank_candidates(filled)
 
 
@@ -400,7 +372,10 @@ def estimate_pose(points, method: str = "quest6"):
     at w = 0), the second view is rotated by a fixed gauge rotation and
     the rotation solve is repeated there; the recovered rotations are
     composed back into the original frame before translation, chirality,
-    and ranking."""
+    and ranking.
+
+    method "eightpt" is the essential-matrix baseline on all points: one
+    candidate, decompose_essential(eight_point(points), points)."""
     points = list(points)
     if method not in MINIMAL_POINTS:
         raise ValueError(f"unknown method {method!r}")
@@ -408,6 +383,8 @@ def estimate_pose(points, method: str = "quest6"):
         raise InsufficientPointsError(
             f"{method} needs at least {MINIMAL_POINTS[method]} points, got {len(points)}"
         )
+    if method == "eightpt":
+        return [baseline.decompose_essential(baseline.eight_point(points), points)]
 
     first_error = None
     cands = []
@@ -450,31 +427,10 @@ def estimate_pose(points, method: str = "quest6"):
     raise first_error if first_error is not None else NoSolutionError("no candidates found")
 
 
-def _triangulate_uv(R: np.ndarray, t: np.ndarray, points):
-    """Least-squares (u, v) per point for u * R @ m - v * n = -t.
-
-    Vectorized 2x2 normal equations; returns arrays u, v and the
-    reprojected second-view rays u * R @ m + t."""
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
-    a = M @ R.T
-    aa = np.einsum("ij,ij->i", a, a)
-    an = np.einsum("ij,ij->i", a, N)
-    nn = np.einsum("ij,ij->i", N, N)
-    rhs_u = -(a @ t)
-    rhs_v = N @ t
-    det = aa * nn - an * an
-    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-    u = (rhs_u * nn + an * rhs_v) / det
-    v = (an * rhs_u + aa * rhs_v) / det
-    reproj = u[:, None] * a + t[None, :]
-    return u, v, reproj
-
-
 def _angular_errors(R: np.ndarray, t: np.ndarray, points) -> np.ndarray:
     """Angle (radians) between each second-view ray and its reprojection."""
     N = np.array([c.n for c in points])
-    _, _, reproj = _triangulate_uv(R, t, points)
+    _, _, reproj = triangulate_uv(R, t, points)
     num = np.einsum("ij,ij->i", reproj, N)
     den = np.linalg.norm(reproj, axis=1) * np.linalg.norm(N, axis=1)
     den = np.where(den == 0.0, 1e-300, den)
@@ -487,7 +443,7 @@ def _consensus(R: np.ndarray, t: np.ndarray, points, threshold: float):
     both cameras (u > 0 and v > 0). The depth test rejects the mirrored
     (twisted-pair) pose, whose angles can match the true pose's."""
     errs = _angular_errors(R, t, points)
-    u, v, _ = _triangulate_uv(R, t, points)
+    u, v, _ = triangulate_uv(R, t, points)
     return errs, (errs < threshold) & (u > 0.0) & (v > 0.0)
 
 
@@ -553,10 +509,11 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     the most inliers wins (ties: lower mean angular error over its
     inliers); translation and depths are refit on the winning inliers.
     Deterministic for a fixed seed; the iteration count shrinks adaptively
-    once a large consensus is found."""
+    once a large consensus is found. Only the quaternion methods sample;
+    "eightpt" raises ValueError."""
     points = list(points)
-    if method not in MINIMAL_POINTS:
-        raise ValueError(f"unknown method {method!r}")
+    if method == "eightpt" or method not in MINIMAL_POINTS:
+        raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
     minimal = MINIMAL_POINTS[method]
     if len(points) < minimal:
         raise InsufficientPointsError(f"need at least {minimal} points")
@@ -612,15 +569,4 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     tr = recover_translation_depths(q, inliers)
     # residual reported on the minimal-subset matrix of the inlier set
     residual = float(np.linalg.norm(build_A(inliers[:minimal]).A @ monomial_vector(q)))
-    refit = PoseCandidate(
-        q=q,
-        algebraic_residual=residual,
-        t=tr.t,
-        depths_u=tr.depths_u,
-        depths_v=tr.depths_v,
-        chirality_ok=tr.chirality_ok,
-        scale_note=tr.scale_note,
-        t_depth_ratio=tr.t_depth_ratio,
-        ambiguous_depths=tr.ambiguous_depths,
-    )
-    return refit, mask
+    return PoseCandidate(q=q, algebraic_residual=residual, **tr._asdict()), mask

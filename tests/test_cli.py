@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quest import cli, core
+from quest import cli, core, solver
 from quest.core import Quaternion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,6 +43,25 @@ def test_reject_nan(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("# normalized\nnan 0.2 0.3 0.4\n")
     assert run(["estimate", p]) == 1
+
+
+def test_calibration_nan_rejected_with_line(tmp_path, capsys):
+    corr = tmp_path / "c.txt"
+    corr.write_text("100 100 101 101\n" * 6)
+    calib = tmp_path / "K.txt"
+    calib.write_text("# fx fy cx cy skew\nnan 500 320 240 0\n")
+    assert run(["estimate", corr, "--calib", calib]) == 1
+    assert f"{calib}:2: NaN/Inf" in capsys.readouterr().err
+
+
+def test_pose_nan_rejected_with_line(tmp_path, capsys):
+    est = tmp_path / "est.json"
+    assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
+                "--output", est]) == 0
+    pose = tmp_path / "pose.txt"
+    pose.write_text("nan 0 0 0 1 0 0\n")
+    assert run(["eval", est, pose]) == 1
+    assert f"{pose}:1: NaN/Inf" in capsys.readouterr().err
 
 
 def test_insufficient_points_exit_code(tmp_path, capsys):
@@ -252,6 +271,12 @@ def test_bench_rejects_unknown_method(tmp_path):
 def test_ransac_with_eightpt_rejected(tmp_path):
     assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
                 "--method", "eightpt", "--ransac"]) == 1
+
+
+def test_method_choices_are_the_method_table():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    method = next(a for a in sub.choices["estimate"]._actions if a.dest == "method")
+    assert method.choices == list(solver.MINIMAL_POINTS)
 
 
 def test_csv_float_format_is_full_precision(tmp_path):

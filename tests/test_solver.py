@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quest import bench, coeffs, core, solver
+from quest import baseline, bench, coeffs, core, solver
 from quest.core import Quaternion, monomial_vector, quat_to_rotation
 from quest.errors import (
     CriticalSurfaceError,
@@ -441,7 +441,7 @@ def test_ransac_rejects_twisted_pair():
     assert cand.chirality_ok
     assert core.rot_error(cand.q, pose.q) < 0.01
     inliers = [p for p, keep in zip(points, mask) if keep]
-    u, v, _ = solver._triangulate_uv(quat_to_rotation(cand.q), cand.t, inliers)
+    u, v, _ = core.triangulate_uv(quat_to_rotation(cand.q), cand.t, inliers)
     assert np.all(u > 0.0) and np.all(v > 0.0)
 
 
@@ -471,3 +471,21 @@ def test_ransac_rejects_bad_threshold():
     points, _, _ = make_outlier_set(seed=2)
     with pytest.raises(ValueError):
         solver.ransac_pose(points, "quest6", threshold=0.0, seed=0)
+
+
+def test_eightpt_dispatch_is_the_baseline():
+    sc = scene(31, n=10)
+    pts = list(sc.correspondences)
+    (got,) = solver.estimate_pose(pts, "eightpt")
+    want = baseline.decompose_essential(baseline.eight_point(pts), pts)
+    assert got.q == want.q
+    assert got.algebraic_residual == want.algebraic_residual
+    for field in ("t", "depths_u", "depths_v"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert core.rot_error(got.q, sc.pose.q) < 1e-9
+
+
+def test_ransac_rejects_eightpt():
+    points, _, _ = make_outlier_set(seed=2)
+    with pytest.raises(ValueError, match="quest6/quest7"):
+        solver.ransac_pose(points, "eightpt", seed=0)

@@ -1,0 +1,45 @@
+"""The benchmark's --trace 1 wraps library functions by module attribute
+(perfbench/spans.py). These tests fail when a refactor renames one of those
+attributes or calls a layer in a way the rebinding cannot see."""
+
+import importlib.util
+from pathlib import Path
+
+import quest
+from quest import baseline, solver
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_exist_and_record_every_layer():
+    spans = _load_spans()
+    for module_name, attr, _, _ in spans.TARGETS:
+        assert hasattr(getattr(quest, module_name), attr), f"quest.{module_name}.{attr}"
+
+    exact = list(quest.generate_scene(quest.SceneConfig(n_points=12, rng_seed=5)).correspondences)
+    originals = {attr: getattr(getattr(quest, m), attr) for m, attr, _, _ in spans.TARGETS}
+    tracer = spans.Tracer()
+    with tracer.installed(quest):
+        solver.estimate_pose(exact[:6], "quest6")
+        solver.estimate_pose(exact[:7], "quest7")
+        baseline.decompose_essential(baseline.eight_point(exact[:8]), exact[:8])
+        solver.estimate_pose(exact[:8], "eightpt")
+        solver.ransac_pose(exact, "quest6", max_iters=3, seed=0)
+    recorded = {s[spans.NAME] for s in tracer.spans}
+    for name in ("coeffs.build_A", "solver.rotations", "solver.pinv", "solver.eig",
+                 "solver.extract", "solver.score", "solver.translate", "ransac.polish",
+                 "ransac.angular_errors", "baseline.eight_point",
+                 "baseline.decompose_essential"):
+        assert name in recorded, name
+    # the eightpt dispatch reaches the baseline through its module attributes
+    eight = [s for s in tracer.spans if s[spans.NAME] == "baseline.eight_point"]
+    assert any(tracer.spans[s[spans.PARENT]][spans.NAME] == "solver.estimate_pose" for s in eight)
+    for m, attr, _, _ in spans.TARGETS:
+        assert getattr(getattr(quest, m), attr) is originals[attr]
