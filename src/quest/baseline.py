@@ -94,21 +94,22 @@ def decompose_essential(E: EssentialMatrix, points) -> PoseCandidate:
         Vt = -Vt
     W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     t_unit = U[:, 2]
-    best = None
-    for R in (U @ W @ Vt, U @ W.T @ Vt):
-        for t in (t_unit, -t_unit):
-            u, v, _ = triangulate_uv(R, t, points)
-            pos = int(np.sum((u > 0.0) & (v > 0.0)))
-            if best is None or pos > best[0]:
-                best = (pos, R, t, u, v)
-    pos, R, t, u, v = best
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    # hypotheses (R1, t), (R1, -t), (R2, t), (R2, -t), scored in one call;
+    # argmax keeps the first of equal votes
+    R1, R2 = U @ W @ Vt, U @ W.T @ Vt
+    Rs = np.stack([R1, R1, R2, R2])
+    ts = np.stack([t_unit, -t_unit, t_unit, -t_unit])
+    us, vs, _ = triangulate_uv(Rs, ts, M, N)
+    votes = np.sum((us > 0.0) & (vs > 0.0), axis=1)
+    best = int(np.argmax(votes))
+    pos, R, t, u, v = int(votes[best]), Rs[best], ts[best], us[best], vs[best]
     if pos <= len(points) // 2:
         raise ChiralityFailureError(
             f"no decomposition places a majority of points in front of both cameras "
             f"(best {pos}/{len(points)})"
         )
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
     residual = float(np.max(np.abs(np.einsum("ij,jk,ik->i", N, E.E, M))))
     return PoseCandidate(
         q=quat_from_rotation(R),

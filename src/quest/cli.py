@@ -223,7 +223,7 @@ def _scene_config_from_args(args) -> SceneConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     cfg.setdefault("n_points", args.points)
-    cfg.setdefault("geometry", "general" if args.geometry == "mix" else args.geometry)
+    cfg.setdefault("geometry", args.geometry or "general")
     for key in ("box_x", "box_y", "box_z"):
         if key in cfg:
             cfg[key] = tuple(cfg[key])
@@ -234,6 +234,9 @@ def _scene_config_from_args(args) -> SceneConfig:
 
 def cmd_bench(args) -> int:
     seed = _default_seed(args.seed)
+    if args.kind == "time" and args.geometry is not None:
+        raise ValueError("bench time always alternates general and coplanar scenes; "
+                         "drop --geometry")
     cfg = _scene_config_from_args(args)
     cam = SyntheticCamera()
     methods = args.methods.split(",")
@@ -328,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default="0,1,2,4,8", help="comma-separated pixel sigmas (noise kind)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--points", type=int, default=8)
-    p.add_argument("--geometry", choices=["general", "coplanar", "mix"], default="general")
+    p.add_argument("--geometry", choices=["general", "coplanar"],
+                   help="scene geometry of bench noise (default general); bench time "
+                   "always alternates general and coplanar scenes")
     p.add_argument("--config", help="JSON file with SceneConfig overrides")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)

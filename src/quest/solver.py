@@ -281,11 +281,15 @@ def recover_translation_depths(q: Quaternion, points) -> TranslationResult:
     if k < 2:
         raise InsufficientPointsError("need at least 2 points to recover translation")
     R = quat_to_rotation(q)
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
     C = np.zeros((3 * k, 2 * k + 3))
-    for i, c in enumerate(points):
-        C[3 * i : 3 * i + 3, 0:3] = np.eye(3)
-        C[3 * i : 3 * i + 3, 3 + 2 * i] = R @ c.m
-        C[3 * i : 3 * i + 3, 4 + 2 * i] = -c.n
+    blocks = C.reshape(k, 3, 2 * k + 3)  # point i's three rows
+    i = np.arange(k)
+    blocks[:, :, 0:3] = np.eye(3)
+    # a stacked matrix-vector product: R @ M.T would round differently
+    blocks[i, :, 3 + 2 * i] = (R @ M[:, :, None])[:, :, 0]
+    blocks[i, :, 4 + 2 * i] = -N
     _, svals, Vt = np.linalg.svd(C, full_matrices=True)
     y = Vt[-1]
     # With fewer rows than columns the trailing singular values are exact zeros.
@@ -427,23 +431,23 @@ def estimate_pose(points, method: str = "quest6"):
     raise first_error if first_error is not None else NoSolutionError("no candidates found")
 
 
-def _angular_errors(R: np.ndarray, t: np.ndarray, points) -> np.ndarray:
-    """Angle (radians) between each second-view ray and its reprojection."""
-    N = np.array([c.n for c in points])
-    _, _, reproj = triangulate_uv(R, t, points)
-    num = np.einsum("ij,ij->i", reproj, N)
-    den = np.linalg.norm(reproj, axis=1) * np.linalg.norm(N, axis=1)
+def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
+    """Angle (radians) between each second-view ray and its reprojection,
+    with the triangulated depths u, v. R and t may carry a leading pose
+    axis (see triangulate_uv); the outputs then have shape (..., k)."""
+    u, v, reproj = triangulate_uv(R, t, M, N)
+    num = np.einsum("...ij,ij->...i", reproj, N)
+    den = np.linalg.norm(reproj, axis=-1) * np.linalg.norm(N, axis=1)
     den = np.where(den == 0.0, 1e-300, den)
-    return np.arccos(np.clip(num / den, -1.0, 1.0))
+    return np.arccos(np.clip(num / den, -1.0, 1.0)), u, v
 
 
-def _consensus(R: np.ndarray, t: np.ndarray, points, threshold: float):
+def _consensus(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, threshold: float):
     """Angular errors and the inlier mask of a pose: a point is an inlier
     when its error is below `threshold` and it triangulates in front of
     both cameras (u > 0 and v > 0). The depth test rejects the mirrored
     (twisted-pair) pose, whose angles can match the true pose's."""
-    errs = _angular_errors(R, t, points)
-    u, v, _ = triangulate_uv(R, t, points)
+    errs, u, v = _angular_errors(R, t, M, N)
     return errs, (errs < threshold) & (u > 0.0) & (v > 0.0)
 
 
@@ -457,24 +461,33 @@ def _rotation_exp(delta: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
-def _polish_pose(R0: np.ndarray, t0: np.ndarray, points, iters: int = 8):
-    """Levenberg-Marquardt on the angular reprojection errors over the
-    rotation and the translation direction (the translation scale does not
-    affect the angles, so t stays on the unit sphere). Deterministic."""
+# Forward-difference step of the polish Jacobian, and the three rotation
+# increments and translation offsets it perturbs a pose by.
+_H = 1e-7
+_DR = np.stack([_rotation_exp(_H * e) for e in np.eye(3)])
+_DT = _H * np.eye(3)
+
+
+def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, iters: int = 8):
+    """Levenberg-Marquardt on the angular reprojection errors of the rays
+    M, N over the rotation and the translation direction (the translation
+    scale does not affect the angles, so t stays on the unit sphere).
+    The forward-difference Jacobian comes from one stacked evaluation of
+    the six perturbed poses. Deterministic."""
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / np.linalg.norm(t)
-    f = _angular_errors(R, t, points)
+    f, _, _ = _angular_errors(R, t, M, N)
     cost = float(f @ f)
     lam = 1e-4
-    h = 1e-7
     for _ in range(iters):
-        J = np.zeros((len(points), 6))
-        for k in range(3):
-            d = np.zeros(3)
-            d[k] = h
-            J[:, k] = (_angular_errors(_rotation_exp(d) @ R, t, points) - f) / h
-            J[:, 3 + k] = (_angular_errors(R, t + d, points) - f) / h
+        Rs = np.concatenate([_DR @ R, [R] * 3])
+        ts = np.concatenate([[t] * 3, t + _DT])
+        fs, _, _ = _angular_errors(Rs, ts, M, N)
+        # J in C order, as a column-filled array would be: a transposed
+        # view sends J.T @ f and J.T @ J to other BLAS kernels, whose
+        # results differ in the last bits
+        J = np.ascontiguousarray(((fs - f) / _H).T)
         g = J.T @ f
         H = J.T @ J + lam * np.eye(6)
         try:
@@ -484,7 +497,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, points, iters: int = 8):
         R_new = _rotation_exp(step[:3]) @ R
         t_new = t + step[3:]
         t_new = t_new / np.linalg.norm(t_new)
-        f_new = _angular_errors(R_new, t_new, points)
+        f_new, _, _ = _angular_errors(R_new, t_new, M, N)
         cost_new = float(f_new @ f_new)
         if cost_new < cost:
             R, t, f, cost = R_new, t_new, f_new, cost_new
@@ -521,6 +534,8 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
         raise ValueError("threshold must be positive")
     rng = np.random.default_rng(seed)
     n = len(points)
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
 
     best = None  # ((count, -mean_err), R, t, mask)
     needed = max_iters
@@ -538,13 +553,12 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
                 continue
             R = quat_to_rotation(cand.q)
             t = np.asarray(cand.t, dtype=float)
-            errs, mask = _consensus(R, t, points, threshold)
+            errs, mask = _consensus(R, t, M, N, threshold)
             if int(mask.sum()) < minimal:
                 continue
             for _ in range(2):
-                inliers = [p for p, keep in zip(points, mask) if keep]
-                R, t = _polish_pose(R, t, inliers)
-                errs, new_mask = _consensus(R, t, points, threshold)
+                R, t = _polish_pose(R, t, M[mask], N[mask])
+                errs, new_mask = _consensus(R, t, M, N, threshold)
                 stable = bool((new_mask == mask).all())
                 mask = new_mask
                 if stable or int(mask.sum()) < minimal:

@@ -268,6 +268,22 @@ def test_bench_rejects_unknown_method(tmp_path):
                 "--output", tmp_path / "x.csv"]) == 1
 
 
+def test_bench_time_rejects_geometry(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    for geometry in ("general", "coplanar"):
+        assert run(["bench", "time", "--methods", "quest6", "--trials", 1,
+                    "--geometry", geometry, "--output", out]) == 1
+        assert "always alternates general and coplanar" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_geometry_mix_is_not_a_choice(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "noise", "--methods", "quest6", "--trials", 1,
+             "--geometry", "mix", "--output", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+
+
 def test_ransac_with_eightpt_rejected(tmp_path):
     assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
                 "--method", "eightpt", "--ransac"]) == 1

@@ -441,8 +441,117 @@ def test_ransac_rejects_twisted_pair():
     assert cand.chirality_ok
     assert core.rot_error(cand.q, pose.q) < 0.01
     inliers = [p for p, keep in zip(points, mask) if keep]
-    u, v, _ = core.triangulate_uv(quat_to_rotation(cand.q), cand.t, inliers)
+    M = np.array([c.m for c in inliers])
+    N = np.array([c.n for c in inliers])
+    u, v, _ = core.triangulate_uv(quat_to_rotation(cand.q), cand.t, M, N)
     assert np.all(u > 0.0) and np.all(v > 0.0)
+
+
+# ransac_pose(make_outlier_set(seed=s), "quest6", threshold=0.005,
+# max_iters=200, seed=s) as recorded before the RANSAC inner loop moved to
+# arrays: q (w, x, y, z), t, and the mask as one character per point.
+_RANSAC_GOLDEN = (
+    (('0x1.2688f623d0bddp-1', '0x1.7b4cb0841bae9p-4', '-0x1.4c555374a3124p-2', '-0x1.7d7d2d1d8a5cep-1'),
+     ('-0x1.c8d10a063b747p-2', '0x1.118499bf2a2fap-1', '0x1.6fa4ada4ced3ep-1'),
+     '011111111111101101101011101101'),
+    (('0x1.b870fe035af2ap-3', '0x1.052e70d364804p-1', '0x1.a43a9d0d2f8e2p-3', '-0x1.9d3d55e041ce4p-1'),
+     ('-0x1.e8c6b4a28b8b5p-2', '-0x1.75deca595cd35p-3', '0x1.b817ee58a0360p-1'),
+     '101111111111011110111101111100'),
+    (('0x1.273f7e953d8e7p-4', '-0x1.a1402fe2cf12fp-3', '-0x1.3e202f5ddce66p-3', '-0x1.ed88a3dc48aecp-1'),
+     ('0x1.cdddca98c4ed9p-3', '0x1.31f4d420b1c83p-1', '-0x1.89f502557c989p-1'),
+     '011111110101011111110110111111'),
+    (('0x1.8e9deac859d64p-1', '-0x1.3f8eb3167a875p-3', '-0x1.017c0a59f265ep-1', '0x1.5dac94dd0bb53p-2'),
+     ('-0x1.803cc4ec7947ep-7', '0x1.d6a51e52c2940p-2', '0x1.c6ad5755ff55ep-1'),
+     '111111111000111111111111101011'),
+    (('0x1.94dddbcc0f7d4p-1', '-0x1.4604a6ed50973p-3', '0x1.543ba3f45303fp-2', '0x1.f493c76a6bd5fp-2'),
+     ('0x1.bc3d46968b04cp-2', '0x1.442bd578e2974p-1', '-0x1.483500e4af21ap-1'),
+     '011111101011111100111011111111'),
+)
+
+
+@pytest.mark.parametrize("seed", range(len(_RANSAC_GOLDEN)))
+def test_ransac_golden_outputs(seed):
+    points, _, _ = make_outlier_set(seed=seed)
+    cand, mask = solver.ransac_pose(points, "quest6", threshold=0.005, max_iters=200, seed=seed)
+    q_hex, t_hex, mask_str = _RANSAC_GOLDEN[seed]
+    assert (cand.q.w, cand.q.x, cand.q.y, cand.q.z) == tuple(float.fromhex(h) for h in q_hex)
+    assert cand.t.tolist() == [float.fromhex(h) for h in t_hex]
+    assert "".join("1" if keep else "0" for keep in mask) == mask_str
+
+
+def _reference_angular_errors(R, t, M, N):
+    # one pose at a time, as the per-axis loop below evaluated it
+    a = M @ R.T
+    aa = np.einsum("ij,ij->i", a, a)
+    an = np.einsum("ij,ij->i", a, N)
+    nn = np.einsum("ij,ij->i", N, N)
+    rhs_u = -(a @ t)
+    rhs_v = N @ t
+    det = aa * nn - an * an
+    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+    u = (rhs_u * nn + an * rhs_v) / det
+    reproj = u[:, None] * a + t[None, :]
+    num = np.einsum("ij,ij->i", reproj, N)
+    den = np.linalg.norm(reproj, axis=1) * np.linalg.norm(N, axis=1)
+    den = np.where(den == 0.0, 1e-300, den)
+    return np.arccos(np.clip(num / den, -1.0, 1.0))
+
+
+def _reference_polish(R0, t0, M, N, iters=8):
+    # Levenberg-Marquardt with a Jacobian built from seven separate
+    # evaluations per iteration: the oracle for the batched _polish_pose
+    R = np.array(R0, dtype=float)
+    t = np.asarray(t0, dtype=float)
+    t = t / np.linalg.norm(t)
+    f = _reference_angular_errors(R, t, M, N)
+    cost = float(f @ f)
+    lam = 1e-4
+    h = 1e-7
+    for _ in range(iters):
+        J = np.zeros((len(M), 6))
+        for k in range(3):
+            d = np.zeros(3)
+            d[k] = h
+            J[:, k] = (_reference_angular_errors(solver._rotation_exp(d) @ R, t, M, N) - f) / h
+            J[:, 3 + k] = (_reference_angular_errors(R, t + d, M, N) - f) / h
+        g = J.T @ f
+        H = J.T @ J + lam * np.eye(6)
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            break
+        R_new = solver._rotation_exp(step[:3]) @ R
+        t_new = t + step[3:]
+        t_new = t_new / np.linalg.norm(t_new)
+        f_new = _reference_angular_errors(R_new, t_new, M, N)
+        cost_new = float(f_new @ f_new)
+        if cost_new < cost:
+            R, t, f, cost = R_new, t_new, f_new, cost_new
+            lam = max(lam * 0.3, 1e-10)
+        else:
+            lam *= 10.0
+    return R, t, f
+
+
+def test_batched_polish_matches_per_axis_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        k = int(rng.integers(8, 31))
+        R_true = quat_to_rotation(Quaternion(*rng.normal(size=4)).normalized())
+        t_true = rng.normal(size=3)
+        X = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(4, 8, k)])
+        Y = X @ R_true.T + t_true
+        M = X / X[:, 2:]
+        N = Y / Y[:, 2:]
+        N[:, :2] += rng.normal(scale=1e-3, size=(k, 2))
+        R0 = solver._rotation_exp(rng.normal(scale=0.05, size=3)) @ R_true
+        t0 = t_true + rng.normal(scale=0.1, size=3)
+        R_ref, t_ref, f_ref = _reference_polish(R0, t0, M, N)
+        R, t = solver._polish_pose(R0, t0, M, N)
+        f, _, _ = solver._angular_errors(R, t, M, N)
+        assert np.array_equal(R, R_ref)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(f, f_ref)
 
 
 def test_ransac_outlier_free_marks_everything_inlier():
