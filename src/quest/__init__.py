@@ -24,7 +24,6 @@ from .core import (
 )
 from .coeffs import CoefficientMatrix, build_A, build_triple_matrix, coefficient_row
 from .solver import (
-    SplitSpec,
     estimate_pose,
     quest6_rotations,
     quest7_rotations,
@@ -54,7 +53,6 @@ __all__ = [
     "PoseCandidate",
     "Quaternion",
     "SceneConfig",
-    "SplitSpec",
     "SyntheticCamera",
     "add_pixel_noise",
     "build_A",

@@ -222,6 +222,9 @@ def _scene_config_from_args(args) -> SceneConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+    if args.kind == "time" and (args.geometry is not None or "geometry" in cfg):
+        raise ValueError("bench time always alternates general and coplanar scenes; "
+                         "drop --geometry and the config's \"geometry\" key")
     cfg.setdefault("n_points", args.points)
     cfg.setdefault("geometry", args.geometry or "general")
     for key in ("box_x", "box_y", "box_z"):
@@ -234,9 +237,6 @@ def _scene_config_from_args(args) -> SceneConfig:
 
 def cmd_bench(args) -> int:
     seed = _default_seed(args.seed)
-    if args.kind == "time" and args.geometry is not None:
-        raise ValueError("bench time always alternates general and coplanar scenes; "
-                         "drop --geometry")
     cfg = _scene_config_from_args(args)
     cam = SyntheticCamera()
     methods = args.methods.split(",")

@@ -2,7 +2,8 @@
 
 The 35-monomial system A @ x = 0 is turned into an ordinary eigenvalue
 problem by splitting the monomials into a block x1 that is eliminated
-through the pseudo-inverse of the complementary columns:
+through the pseudo-inverse of the complementary columns (QUEST6_SPLIT,
+QUEST7_SPLIT):
 
 - 7 points (A is 35x35): x1 is the four monomials w^4, w^3 x, w^3 y,
   w^3 z. The rows of -pinv(A2) @ A1 belonging to w x^3, x^4, x^3 y, x^3 z
@@ -14,7 +15,15 @@ through the pseudo-inverse of the complementary columns:
   -pinv(A2) @ A1 otherwise; eigenvectors deliver the cubes of the
   quaternion components, with eigenvalue x / w.
 
-Translation and both views' depths then come from the null vector of the
+Every step works on whole arrays and keeps the bits of a per-vector loop.
+quest6 takes its rank test and pseudo-inverse from one SVD of A2; quest7
+tests rank on singular values alone, so a critical surface fails before
+any pseudo-inverse. B is filled from index tables built at import.
+Eigenvector alignment, selection and quaternion extraction act on the
+eigenvector matrix, and scoring and translation treat all candidates as
+one array or stack.
+
+Translation and both views' depths come from the null vector of the
 stacked rigid-motion system, and candidates are ranked by the algebraic
 residual ||A @ x(q)|| with chirality (all depths positive) used to demote
 mirrored solutions.
@@ -26,8 +35,7 @@ MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,6 +64,7 @@ from .errors import (
 _DEG3 = monomials_of_degree(3)
 _DEG4 = monomials_of_degree(4)
 _POS3 = monomial_positions(3)
+_EXP4 = np.array(_DEG4, dtype=float)
 
 _PINV_RCOND = 1e-10
 # Rank is measured at the float noise floor of these unit-norm-row
@@ -69,71 +78,107 @@ _IMAG_RATIO = 1e-6
 #: Minimal point count per pose method: the only method table.
 MINIMAL_POINTS = {"quest6": 6, "quest7": 7, "eightpt": 8}
 
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """A monomial split x = (x1, x2) together with the eigenvalue label."""
-
-    x1_indices: tuple
-    x2_indices: tuple
-    eigen_label: str
-
-    def __post_init__(self):
-        combined = sorted(self.x1_indices + self.x2_indices)
-        if combined != list(range(len(_DEG4))):
-            raise ValueError("split must partition the 35 monomials")
+#: Monomial splits (x1 indices, x2 indices) into the 35 degree-4 columns:
+#: x1 is eliminated through the pseudo-inverse of the x2 columns.
+QUEST7_SPLIT = (tuple(range(4)), tuple(range(4, 35)))
+QUEST6_SPLIT = (
+    tuple(i for i, e in enumerate(_DEG4) if e[0] >= 1),
+    tuple(i for i, e in enumerate(_DEG4) if e[0] == 0),
+)
 
 
-def split_for_quest7() -> SplitSpec:
-    return SplitSpec(tuple(range(4)), tuple(range(4, 35)), "x^3/w^3")
+def _x2_rows(split, monomials):
+    """Rows of -pinv(A2) @ A1 (one per x2 monomial) holding `monomials`."""
+    x2 = [_DEG4[i] for i in split[1]]
+    return np.array([x2.index(e) for e in monomials])
 
 
-def split_for_quest6() -> SplitSpec:
-    x1 = tuple(i for i, e in enumerate(_DEG4) if e[0] >= 1)
-    x2 = tuple(i for i, e in enumerate(_DEG4) if e[0] == 0)
-    return SplitSpec(x1, x2, "x/w")
+# quest7's B: the rows of w x^3, x^4, x^3 y, x^3 z.
+_QUEST7_ROWS = _x2_rows(QUEST7_SPLIT, [(1, 3, 0, 0), (0, 4, 0, 0), (0, 3, 1, 0), (0, 3, 0, 1)])
+# quest6's B: row r is x times the degree-3 monomial r. With a factor w it
+# is a unit selector of that monomial divided by w; otherwise a row of
+# -pinv(A2) @ A1.
+_X_TIMES = [(e[0], e[1] + 1, e[2], e[3]) for e in _DEG3]
+_SELECTOR_ROWS = np.array([r for r, g in enumerate(_X_TIMES) if g[0] >= 1])
+_SELECTOR_COLS = np.array([_POS3[(g[0] - 1,) + g[1:]] for g in _X_TIMES if g[0] >= 1])
+_BBAR_ROWS = np.array([r for r, g in enumerate(_X_TIMES) if g[0] == 0])
+_BBAR_SOURCE = _x2_rows(QUEST6_SPLIT, [g for g in _X_TIMES if g[0] == 0])
+# Quaternion extraction from degree-3 monomials: _MIXED[a, o] is the
+# position of a^2 * o, so its diagonal holds w^3, x^3, y^3, z^3.
+_MIXED = np.array([[_POS3[tuple(2 * (i == a) + (i == o) for i in range(4))] for o in range(4)]
+                   for a in range(4)])
+_CUBES = _MIXED.diagonal()
 
 
-class TranslationResult(NamedTuple):
-    t: np.ndarray
-    depths_u: np.ndarray
-    depths_v: np.ndarray
-    chirality_ok: bool
-    t_depth_ratio: float
-    ambiguous_depths: bool
-    scale_note: str
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X, with the bits np.linalg.norm gives
+    that row alone: a stacked matmul runs the same BLAS dot per row, while
+    norm(axis=...) would sum in another order."""
+    X = np.ascontiguousarray(X)
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
-def _pinv(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.pinv(mat, rcond=_PINV_RCOND)
+def _pinv(mat: np.ndarray):
+    """Pseudo-inverse and singular values of mat from one SVD. The formula
+    and cutoff are numpy.linalg.pinv's at rcond _PINV_RCOND, so the result
+    keeps its bits; the singular values serve the caller's rank test."""
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    large = s > _PINV_RCOND * s[0]
+    inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    return vt.T @ (inv[:, None] * u.T), s
 
 
-def _near_real_eigenvectors(B: np.ndarray):
-    """Eigenvectors of a real matrix that are real up to a complex phase.
+def _near_real_eigenvectors(B: np.ndarray) -> np.ndarray:
+    """Eigenvectors of a real matrix that are real up to a complex phase,
+    as the columns of one real matrix.
 
     Each eigenvector is rotated so its largest component is real positive;
     vectors whose imaginary part stays below _IMAG_RATIO of the real part
-    are accepted. If fewer than 2 survive (noise can push a real pair
+    are kept. If fewer than 2 survive (noise can push a real pair
     slightly complex), the real parts of all phase-aligned vectors are
     returned instead."""
     _, vecs = np.linalg.eig(B)
-    aligned = []
-    kept = []
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        v = v / phase
-        aligned.append(v.real)
-        if np.linalg.norm(v.imag) <= _IMAG_RATIO * np.linalg.norm(v.real):
-            kept.append(v.real)
-    if len(kept) < 2:
-        kept = aligned
-    return kept
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    aligned = vecs / (peak / np.abs(peak))
+    kept = _row_norms(aligned.imag.T) <= _IMAG_RATIO * _row_norms(aligned.real.T)
+    return aligned.real[:, kept] if np.count_nonzero(kept) >= 2 else aligned.real
 
 
 def _canonical_unit(q: Quaternion) -> Quaternion:
     return q.normalized().canonical()
+
+
+def _quat_from_cubic_vector(V: np.ndarray) -> list:
+    """Canonical unit quaternions from the columns of an eigenvector matrix.
+
+    Columns of 4 entries are the quaternions themselves (quest7). Columns
+    of 20 entries hold the degree-3 monomials (quest6): component
+    magnitudes come from cube roots of the w^3, x^3, y^3, z^3 entries;
+    signs come from the mixed monomials anchored at the largest cube entry
+    (numerically larger when a component is small), falling back to the
+    cube entry's own sign. Columns that vanish are skipped."""
+    if V.shape[0] == 4:
+        comps = V.T
+    else:
+        scale = np.abs(V).max(axis=0)
+        live = scale >= 1e-12
+        V, scale = V[:, live], scale[live]
+        cols = np.arange(V.shape[1])
+        cubes = V[_CUBES]
+        anchor = np.argmax(np.abs(cubes), axis=0)
+        flip = cubes[anchor, cols] < 0.0
+        V = np.where(flip, -V, V)
+        cubes = np.where(flip, -cubes, cubes)
+        mags = np.cbrt(np.abs(cubes))
+        mixed = V[_MIXED[anchor].T, cols]
+        sign_source = np.where(np.abs(mixed) > 1e-12 * scale, mixed, cubes)
+        comps = np.where(sign_source != 0.0, np.copysign(mags, sign_source), 0.0).T
+    out = []
+    for c in comps.tolist():
+        q = Quaternion(*c)
+        if q.norm() >= 1e-12:
+            out.append(_canonical_unit(q))
+    return out
 
 
 def quest7_rotations(A: CoefficientMatrix):
@@ -142,12 +187,12 @@ def quest7_rotations(A: CoefficientMatrix):
     Raises CriticalSurfaceError when the 31-column elimination block loses
     rank, which is the structural signature of points on a critical
     surface (it collapses to rank 20 for coplanar scenes); the 6-point
-    solver still works there."""
+    solver still works there. The rank test reads singular values only,
+    so that failure costs no pseudo-inverse."""
     if A.n_points != 7 or A.A.shape != (35, 35):
         raise ValueError("quest7 requires the 35x35 matrix built from exactly 7 points")
-    split = split_for_quest7()
-    A1 = A.A[:, split.x1_indices]
-    A2 = A.A[:, split.x2_indices]
+    x1, x2 = QUEST7_SPLIT
+    A2 = A.A[:, x2]
     svals = np.linalg.svd(A2, compute_uv=False)
     # conservative solvability cut: anything the pseudo-inverse would
     # regularize away is treated as unsolved here, so the caller can retry
@@ -168,82 +213,26 @@ def quest7_rotations(A: CoefficientMatrix):
             measured_rank=rank,
             gap=gap,
         )
-    bbar = -_pinv(A2) @ A1
-    x2_monos = [_DEG4[i] for i in split.x2_indices]
-    picks = [x2_monos.index(e) for e in [(1, 3, 0, 0), (0, 4, 0, 0), (0, 3, 1, 0), (0, 3, 0, 1)]]
-    B = bbar[picks, :]
-    out = []
-    for v in _near_real_eigenvectors(B):
-        if np.linalg.norm(v) < 1e-12:
-            continue
-        out.append(_canonical_unit(Quaternion.from_array(v)))
-    return out
-
-
-def _quat_from_cubic_vector(v: np.ndarray) -> Quaternion | None:
-    """Quaternion from an eigenvector holding the 20 degree-3 monomials.
-
-    Component magnitudes come from cube roots of the w^3, x^3, y^3, z^3
-    entries; signs come from the mixed monomials anchored at the largest
-    cube entry (numerically larger when a component is small), falling
-    back to the cube entry's own sign."""
-    scale = np.abs(v).max()
-    if scale < 1e-12:
-        return None
-    cube_idx = [_POS3[e] for e in [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]]
-    cubes = v[cube_idx]
-    anchor = int(np.argmax(np.abs(cubes)))
-    if cubes[anchor] < 0.0:
-        v = -v
-        cubes = -cubes
-    mags = np.cbrt(np.abs(cubes))
-    comps = np.zeros(4)
-    comps[anchor] = mags[anchor]
-    # exponent of the anchor^2 * other monomial, e.g. w^2 x for anchor w
-    for other in range(4):
-        if other == anchor:
-            continue
-        exp = [0, 0, 0, 0]
-        exp[anchor] = 2
-        exp[other] = 1
-        mixed = v[_POS3[tuple(exp)]]
-        sign_source = mixed if abs(mixed) > 1e-12 * scale else cubes[other]
-        comps[other] = math.copysign(mags[other], sign_source) if sign_source != 0.0 else 0.0
-    q = Quaternion.from_array(comps)
-    if q.norm() < 1e-12:
-        return None
-    return _canonical_unit(q)
+    pinv, _ = _pinv(A2)
+    B = (-pinv @ A.A[:, x1])[_QUEST7_ROWS]
+    return _quat_from_cubic_vector(_near_real_eigenvectors(B))
 
 
 def quest6_rotations(A: CoefficientMatrix):
     """Rotation candidates (at most 20) from a 6-point coefficient matrix."""
     if A.n_points != 6 or A.A.shape != (20, 35):
         raise ValueError("quest6 requires the 20x35 matrix built from exactly 6 points")
-    split = split_for_quest6()
-    A1 = A.A[:, split.x1_indices]
-    A2 = A.A[:, split.x2_indices]
-    svals = np.linalg.svd(A2, compute_uv=False)
+    x1, x2 = QUEST6_SPLIT
+    pinv, svals = _pinv(A.A[:, x2])
     if svals[-1] <= _PINV_RCOND * svals[0]:
         raise DegenerateConfigurationError(
             "6-point elimination block lost rank; the correspondences do not "
             "constrain the rotation (near-180-degree motion or degenerate points)"
         )
-    bbar = -_pinv(A2) @ A1
-    x2_monos = [_DEG4[i] for i in split.x2_indices]
-    x2_pos = {e: i for i, e in enumerate(x2_monos)}
     B = np.zeros((20, 20))
-    for r, e3 in enumerate(_DEG3):
-        g = (e3[0], e3[1] + 1, e3[2], e3[3])
-        if g[0] >= 1:
-            B[r, _POS3[(g[0] - 1, g[1], g[2], g[3])]] = 1.0
-        else:
-            B[r, :] = bbar[x2_pos[g], :]
-    out = []
-    for v in _near_real_eigenvectors(B):
-        q = _quat_from_cubic_vector(v)
-        if q is not None:
-            out.append(q)
-    return out
+    B[_SELECTOR_ROWS, _SELECTOR_COLS] = 1.0
+    B[_BBAR_ROWS] = (-pinv @ A.A[:, x1])[_BBAR_SOURCE]
+    return _quat_from_cubic_vector(_near_real_eigenvectors(B))
 
 
 def score_candidates(A: CoefficientMatrix, qs):
@@ -251,75 +240,73 @@ def score_candidates(A: CoefficientMatrix, qs):
 
     The residual vanishes exactly when q solves every polynomial row, so
     on noiseless data it singles out the mathematically feasible
-    candidates; near-duplicates (same rotation) are collapsed first."""
+    candidates. Near-duplicates (same rotation, |<q, u>| >= 1 - 1e-9) are
+    collapsed first, keeping the earliest; the ranking sort is stable."""
     if not qs:
         raise NoSolutionError("no rotation candidates to score")
-    unique = []
-    for q in qs:
-        if all(abs(float(np.dot(q.as_array(), u.as_array()))) < 1.0 - 1e-9 for u in unique):
-            unique.append(q)
-    scored = [
-        PoseCandidate(q=q, algebraic_residual=float(np.linalg.norm(A.A @ monomial_vector(q))))
-        for q in unique
+    Q = np.array([[q.w, q.x, q.y, q.z] for q in qs])
+    dup = (np.abs(Q @ Q.T) >= 1.0 - 1e-9).tolist()
+    keep = []
+    for i, row in enumerate(dup):
+        if not any(row[j] for j in keep):
+            keep.append(i)
+    X = np.prod(Q[keep, None, :] ** _EXP4, axis=2)
+    residuals = _row_norms((A.A @ X[:, :, None])[:, :, 0])
+    return [
+        PoseCandidate(q=qs[keep[i]], algebraic_residual=float(residuals[i]))
+        for i in np.argsort(residuals, kind="stable")[:4]
     ]
-    scored.sort(key=lambda c: c.algebraic_residual)
-    return scored[:4]
 
 
-def recover_translation_depths(q: Quaternion, points) -> TranslationResult:
-    """Translation and per-point depths for a fixed rotation.
+def recover_translation_depths(cands, points):
+    """The candidates with translation and per-point depths filled in.
 
-    The rigid-motion constraints of all k points stack into a
-    3k x (2k + 3) system whose null vector holds (t, u1, v1, ..., uk, vk);
-    the rightmost singular vector recovers them up to one common scale.
-    The global sign is flipped so most depths are positive, then the
-    result is scaled to ||t|| = 1 unless the translation is negligible
-    against the depths, in which case the mean absolute depth is scaled
-    to 1 (so a near-zero translation stays near zero)."""
+    For each candidate's rotation the rigid-motion constraints of all k
+    points stack into a 3k x (2k + 3) system whose null vector holds
+    (t, u1, v1, ..., uk, vk); the rightmost singular vector recovers them
+    up to one common scale. The global sign is flipped so most depths are
+    positive, then the result is scaled to ||t|| = 1 unless the
+    translation is negligible against the depths, in which case the mean
+    absolute depth is scaled to 1 (so a near-zero translation stays near
+    zero). All candidates' systems are solved as one stack."""
     points = list(points)
     k = len(points)
     if k < 2:
         raise InsufficientPointsError("need at least 2 points to recover translation")
-    R = quat_to_rotation(q)
+    R = np.array([quat_to_rotation(c.q) for c in cands])
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
-    C = np.zeros((3 * k, 2 * k + 3))
-    blocks = C.reshape(k, 3, 2 * k + 3)  # point i's three rows
+    C = np.zeros((len(cands), 3 * k, 2 * k + 3))
+    blocks = C.reshape(len(cands), k, 3, 2 * k + 3)  # point i's three rows
     i = np.arange(k)
-    blocks[:, :, 0:3] = np.eye(3)
-    # a stacked matrix-vector product: R @ M.T would round differently
-    blocks[i, :, 3 + 2 * i] = (R @ M[:, :, None])[:, :, 0]
-    blocks[i, :, 4 + 2 * i] = -N
+    blocks[:, :, :, 0:3] = np.eye(3)
+    # indexed (point, candidate, row); a stacked matrix-vector product,
+    # since R @ M.T would round differently
+    blocks[:, i, :, 3 + 2 * i] = (R @ M[:, None, :, None])[..., 0]
+    blocks[:, i, :, 4 + 2 * i] = -N[:, None]
     _, svals, Vt = np.linalg.svd(C, full_matrices=True)
-    y = Vt[-1]
+    Y = Vt[:, -1]
     # With fewer rows than columns the trailing singular values are exact zeros.
-    padded = np.concatenate([svals, np.zeros(Vt.shape[0] - svals.shape[0])])
-    ambiguous = bool((padded[-2] - padded[-1]) < 1e-8 * padded[0])
+    padded = np.concatenate([svals, np.zeros((len(cands), Vt.shape[1] - svals.shape[1]))], axis=1)
+    ambiguous = (padded[:, -2] - padded[:, -1]) < 1e-8 * padded[:, 0]
 
-    depths = y[3:]
-    if np.sum(depths > 0.0) < np.sum(depths < 0.0):
-        y = -y
-        depths = y[3:]
-    chirality_ok = bool(np.all(depths > 0.0))
-    t = y[:3]
-    t_norm = float(np.linalg.norm(t))
-    mean_depth = float(np.mean(np.abs(depths)))
-    ratio = t_norm / mean_depth if mean_depth > 0.0 else math.inf
-    if t_norm > 1e-8 * mean_depth:
-        y = y / t_norm
-        note = "unit-translation"
-    else:
-        y = y / mean_depth if mean_depth > 0.0 else y
-        note = "unit-mean-depth"
-    return TranslationResult(
-        t=y[:3],
-        depths_u=y[3::2],
-        depths_v=y[4::2],
-        chirality_ok=chirality_ok,
-        t_depth_ratio=ratio,
-        ambiguous_depths=ambiguous,
-        scale_note=note,
-    )
+    flip = np.sum(Y[:, 3:] > 0.0, axis=1) < np.sum(Y[:, 3:] < 0.0, axis=1)
+    Y = np.where(flip[:, None], -Y, Y)
+    depths = Y[:, 3:]
+    chirality_ok = np.all(depths > 0.0, axis=1)
+    t_norm = _row_norms(Y[:, :3])
+    mean_depth = np.mean(np.abs(depths), axis=1)
+    ratio = np.divide(t_norm, mean_depth, out=np.full_like(t_norm, math.inf),
+                      where=mean_depth > 0.0)
+    unit_t = t_norm > 1e-8 * mean_depth
+    Y = Y / np.where(unit_t, t_norm, np.where(mean_depth > 0.0, mean_depth, 1.0))[:, None]
+    return [
+        replace(cand, t=y[:3], depths_u=y[3::2], depths_v=y[4::2], chirality_ok=ok,
+                t_depth_ratio=r, ambiguous_depths=amb,
+                scale_note="unit-translation" if unit else "unit-mean-depth")
+        for cand, y, ok, r, amb, unit in zip(cands, Y, chirality_ok.tolist(), ratio.tolist(),
+                                             ambiguous.tolist(), unit_t.tolist())
+    ]
 
 
 # Fixed gauge rotations used to move the solve away from the x/w
@@ -358,11 +345,7 @@ def _rotation_candidates(points, method):
 def _finish_candidates(A, qs, points):
     """Score rotations on A, recover translation/depths on all points, and
     rank with chirality failures demoted below every passing candidate."""
-    filled = [
-        replace(cand, **recover_translation_depths(cand.q, points)._asdict())
-        for cand in score_candidates(A, qs)
-    ]
-    return _rank_candidates(filled)
+    return _rank_candidates(recover_translation_depths(score_candidates(A, qs), points))
 
 
 def estimate_pose(points, method: str = "quest6"):
@@ -580,7 +563,7 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     _, R, t, mask = best
     q = _canonical_unit(quat_from_rotation(R))
     inliers = [p for p, keep in zip(points, mask) if keep]
-    tr = recover_translation_depths(q, inliers)
     # residual reported on the minimal-subset matrix of the inlier set
     residual = float(np.linalg.norm(build_A(inliers[:minimal]).A @ monomial_vector(q)))
-    return PoseCandidate(q=q, algebraic_residual=residual, **tr._asdict()), mask
+    (cand,) = recover_translation_depths([PoseCandidate(q=q, algebraic_residual=residual)], inliers)
+    return cand, mask

@@ -153,7 +153,7 @@ def test_c04_null_vector_and_rank():
         worst6 = max(worst6, float(np.linalg.norm(A6.A @ x)))
         worst7 = max(worst7, float(np.linalg.norm(A7.A @ x)))
         sv = np.linalg.svd(
-            A7.A[:, solver.split_for_quest7().x2_indices], compute_uv=False
+            A7.A[:, solver.QUEST7_SPLIT[1]], compute_uv=False
         )
         if int(np.sum(sv > solver._RANK_FLOOR * sv[0])) != 31:
             ranks_ok = False

@@ -277,6 +277,16 @@ def test_bench_time_rejects_geometry(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_time_rejects_config_geometry(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": "coplanar"}))
+    assert run(["bench", "time", "--methods", "quest6", "--trials", 1,
+                "--config", cfg, "--output", out]) == 1
+    assert "always alternates general and coplanar" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_geometry_mix_is_not_a_choice(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["bench", "noise", "--methods", "quest6", "--trials", 1,

@@ -179,10 +179,10 @@ def test_null_vector_property(n):
 
 
 def test_seven_point_elimination_rank_general():
-    from quest.solver import _RANK_FLOOR, split_for_quest7
+    from quest.solver import _RANK_FLOOR, QUEST7_SPLIT
 
     for seed in range(5):
         scene = bench.generate_scene(bench.SceneConfig(n_points=7, rng_seed=seed))
         A = build_A(scene.correspondences)
-        sv = np.linalg.svd(A.A[:, split_for_quest7().x2_indices], compute_uv=False)
+        sv = np.linalg.svd(A.A[:, QUEST7_SPLIT[1]], compute_uv=False)
         assert int(np.sum(sv > _RANK_FLOOR * sv[0])) == 31

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,23 +33,23 @@ def unit_quaternions():
 # --- splits -----------------------------------------------------------------
 
 def test_split_seven():
-    s = solver.split_for_quest7()
-    assert s.x1_indices == (0, 1, 2, 3)
-    assert len(s.x2_indices) == 31
-    assert sorted(s.x1_indices + s.x2_indices) == list(range(35))
+    x1, x2 = solver.QUEST7_SPLIT
+    assert x1 == (0, 1, 2, 3)
+    assert len(x2) == 31
+    assert sorted(x1 + x2) == list(range(35))
 
 
 def test_split_six_is_w_monomials():
-    s = solver.split_for_quest6()
+    x1, x2 = solver.QUEST6_SPLIT
     monos = core.monomials_of_degree(4)
-    assert len(s.x1_indices) == 20
-    assert all(monos[i][0] >= 1 for i in s.x1_indices)
-    assert all(monos[i][0] == 0 for i in s.x2_indices)
+    assert len(x1) == 20
+    assert all(monos[i][0] >= 1 for i in x1)
+    assert all(monos[i][0] == 0 for i in x2)
 
 
 def test_split_must_partition():
-    with pytest.raises(ValueError):
-        solver.SplitSpec((0, 1), (1, 2), "x/w")
+    for x1, x2 in (solver.QUEST6_SPLIT, solver.QUEST7_SPLIT):
+        assert sorted(x1 + x2) == list(range(35))
 
 
 def test_six_point_selector_row_split():
@@ -66,9 +67,112 @@ def test_six_point_selector_row_split():
 @given(unit_quaternions(), st.floats(-3, 3).filter(lambda s: abs(s) > 1e-3))
 def test_quaternion_recovery_from_cubic_monomials(q, scale):
     v = scale * core.monomial_vector(q, degree=3)
-    got = solver._quat_from_cubic_vector(v)
-    assert got is not None
+    (got,) = solver._quat_from_cubic_vector(v[:, None])
     assert core.rot_error(got, q) < 1e-7
+
+
+def test_pinv_is_numpy_pinv_with_its_singular_values():
+    rng = np.random.default_rng(505)
+    for shape in ((20, 15), (35, 31)):
+        for near_rank_loss in (False, True):
+            A = rng.normal(size=shape)
+            if near_rank_loss:
+                A[:, -1] = A[:, 1] + 1e-12 * A[:, 0]
+            pinv, svals = solver._pinv(A)
+            assert np.array_equal(pinv, np.linalg.pinv(A, rcond=solver._PINV_RCOND))
+            assert np.array_equal(svals, np.linalg.svd(A, full_matrices=False)[1])
+
+
+def _reference_near_real_eigenvectors(B):
+    # one eigenvector at a time: the oracle for the whole-matrix version
+    _, vecs = np.linalg.eig(B)
+    aligned = []
+    kept = []
+    for i in range(vecs.shape[1]):
+        v = vecs[:, i]
+        k = int(np.argmax(np.abs(v)))
+        phase = v[k] / abs(v[k])
+        v = v / phase
+        aligned.append(v.real)
+        if np.linalg.norm(v.imag) <= solver._IMAG_RATIO * np.linalg.norm(v.real):
+            kept.append(v.real)
+    if len(kept) < 2:
+        kept = aligned
+    return kept
+
+
+def _reference_quat_from_cubic_vector(v):
+    scale = np.abs(v).max()
+    if scale < 1e-12:
+        return None
+    pos3 = core.monomial_positions(3)
+    cube_idx = [pos3[e] for e in [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]]
+    cubes = v[cube_idx]
+    anchor = int(np.argmax(np.abs(cubes)))
+    if cubes[anchor] < 0.0:
+        v = -v
+        cubes = -cubes
+    mags = np.cbrt(np.abs(cubes))
+    comps = np.zeros(4)
+    comps[anchor] = mags[anchor]
+    for other in range(4):
+        if other == anchor:
+            continue
+        exp = [0, 0, 0, 0]
+        exp[anchor] = 2
+        exp[other] = 1
+        mixed = v[pos3[tuple(exp)]]
+        sign_source = mixed if abs(mixed) > 1e-12 * scale else cubes[other]
+        comps[other] = math.copysign(mags[other], sign_source) if sign_source != 0.0 else 0.0
+    q = Quaternion.from_array(comps)
+    if q.norm() < 1e-12:
+        return None
+    return q.normalized().canonical()
+
+
+def _eigen_test_matrix(rng, case):
+    """20x20 matrices whose eigenvectors are: 0 all real (the cubic
+    monomials of random rotations), 1 a mix of real vectors and complex
+    pairs, 2 only complex pairs (no vector kept, so all are returned)."""
+    if case == 0:
+        qs = rng.normal(size=(20, 4))
+        P = np.column_stack([monomial_vector(Quaternion.from_array(q / np.linalg.norm(q)), 3)
+                             for q in qs])
+        return P @ np.diag(rng.normal(size=20)) @ np.linalg.inv(P)
+    if case == 1:
+        return rng.normal(size=(20, 20))
+    blocks = np.zeros((20, 20))
+    for b in range(10):
+        a, w = rng.normal(), rng.uniform(0.5, 2.0)
+        blocks[2 * b:2 * b + 2, 2 * b:2 * b + 2] = [[a, -w], [w, a]]
+    P = rng.normal(size=(20, 20))
+    return P @ blocks @ np.linalg.inv(P)
+
+
+def test_whole_matrix_extraction_matches_per_vector_reference():
+    rng = np.random.default_rng(606)
+    mixed = 0
+    for trial in range(200):
+        B = _eigen_test_matrix(rng, trial % 3)
+        ref = _reference_near_real_eigenvectors(B)
+        V = solver._near_real_eigenvectors(B)
+        assert np.array_equal(V, np.column_stack(ref))
+        ref_qs = [q for q in map(_reference_quat_from_cubic_vector, ref) if q is not None]
+        assert solver._quat_from_cubic_vector(V) == ref_qs
+        # all 20 kept (real), some kept (mixed), or none kept (all returned)
+        assert V.shape[1] == 20 if trial % 3 != 1 else 2 <= V.shape[1] <= 20
+        mixed += trial % 3 == 1 and V.shape[1] < 20
+        # sign fallbacks and skipped columns: zero entries, entries near
+        # the 1e-12 relative cut, columns of very different scale and a
+        # vanishing column
+        W = np.where(rng.random(V.shape) < 0.2, 0.0, V)
+        W = np.where(rng.random(V.shape) < 0.2, 1e-12 * rng.uniform(0.1, 10.0, V.shape) * W, W)
+        W = W * 10.0 ** rng.uniform(-6, 6, W.shape[1])
+        j = rng.integers(W.shape[1])
+        W[:, j] = 1e-13 * V[:, j]
+        ref_qs = [q for q in map(_reference_quat_from_cubic_vector, W.T) if q is not None]
+        assert solver._quat_from_cubic_vector(W) == ref_qs
+    assert mixed > 0
 
 
 # --- rotation solvers -------------------------------------------------------
@@ -106,6 +210,20 @@ def test_quest7_coplanar_raises_critical_surface():
     # by test_exact_rank_coplanar_20_general_31
     assert exc.value.measured_rank == 20
     assert exc.value.gap >= 1e3
+
+
+def test_quest7_critical_surface_fails_before_pinv(monkeypatch):
+    # the cheap failure path: singular values alone decide, in the first
+    # frame and in every gauge frame
+    def no_pinv(mat):
+        raise AssertionError("quest7 computed a pseudo-inverse on a critical surface")
+
+    monkeypatch.setattr(solver, "_pinv", no_pinv)
+    sc = bench.generate_scene(bench.SceneConfig(n_points=7, geometry="coplanar", rng_seed=3))
+    with pytest.raises(CriticalSurfaceError):
+        solver.quest7_rotations(coeffs.build_A(sc.correspondences))
+    with pytest.raises(CriticalSurfaceError):
+        solver.estimate_pose(list(sc.correspondences), "quest7")
 
 
 # --- exact rank of the 7-point constraint space ----------------------------
@@ -238,7 +356,7 @@ def test_exact_rank_coplanar_20_general_31(coplanar, rank):
     assert all(sum(a * v for a, v in zip(row, x_true)) % _P == 0 for row in A)
     # both the full matrix and the 31-column block quest7 eliminates with
     assert _rank_of_columns(A, range(35)) == rank
-    assert _rank_of_columns(A, solver.split_for_quest7().x2_indices) == rank
+    assert _rank_of_columns(A, solver.QUEST7_SPLIT[1]) == rank
 
 
 def test_zero_motion_identity_candidate_quest6():
@@ -268,13 +386,13 @@ def test_rotation_solvers_reject_wrong_point_count():
 
 
 def test_x2_reconstruction_identity():
-    for seed, n, split in ((0, 6, solver.split_for_quest6()), (1, 7, solver.split_for_quest7())):
+    for seed, n, (i1, i2) in ((0, 6, solver.QUEST6_SPLIT), (1, 7, solver.QUEST7_SPLIT)):
         sc = scene(seed, n=n)
         A = coeffs.build_A(sc.correspondences).A
         x = monomial_vector(sc.pose.q)
-        x1 = x[list(split.x1_indices)]
-        x2 = x[list(split.x2_indices)]
-        A1, A2 = A[:, split.x1_indices], A[:, split.x2_indices]
+        x1 = x[list(i1)]
+        x2 = x[list(i2)]
+        A1, A2 = A[:, i1], A[:, i2]
         recon = x2 + np.linalg.pinv(A2, rcond=1e-10) @ A1 @ x1
         assert np.linalg.norm(recon) < 1e-8
 
@@ -331,9 +449,13 @@ def test_score_ranking_invariant_to_row_rescaling(rng):
 
 # --- translation / depths ---------------------------------------------------
 
+def translate(q, points):
+    return solver.recover_translation_depths([core.PoseCandidate(q=q, algebraic_residual=0.0)], points)
+
+
 def test_translation_depths_match_truth():
     sc = scene(4)
-    tr = solver.recover_translation_depths(sc.pose.q, sc.correspondences)
+    (tr,) = translate(sc.pose.q, sc.correspondences)
     truth = np.concatenate([sc.pose.t, np.ravel(np.column_stack([sc.pose.depths_u, sc.pose.depths_v]))])
     got = np.concatenate([tr.t, np.ravel(np.column_stack([tr.depths_u, tr.depths_v]))])
     scale = truth @ got / (got @ got)
@@ -345,14 +467,14 @@ def test_translation_depths_match_truth():
 
 def test_zero_translation_ratio():
     sc = scene(3, fixed_translation=(0.0, 0.0, 0.0))
-    tr = solver.recover_translation_depths(sc.pose.q, sc.correspondences)
+    (tr,) = translate(sc.pose.q, sc.correspondences)
     assert tr.t_depth_ratio < 1e-6
     assert tr.scale_note == "unit-mean-depth"
 
 
 def test_rigid_motion_closure():
     sc = scene(6)
-    tr = solver.recover_translation_depths(sc.pose.q, sc.correspondences)
+    (tr,) = translate(sc.pose.q, sc.correspondences)
     R = quat_to_rotation(sc.pose.q)
     for i, c in enumerate(sc.correspondences):
         res = tr.depths_u[i] * R @ c.m + tr.t - tr.depths_v[i] * c.n
@@ -362,7 +484,65 @@ def test_rigid_motion_closure():
 def test_translation_needs_two_points():
     sc = scene(4)
     with pytest.raises(InsufficientPointsError):
-        solver.recover_translation_depths(sc.pose.q, sc.correspondences[:1])
+        translate(sc.pose.q, sc.correspondences[:1])
+
+
+def _reference_translation(q, points):
+    # one candidate at a time: the oracle for the stacked version
+    k = len(points)
+    R = quat_to_rotation(q)
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    C = np.zeros((3 * k, 2 * k + 3))
+    blocks = C.reshape(k, 3, 2 * k + 3)
+    i = np.arange(k)
+    blocks[:, :, 0:3] = np.eye(3)
+    blocks[i, :, 3 + 2 * i] = (R @ M[:, :, None])[:, :, 0]
+    blocks[i, :, 4 + 2 * i] = -N
+    _, svals, Vt = np.linalg.svd(C, full_matrices=True)
+    y = Vt[-1]
+    padded = np.concatenate([svals, np.zeros(Vt.shape[0] - svals.shape[0])])
+    ambiguous = bool((padded[-2] - padded[-1]) < 1e-8 * padded[0])
+    depths = y[3:]
+    if np.sum(depths > 0.0) < np.sum(depths < 0.0):
+        y = -y
+        depths = y[3:]
+    chirality_ok = bool(np.all(depths > 0.0))
+    t_norm = float(np.linalg.norm(y[:3]))
+    mean_depth = float(np.mean(np.abs(depths)))
+    ratio = t_norm / mean_depth if mean_depth > 0.0 else math.inf
+    if t_norm > 1e-8 * mean_depth:
+        y = y / t_norm
+        note = "unit-translation"
+    else:
+        y = y / mean_depth if mean_depth > 0.0 else y
+        note = "unit-mean-depth"
+    return y[:3], y[3::2], y[4::2], chirality_ok, ratio, ambiguous, note
+
+
+def test_stacked_translation_matches_per_candidate_reference():
+    rng = np.random.default_rng(707)
+    notes = set()
+    for trial in range(60):
+        k = int(rng.integers(2, 31))
+        fixed_t = (0.0, 0.0, 0.0) if trial % 5 == 0 else None
+        sc = scene(trial, n=k, fixed_translation=fixed_t)
+        qs = [sc.pose.q] + [Quaternion.from_array(rng.normal(size=4)).normalized().canonical()
+                            for _ in range(int(rng.integers(0, 4)))]
+        cands = [core.PoseCandidate(q=q, algebraic_residual=float(j)) for j, q in enumerate(qs)]
+        got = solver.recover_translation_depths(cands, sc.correspondences)
+        assert [c.q for c in got] == qs
+        assert [c.algebraic_residual for c in got] == [c.algebraic_residual for c in cands]
+        for c, q in zip(got, qs):
+            t, du, dv, chirality_ok, ratio, ambiguous, note = _reference_translation(
+                q, list(sc.correspondences))
+            assert np.array_equal(c.t, t)
+            assert np.array_equal(c.depths_u, du)
+            assert np.array_equal(c.depths_v, dv)
+            assert (c.chirality_ok, c.t_depth_ratio, c.ambiguous_depths, c.scale_note) == (
+                chirality_ok, ratio, ambiguous, note)
+            notes.add(note)
+    assert notes == {"unit-translation", "unit-mean-depth"}
 
 
 # --- estimate_pose ----------------------------------------------------------

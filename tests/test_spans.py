@@ -26,12 +26,21 @@ def test_trace_targets_exist_and_record_every_layer():
     exact = list(quest.generate_scene(quest.SceneConfig(n_points=12, rng_seed=5)).correspondences)
     originals = {attr: getattr(getattr(quest, m), attr) for m, attr, _, _ in spans.TARGETS}
     tracer = spans.Tracer()
+    roots = {}
     with tracer.installed(quest):
-        solver.estimate_pose(exact[:6], "quest6")
-        solver.estimate_pose(exact[:7], "quest7")
+        for method, n in (("quest6", 6), ("quest7", 7)):
+            roots[method] = len(tracer.spans)
+            solver.estimate_pose(exact[:n], method)
         baseline.decompose_essential(baseline.eight_point(exact[:8]), exact[:8])
         solver.estimate_pose(exact[:8], "eightpt")
         solver.ransac_pose(exact, "quest6", max_iters=3, seed=0)
+    # every minimal-solve layer runs under its own name in both solvers
+    for method, root in roots.items():
+        assert tracer.spans[root][spans.NAME] == "solver.estimate_pose"
+        under = {s[spans.NAME] for s in tracer.spans if s[spans.ROOT] == root}
+        for name in ("solver.pinv", "solver.eig", "solver.extract", "solver.score",
+                     "solver.translate"):
+            assert name in under, (method, name)
     recorded = {s[spans.NAME] for s in tracer.spans}
     for name in ("coeffs.build_A", "solver.rotations", "solver.pinv", "solver.eig",
                  "solver.extract", "solver.score", "solver.translate", "ransac.polish",
