@@ -22,7 +22,7 @@ from .core import (
     rot_error,
     trans_error,
 )
-from .coeffs import CoefficientMatrix, build_A, build_triple_matrix, coefficient_row
+from .coeffs import build_A, build_triple_matrix, coefficient_row
 from .solver import (
     estimate_pose,
     quest6_rotations,
@@ -31,7 +31,7 @@ from .solver import (
     recover_translation_depths,
     score_candidates,
 )
-from .baseline import EssentialMatrix, decompose_essential, eight_point
+from .baseline import decompose_essential, eight_point
 from .bench import (
     BenchRecord,
     SceneConfig,
@@ -45,9 +45,7 @@ from . import errors
 
 __all__ = [
     "BenchRecord",
-    "CoefficientMatrix",
     "Correspondence",
-    "EssentialMatrix",
     "IDENTITY_QUATERNION",
     "Pose",
     "PoseCandidate",

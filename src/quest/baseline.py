@@ -7,25 +7,16 @@ cameras. The translation carries no scale information: it is always
 returned with unit norm. The method breaks down structurally when the
 points lie on a critical surface (e.g. a plane): the design matrix loses
 rank at zero noise, and under noise the estimate passes the rank test but
-is wrong.
+is wrong. eight_point returns E as a plain 3x3 array, which
+decompose_essential takes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PoseCandidate, quat_from_rotation, triangulate_uv
 from .errors import ChiralityFailureError, DegenerateConfigurationError, InsufficientPointsError
-
-
-@dataclass(frozen=True, eq=False)
-class EssentialMatrix:
-    """Essential matrix with the (s, s, 0) singular-value structure enforced
-    and unit Frobenius norm."""
-
-    E: np.ndarray
 
 
 def _hartley_normalization(xy: np.ndarray) -> np.ndarray:
@@ -40,8 +31,10 @@ def _hartley_normalization(xy: np.ndarray) -> np.ndarray:
     )
 
 
-def eight_point(points) -> EssentialMatrix:
-    """Linear essential-matrix estimate from >= 8 correspondences.
+def eight_point(points) -> np.ndarray:
+    """Linear essential-matrix estimate from >= 8 correspondences: a 3x3
+    array with the (s, s, 0) singular-value structure enforced and unit
+    Frobenius norm.
 
     Raises DegenerateConfigurationError when the design matrix has rank
     below 8 (the null space is not unique) - the expected outcome for
@@ -75,11 +68,10 @@ def eight_point(points) -> EssentialMatrix:
     U, s, Vt = np.linalg.svd(E)
     sbar = 0.5 * (s[0] + s[1])
     E = U @ np.diag([sbar, sbar, 0.0]) @ Vt
-    E = E / np.linalg.norm(E)
-    return EssentialMatrix(E)
+    return E / np.linalg.norm(E)
 
 
-def decompose_essential(E: EssentialMatrix, points) -> PoseCandidate:
+def decompose_essential(E: np.ndarray, points) -> PoseCandidate:
     """Pose from an essential matrix: four (R, +-t) hypotheses, resolved by
     majority positive-depth voting over the triangulated points.
 
@@ -87,7 +79,7 @@ def decompose_essential(E: EssentialMatrix, points) -> PoseCandidate:
     carries no translation scale); algebraic_residual is the largest
     epipolar residual |n^T E m| over the input points."""
     points = list(points)
-    U, _, Vt = np.linalg.svd(E.E)
+    U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
         U = -U
     if np.linalg.det(Vt) < 0:
@@ -110,7 +102,7 @@ def decompose_essential(E: EssentialMatrix, points) -> PoseCandidate:
             f"no decomposition places a majority of points in front of both cameras "
             f"(best {pos}/{len(points)})"
         )
-    residual = float(np.max(np.abs(np.einsum("ij,jk,ik->i", N, E.E, M))))
+    residual = float(np.max(np.abs(np.einsum("ij,jk,ik->i", N, E, M))))
     return PoseCandidate(
         q=quat_from_rotation(R),
         algebraic_residual=residual,

@@ -107,9 +107,10 @@ class TimingStats:
     n_failed: int
 
 
-def _derived_seeds(master: int, *key: int, n: int = 2):
+def _derived_seeds(master: int, *key: int):
+    """Scene and noise seeds for one trial."""
     ss = np.random.SeedSequence([int(master)] + [int(k) for k in key])
-    return [int(s) for s in ss.generate_state(n, dtype=np.uint64)]
+    return [int(s) for s in ss.generate_state(2, dtype=np.uint64)]
 
 
 def _sample_unit_quaternion(rng) -> Quaternion:
@@ -247,24 +248,25 @@ def run_noise_benchmark(methods, sigmas, trials_per_sigma: int, cfg: SceneConfig
 
 
 _TIME_SIGMAS = (0.0, 1.0, 2.0, 5.0)
+_TIME_WARMUP = 10
 
 
 def run_time_benchmark(methods, trials: int, cfg: SceneConfig, cam: SyntheticCamera,
-                       seed: int = 0, warmup: int = 10):
+                       seed: int = 0):
     """Wall-clock per solve over a mix of general/coplanar scenes and noise
-    levels. The first `warmup` trials are run but discarded. Returns
+    levels. The first _TIME_WARMUP trials are run but discarded. Returns
     (records, {method: TimingStats}); failed solves still count toward the
     timing statistics, since a failed attempt costs real time."""
     records = []
-    for trial in range(warmup + trials):
+    for trial in range(_TIME_WARMUP + trials):
         geometry = "general" if trial % 2 == 0 else "coplanar"
         sigma = _TIME_SIGMAS[trial % len(_TIME_SIGMAS)]
         scene_seed, noise_seed = _derived_seeds(seed, 9999, trial)
         scene = generate_scene(replace(cfg, rng_seed=scene_seed, geometry=geometry))
         noisy = add_pixel_noise(scene.correspondences, sigma, cam, noise_seed)
         for method in methods:
-            rec = _run_trial(method, sigma, trial - warmup, noisy, scene.pose)
-            if trial >= warmup:
+            rec = _run_trial(method, sigma, trial - _TIME_WARMUP, noisy, scene.pose)
+            if trial >= _TIME_WARMUP:
                 records.append(rec)
     stats = {}
     for method in methods:
@@ -279,10 +281,10 @@ def run_time_benchmark(methods, trials: int, cfg: SceneConfig, cam: SyntheticCam
     return records, stats
 
 
-def effective_rot_errors(records, failure_score: float = 0.5) -> np.ndarray:
-    """Rotation errors with failed trials scored as `failure_score`.
+def effective_rot_errors(records) -> np.ndarray:
+    """Rotation errors with failed trials scored as 0.5.
 
     A method that raises instead of estimating has still failed to recover
     the pose; 0.5 is the expected error of an uninformed guess, which
     keeps structural failures visible in medians without excluding them."""
-    return np.array([failure_score if r.failed else r.rot_error for r in records])
+    return np.array([0.5 if r.failed else r.rot_error for r in records])

@@ -217,6 +217,10 @@ def write_time_summary(stats, path):
             )
 
 
+# SceneConfig fields that a bench flag owns; --config may not set them.
+_FLAG_KEYS = {"n_points": "--points", "geometry": "--geometry", "rng_seed": "--seed"}
+
+
 def _scene_config_from_args(args) -> SceneConfig:
     cfg = {}
     if args.config:
@@ -225,8 +229,11 @@ def _scene_config_from_args(args) -> SceneConfig:
     if args.kind == "time" and (args.geometry is not None or "geometry" in cfg):
         raise ValueError("bench time always alternates general and coplanar scenes; "
                          "drop --geometry and the config's \"geometry\" key")
-    cfg.setdefault("n_points", args.points)
-    cfg.setdefault("geometry", args.geometry or "general")
+    for key, flag in _FLAG_KEYS.items():
+        if key in cfg:
+            raise ValueError(f"the config may not set {key!r}; use {flag}")
+    cfg["n_points"] = args.points
+    cfg["geometry"] = args.geometry or "general"
     for key in ("box_x", "box_y", "box_z"):
         if key in cfg:
             cfg[key] = tuple(cfg[key])

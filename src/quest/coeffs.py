@@ -17,13 +17,15 @@ writes the determinant as six signed products of one factor per point,
 and polynomial products and the division by the norm polynomial are
 fixed linear maps over the monomial bases, built once at import. So
 build_A computes all C(n, 3) rows in one batched pass of a few array
-operations. `build_triple_matrix` and the generic cofactor expansion in
+operations and returns them as a plain C(n, 3) x 35 array, one row per
+triple in itertools.combinations order (the triple index table is cached
+per n). `build_triple_matrix` and the generic cofactor expansion in
 `polymat` stay as the test oracle the rows are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -138,18 +140,6 @@ _PAIR_U, _PAIR_V = [0, 0, 1], [1, 2, 2]
 _LAPLACE = np.array([(0, 2, 1, 1), (1, 2, 0, -1), (0, 1, 2, -1), (2, 1, 0, 1), (1, 0, 2, 1), (2, 0, 1, -1)])
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientMatrix:
-    """Stacked degree-4 constraint rows, one per 3-point subset.
-
-    A has C(n, 3) unit-norm rows and 35 columns in the canonical monomial
-    order; triples records which subset produced each row."""
-
-    A: np.ndarray
-    triples: tuple
-    n_points: int
-
-
 def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> PolyMatrix:
     """The 6x6 polynomial matrix whose null vector is (ui, vi, uj, vj, uk, vk).
 
@@ -224,14 +214,22 @@ def coefficient_row(ci: Correspondence, cj: Correspondence, ck: Correspondence) 
     return _rows(np.array([ci.m, cj.m, ck.m]), np.array([ci.n, cj.n, ck.n]), np.array([(0, 1, 2)]))[0]
 
 
-def build_A(points) -> CoefficientMatrix:
-    """Stack coefficient rows over all 3-point subsets in lexicographic
-    triple order: 6 points -> 20x35, 7 -> 35x35, 8 -> 56x35."""
+@lru_cache(maxsize=8)
+def _triples(n: int) -> np.ndarray:
+    """Point indices of every 3-point subset, in combinations order (read-only)."""
+    triples = np.array(list(combinations(range(n), 3)))
+    triples.flags.writeable = False
+    return triples
+
+
+def build_A(points) -> np.ndarray:
+    """The coefficient matrix: one unit-norm row of 35 monomial coefficients
+    per 3-point subset, in itertools.combinations order: 6 points -> 20x35,
+    7 -> 35x35, 8 -> 56x35."""
     points = list(points)
     n = len(points)
     if n < 6:
         raise InsufficientPointsError(f"need at least 6 correspondences, got {n}")
-    triples = tuple(combinations(range(n), 3))
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
-    return CoefficientMatrix(_rows(M, N, np.array(triples)), triples, n)
+    return _rows(M, N, _triples(n))

@@ -20,12 +20,12 @@ class Poly4:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, prune: float = 0.0):
+    def __init__(self, terms=None):
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
                 c = float(coeff)
-                if abs(c) > prune:
+                if abs(c) > 0.0:
                     cleaned[tuple(int(e) for e in exp)] = c
         self.terms = cleaned
 

@@ -28,6 +28,10 @@ stacked rigid-motion system, and candidates are ranked by the algebraic
 residual ||A @ x(q)|| with chirality (all depths positive) used to demote
 mirrored solutions.
 
+A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
+shape. estimate_pose builds it once per frame: the original frame's A
+scores the candidates of every frame.
+
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
 """
@@ -40,7 +44,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import baseline
-from .coeffs import CoefficientMatrix, build_A
+from .coeffs import build_A
 from .core import (
     Correspondence,
     PoseCandidate,
@@ -181,7 +185,7 @@ def _quat_from_cubic_vector(V: np.ndarray) -> list:
     return out
 
 
-def quest7_rotations(A: CoefficientMatrix):
+def quest7_rotations(A: np.ndarray):
     """Rotation candidates (at most 4) from a 7-point coefficient matrix.
 
     Raises CriticalSurfaceError when the 31-column elimination block loses
@@ -189,10 +193,10 @@ def quest7_rotations(A: CoefficientMatrix):
     surface (it collapses to rank 20 for coplanar scenes); the 6-point
     solver still works there. The rank test reads singular values only,
     so that failure costs no pseudo-inverse."""
-    if A.n_points != 7 or A.A.shape != (35, 35):
+    if A.shape != (35, 35):
         raise ValueError("quest7 requires the 35x35 matrix built from exactly 7 points")
     x1, x2 = QUEST7_SPLIT
-    A2 = A.A[:, x2]
+    A2 = A[:, x2]
     svals = np.linalg.svd(A2, compute_uv=False)
     # conservative solvability cut: anything the pseudo-inverse would
     # regularize away is treated as unsolved here, so the caller can retry
@@ -214,16 +218,16 @@ def quest7_rotations(A: CoefficientMatrix):
             gap=gap,
         )
     pinv, _ = _pinv(A2)
-    B = (-pinv @ A.A[:, x1])[_QUEST7_ROWS]
+    B = (-pinv @ A[:, x1])[_QUEST7_ROWS]
     return _quat_from_cubic_vector(_near_real_eigenvectors(B))
 
 
-def quest6_rotations(A: CoefficientMatrix):
+def quest6_rotations(A: np.ndarray):
     """Rotation candidates (at most 20) from a 6-point coefficient matrix."""
-    if A.n_points != 6 or A.A.shape != (20, 35):
+    if A.shape != (20, 35):
         raise ValueError("quest6 requires the 20x35 matrix built from exactly 6 points")
     x1, x2 = QUEST6_SPLIT
-    pinv, svals = _pinv(A.A[:, x2])
+    pinv, svals = _pinv(A[:, x2])
     if svals[-1] <= _PINV_RCOND * svals[0]:
         raise DegenerateConfigurationError(
             "6-point elimination block lost rank; the correspondences do not "
@@ -231,11 +235,11 @@ def quest6_rotations(A: CoefficientMatrix):
         )
     B = np.zeros((20, 20))
     B[_SELECTOR_ROWS, _SELECTOR_COLS] = 1.0
-    B[_BBAR_ROWS] = (-pinv @ A.A[:, x1])[_BBAR_SOURCE]
+    B[_BBAR_ROWS] = (-pinv @ A[:, x1])[_BBAR_SOURCE]
     return _quat_from_cubic_vector(_near_real_eigenvectors(B))
 
 
-def score_candidates(A: CoefficientMatrix, qs):
+def score_candidates(A: np.ndarray, qs):
     """Rank rotation candidates by ||A @ x(q)|| ascending, keep the best 4.
 
     The residual vanishes exactly when q solves every polynomial row, so
@@ -251,7 +255,7 @@ def score_candidates(A: CoefficientMatrix, qs):
         if not any(row[j] for j in keep):
             keep.append(i)
     X = np.prod(Q[keep, None, :] ** _EXP4, axis=2)
-    residuals = _row_norms((A.A @ X[:, :, None])[:, :, 0])
+    residuals = _row_norms((A @ X[:, :, None])[:, :, 0])
     return [
         PoseCandidate(q=qs[keep[i]], algebraic_residual=float(residuals[i]))
         for i in np.argsort(residuals, kind="stable")[:4]
@@ -284,6 +288,8 @@ def recover_translation_depths(cands, points):
     # since R @ M.T would round differently
     blocks[:, i, :, 3 + 2 * i] = (R @ M[:, None, :, None])[..., 0]
     blocks[:, i, :, 4 + 2 * i] = -N[:, None]
+    # k = 2 needs the full Vt for its null vector; for k >= 3 the reduced
+    # SVD gives the same bits but measured no faster
     _, svals, Vt = np.linalg.svd(C, full_matrices=True)
     Y = Vt[:, -1]
     # With fewer rows than columns the trailing singular values are exact zeros.
@@ -332,20 +338,11 @@ def _apply_gauge(points, g: Quaternion):
     return out
 
 
-def _rank_candidates(cands):
-    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
-
-
-def _rotation_candidates(points, method):
-    A = build_A(points[: MINIMAL_POINTS[method]])
-    qs = quest6_rotations(A) if method == "quest6" else quest7_rotations(A)
-    return A, qs
-
-
 def _finish_candidates(A, qs, points):
     """Score rotations on A, recover translation/depths on all points, and
     rank with chirality failures demoted below every passing candidate."""
-    return _rank_candidates(recover_translation_depths(score_candidates(A, qs), points))
+    cands = recover_translation_depths(score_candidates(A, qs), points)
+    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
 
 
 def estimate_pose(points, method: str = "quest6"):
@@ -358,31 +355,34 @@ def estimate_pose(points, method: str = "quest6"):
     candidate has |w| < 0.1 (the eigenvalue parameterization degenerates
     at w = 0), the second view is rotated by a fixed gauge rotation and
     the rotation solve is repeated there; the recovered rotations are
-    composed back into the original frame before translation, chirality,
-    and ranking.
+    composed back into the original frame before scoring, translation,
+    chirality, and ranking. Each frame builds its coefficient matrix once:
+    the original frame's A scores every candidate, and a degenerate triple
+    in it raises DegenerateTripleError before any gauge frame.
 
     method "eightpt" is the essential-matrix baseline on all points: one
     candidate, decompose_essential(eight_point(points), points)."""
     points = list(points)
     if method not in MINIMAL_POINTS:
         raise ValueError(f"unknown method {method!r}")
-    if len(points) < MINIMAL_POINTS[method]:
+    minimal = MINIMAL_POINTS[method]
+    if len(points) < minimal:
         raise InsufficientPointsError(
-            f"{method} needs at least {MINIMAL_POINTS[method]} points, got {len(points)}"
+            f"{method} needs at least {minimal} points, got {len(points)}"
         )
     if method == "eightpt":
         return [baseline.decompose_essential(baseline.eight_point(points), points)]
 
+    rotations = quest6_rotations if method == "quest6" else quest7_rotations
+    A = build_A(points[:minimal])
     first_error = None
     cands = []
-    A = None
     try:
-        A, qs = _rotation_candidates(points, method)
-        cands = _finish_candidates(A, qs, points)
+        cands = _finish_candidates(A, rotations(A), points)
     except DegeneracyError as e:
         first_error = e
 
-    if cands and any(abs(c.q.w) >= 0.1 for c in cands):
+    if any(abs(c.q.w) >= 0.1 for c in cands):
         return cands
 
     for g in _GAUGE_QUATERNIONS:
@@ -390,7 +390,7 @@ def estimate_pose(points, method: str = "quest6"):
         if gauged is None:
             continue
         try:
-            _, gauged_qs = _rotation_candidates(gauged, method)
+            gauged_qs = rotations(build_A(gauged[:minimal]))
         except DegeneracyError as e:
             if first_error is None:
                 first_error = e
@@ -399,19 +399,12 @@ def estimate_pose(points, method: str = "quest6"):
         if not gauged_qs or all(abs(q.w) < 0.1 for q in gauged_qs):
             continue
         g_inv = g.conjugate()
-        composed = [_canonical_unit(g_inv * q) for q in gauged_qs]
-        if A is None:
-            A = build_A(points[: MINIMAL_POINTS[method]])
-        try:
-            return _finish_candidates(A, composed, points)
-        except DegeneracyError as e:
-            if first_error is None:
-                first_error = e
-            continue
+        return _finish_candidates(A, [_canonical_unit(g_inv * q) for q in gauged_qs], points)
 
     if cands:
         return cands
-    raise first_error if first_error is not None else NoSolutionError("no candidates found")
+    # empty candidates mean the first frame raised
+    raise first_error
 
 
 def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
@@ -449,9 +442,11 @@ def _rotation_exp(delta: np.ndarray) -> np.ndarray:
 _H = 1e-7
 _DR = np.stack([_rotation_exp(_H * e) for e in np.eye(3)])
 _DT = _H * np.eye(3)
+# Levenberg-Marquardt rounds per polish.
+_POLISH_ITERS = 8
 
 
-def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, iters: int = 8):
+def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Levenberg-Marquardt on the angular reprojection errors of the rays
     M, N over the rotation and the translation direction (the translation
     scale does not affect the angles, so t stays on the unit sphere).
@@ -463,7 +458,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, i
     f, _, _ = _angular_errors(R, t, M, N)
     cost = float(f @ f)
     lam = 1e-4
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         Rs = np.concatenate([_DR @ R, [R] * 3])
         ts = np.concatenate([[t] * 3, t + _DT])
         fs, _, _ = _angular_errors(Rs, ts, M, N)
@@ -564,6 +559,6 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     q = _canonical_unit(quat_from_rotation(R))
     inliers = [p for p, keep in zip(points, mask) if keep]
     # residual reported on the minimal-subset matrix of the inlier set
-    residual = float(np.linalg.norm(build_A(inliers[:minimal]).A @ monomial_vector(q)))
+    residual = float(np.linalg.norm(build_A(inliers[:minimal]) @ monomial_vector(q)))
     (cand,) = recover_translation_depths([PoseCandidate(q=q, algebraic_residual=residual)], inliers)
     return cand, mask

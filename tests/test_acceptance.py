@@ -150,10 +150,10 @@ def test_c04_null_vector_and_rank():
         x = monomial_vector(scene.pose.q)
         A6 = coeffs.build_A(pts[:6])
         A7 = coeffs.build_A(pts[:7])
-        worst6 = max(worst6, float(np.linalg.norm(A6.A @ x)))
-        worst7 = max(worst7, float(np.linalg.norm(A7.A @ x)))
+        worst6 = max(worst6, float(np.linalg.norm(A6 @ x)))
+        worst7 = max(worst7, float(np.linalg.norm(A7 @ x)))
         sv = np.linalg.svd(
-            A7.A[:, solver.QUEST7_SPLIT[1]], compute_uv=False
+            A7[:, solver.QUEST7_SPLIT[1]], compute_uv=False
         )
         if int(np.sum(sv > solver._RANK_FLOOR * sv[0])) != 31:
             ranks_ok = False

@@ -287,6 +287,20 @@ def test_bench_time_rejects_config_geometry(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,flag", [("n_points", 7, "--points"),
+                                            ("geometry", "coplanar", "--geometry"),
+                                            ("rng_seed", 123, "--seed")])
+def test_bench_rejects_config_keys_owned_by_flags(tmp_path, capsys, key, value, flag):
+    out = tmp_path / "n.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(["bench", "noise", "--methods", "eightpt", "--sigmas", "0", "--trials", 1,
+                "--config", cfg, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and flag in err
+    assert not out.exists()
+
+
 def test_bench_geometry_mix_is_not_a_choice(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["bench", "noise", "--methods", "quest6", "--trials", 1,

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -119,11 +121,13 @@ def test_repeated_point_is_degenerate(rng):
 @pytest.mark.parametrize("n,rows", [(6, 20), (7, 35), (8, 56)])
 def test_matrix_shapes(n, rows):
     scene = bench.generate_scene(bench.SceneConfig(n_points=n, rng_seed=2))
-    A = build_A(scene.correspondences)
-    assert A.A.shape == (rows, 35)
-    assert len(A.triples) == rows
-    assert A.triples == tuple(sorted(A.triples))
-    assert_allclose(np.linalg.norm(A.A, axis=1), 1.0, atol=1e-12)
+    pts = list(scene.correspondences)
+    A = build_A(pts)
+    assert A.shape == (rows, 35)
+    # one row per triple, in lexicographic (combinations) order
+    for r, (i, j, k) in enumerate(combinations(range(n), 3)):
+        assert np.array_equal(A[r], coefficient_row(pts[i], pts[j], pts[k]))
+    assert_allclose(np.linalg.norm(A, axis=1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -131,8 +135,8 @@ def test_batched_rows_match_reference_path(n):
     for seed in range(3):
         pts = list(bench.generate_scene(bench.SceneConfig(n_points=n, rng_seed=seed)).correspondences)
         A = build_A(pts)
-        for r, (i, j, k) in enumerate(A.triples):
-            assert_allclose(A.A[r], reference_row(pts[i], pts[j], pts[k]), atol=1e-12)
+        for r, (i, j, k) in enumerate(combinations(range(n), 3)):
+            assert_allclose(A[r], reference_row(pts[i], pts[j], pts[k]), atol=1e-12)
 
 
 def test_coefficient_row_is_the_batched_row(rng):
@@ -140,8 +144,8 @@ def test_coefficient_row_is_the_batched_row(rng):
     for n in (6, 7, 8):
         pts = [random_correspondence(rng) for _ in range(n)]
         A = build_A(pts)
-        for r, (i, j, k) in enumerate(A.triples):
-            assert np.array_equal(coefficient_row(pts[i], pts[j], pts[k]), A.A[r])
+        for r, (i, j, k) in enumerate(combinations(range(n), 3)):
+            assert np.array_equal(coefficient_row(pts[i], pts[j], pts[k]), A[r])
 
 
 def test_insufficient_points_rejected():
@@ -161,9 +165,9 @@ def test_degenerate_triple_error_names_the_triple(rng):
 def test_row_permutation_invariance(rng):
     scene = bench.generate_scene(bench.SceneConfig(n_points=6, rng_seed=8))
     pts = list(scene.correspondences)
-    A1 = build_A(pts).A
+    A1 = build_A(pts)
     perm = [3, 0, 5, 1, 4, 2]
-    A2 = build_A([pts[i] for i in perm]).A
+    A2 = build_A([pts[i] for i in perm])
     # rows are sign-canonical already, so the row sets must match exactly
     s1 = np.array(sorted(map(tuple, np.round(A1, 10))))
     s2 = np.array(sorted(map(tuple, np.round(A2, 10))))
@@ -175,7 +179,7 @@ def test_null_vector_property(n):
     for seed in range(5):
         scene = bench.generate_scene(bench.SceneConfig(n_points=n, rng_seed=seed))
         A = build_A(scene.correspondences)
-        assert np.linalg.norm(A.A @ monomial_vector(scene.pose.q)) < 1e-9
+        assert np.linalg.norm(A @ monomial_vector(scene.pose.q)) < 1e-9
 
 
 def test_seven_point_elimination_rank_general():
@@ -184,5 +188,5 @@ def test_seven_point_elimination_rank_general():
     for seed in range(5):
         scene = bench.generate_scene(bench.SceneConfig(n_points=7, rng_seed=seed))
         A = build_A(scene.correspondences)
-        sv = np.linalg.svd(A.A[:, QUEST7_SPLIT[1]], compute_uv=False)
+        sv = np.linalg.svd(A[:, QUEST7_SPLIT[1]], compute_uv=False)
         assert int(np.sum(sv > _RANK_FLOOR * sv[0])) == 31

@@ -11,6 +11,7 @@ from quest import baseline, bench, coeffs, core, solver
 from quest.core import Quaternion, monomial_vector, quat_to_rotation
 from quest.errors import (
     CriticalSurfaceError,
+    DegenerateTripleError,
     InsufficientPointsError,
     NoSolutionError,
     RobustFailureError,
@@ -388,7 +389,7 @@ def test_rotation_solvers_reject_wrong_point_count():
 def test_x2_reconstruction_identity():
     for seed, n, (i1, i2) in ((0, 6, solver.QUEST6_SPLIT), (1, 7, solver.QUEST7_SPLIT)):
         sc = scene(seed, n=n)
-        A = coeffs.build_A(sc.correspondences).A
+        A = coeffs.build_A(sc.correspondences)
         x = monomial_vector(sc.pose.q)
         x1 = x[list(i1)]
         x2 = x[list(i2)]
@@ -415,7 +416,7 @@ def test_random_quaternion_scores_badly(rng):
     for _ in range(20):
         v = rng.normal(size=4)
         q = Quaternion.from_array(v / np.linalg.norm(v))
-        res = float(np.linalg.norm(A.A @ monomial_vector(q)))
+        res = float(np.linalg.norm(A @ monomial_vector(q)))
         assert res > 1e-2
 
 
@@ -439,11 +440,10 @@ def test_score_ranking_invariant_to_row_rescaling(rng):
     sc = scene(2, n=6)
     A = coeffs.build_A(sc.correspondences)
     qs = solver.quest6_rotations(A)
-    scaled = A.A * rng.uniform(0.1, 10.0, size=(A.A.shape[0], 1))
+    scaled = A * rng.uniform(0.1, 10.0, size=(A.shape[0], 1))
     scaled /= np.linalg.norm(scaled, axis=1, keepdims=True)
-    A2 = coeffs.CoefficientMatrix(scaled, A.triples, A.n_points)
     r1 = [c.q for c in solver.score_candidates(A, qs)]
-    r2 = [c.q for c in solver.score_candidates(A2, qs)]
+    r2 = [c.q for c in solver.score_candidates(scaled, qs)]
     assert r1 == r2
 
 
@@ -592,6 +592,33 @@ def test_gauge_retry_solves_general_scene_after_critical_surface_error():
     cands = solver.estimate_pose(list(sc.correspondences), "quest7")
     assert core.rot_error(cands[0].q, sc.pose.q) < 1e-8
     assert core.trans_error(cands[0].t, sc.pose.t) < 1e-6
+
+
+def test_gauge_rescue_builds_one_matrix_per_frame(monkeypatch):
+    # the first frame's A (where quest7 raises) and the rescuing gauge
+    # frame's A; the gauge candidates are scored on the first frame's A
+    calls = []
+    build_A = solver.build_A
+
+    def counted(points):
+        calls.append(len(points))
+        return build_A(points)
+
+    monkeypatch.setattr(solver, "build_A", counted)
+    solver.estimate_pose(list(scene(91, n=7).correspondences), "quest7")
+    assert calls == [7, 7]
+
+
+def test_degenerate_triple_raises_before_any_gauge_frame(monkeypatch):
+    def no_gauge(points, g):
+        raise AssertionError("a gauge frame ran on a degenerate triple")
+
+    monkeypatch.setattr(solver, "_apply_gauge", no_gauge)
+    pts = list(scene(3).correspondences)
+    pts[2] = pts[0]
+    for method in ("quest6", "quest7"):
+        with pytest.raises(DegenerateTripleError, match=r"\(0, 1, 2\)"):
+            solver.estimate_pose(pts, method)
 
 
 def test_estimate_pose_insufficient_points():

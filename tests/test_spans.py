@@ -41,6 +41,10 @@ def test_trace_targets_exist_and_record_every_layer():
         for name in ("solver.pinv", "solver.eig", "solver.extract", "solver.score",
                      "solver.translate"):
             assert name in under, (method, name)
+        # one coefficient build per frame, and these exact scenes need no gauge frame
+        builds = [s for s in tracer.spans
+                  if s[spans.ROOT] == root and s[spans.NAME] == "coeffs.build_A"]
+        assert len(builds) == 1, method
     recorded = {s[spans.NAME] for s in tracer.spans}
     for name in ("coeffs.build_A", "solver.rotations", "solver.pinv", "solver.eig",
                  "solver.extract", "solver.score", "solver.translate", "ransac.polish",
