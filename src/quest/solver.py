@@ -30,7 +30,9 @@ mirrored solutions.
 
 A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
 shape. estimate_pose builds it once per frame: the original frame's A
-scores the candidates of every frame.
+scores the candidates of every frame. The elimination, B-fill and eigen
+solve take a leading sample axis: estimate_pose runs them on a stack of
+one, and ransac_pose on a block of minimal samples at once.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -44,7 +46,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import baseline
-from .coeffs import build_A
+from .coeffs import _rows, _triples, build_A
 from .core import (
     Correspondence,
     PoseCandidate,
@@ -115,37 +117,58 @@ _CUBES = _MIXED.diagonal()
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of X, with the bits np.linalg.norm gives
-    that row alone: a stacked matmul runs the same BLAS dot per row, while
-    norm(axis=...) would sum in another order."""
-    X = np.ascontiguousarray(X)
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row of X (..., rows, cols), with the bits
+    np.linalg.norm gives that row alone: a stacked matmul runs the same
+    BLAS dot per row, while norm(axis=...) would sum in another order."""
+    rows = np.ascontiguousarray(X).reshape(-1, X.shape[-1])
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0]).reshape(X.shape[:-1])
 
 
 def _pinv(mat: np.ndarray):
-    """Pseudo-inverse and singular values of mat from one SVD. The formula
-    and cutoff are numpy.linalg.pinv's at rcond _PINV_RCOND, so the result
-    keeps its bits; the singular values serve the caller's rank test."""
+    """Pseudo-inverse and singular values of mat (..., rows, cols) from one
+    stacked SVD. The formula and cutoff are numpy.linalg.pinv's at rcond
+    _PINV_RCOND, so each matrix keeps its bits; the singular values serve
+    the caller's rank test."""
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    large = s > _PINV_RCOND * s[0]
+    large = s > _PINV_RCOND * s[..., :1]
     inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return vt.T @ (inv[:, None] * u.T), s
+    return np.swapaxes(vt, -1, -2) @ (inv[..., :, None] * np.swapaxes(u, -1, -2)), s
 
 
-def _near_real_eigenvectors(B: np.ndarray) -> np.ndarray:
-    """Eigenvectors of a real matrix that are real up to a complex phase,
-    as the columns of one real matrix.
+def _aligned_columns(V: np.ndarray) -> list:
+    """The near-real columns of each eigenvector matrix in the stack V (all
+    real or all complex), phase-aligned; see _near_real_eigenvectors."""
+    S, k, _ = V.shape
+    peak = V[np.arange(S)[:, None], np.argmax(np.abs(V), axis=1), np.arange(k)][:, None]
+    aligned = V / (peak / np.abs(peak))
+    cols = aligned.transpose(0, 2, 1)
+    kept = _row_norms(cols.imag) <= _IMAG_RATIO * _row_norms(cols.real)
+    return [a[:, c] if np.count_nonzero(c) >= 2 else a for a, c in zip(aligned.real, kept)]
+
+
+def _near_real_eigenvectors(B: np.ndarray) -> list:
+    """Eigenvectors of each real matrix in the stack B (S x k x k) that are
+    real up to a complex phase, as the columns of one real matrix per
+    matrix of the stack; the eigen solve is one stacked call.
 
     Each eigenvector is rotated so its largest component is real positive;
     vectors whose imaginary part stays below _IMAG_RATIO of the real part
     are kept. If fewer than 2 survive (noise can push a real pair
     slightly complex), the real parts of all phase-aligned vectors are
     returned instead."""
-    _, vecs = np.linalg.eig(B)
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    aligned = vecs / (peak / np.abs(peak))
-    kept = _row_norms(aligned.imag.T) <= _IMAG_RATIO * _row_norms(aligned.real.T)
-    return aligned.real[:, kept] if np.count_nonzero(kept) >= 2 else aligned.real
+    vals, vecs = np.linalg.eig(B)
+    # eig returns a lone matrix's vectors as real when its eigenvalues all
+    # are, but a stack's as complex when any matrix has a complex pair, and
+    # complex phase alignment rounds differently: a mixed stack aligns its
+    # real spectra as reals
+    if len(B) == 1 or not np.iscomplexobj(vecs):
+        return _aligned_columns(vecs)
+    real = ~np.any(vals.imag, axis=1)
+    out = [None] * len(B)
+    for group, V in ((real, vecs[real].real), (~real, vecs[~real])):
+        for i, a in zip(np.flatnonzero(group), _aligned_columns(V)):
+            out[i] = a
+    return out
 
 
 def _canonical_unit(q: Quaternion) -> Quaternion:
@@ -185,6 +208,73 @@ def _quat_from_cubic_vector(V: np.ndarray) -> list:
     return out
 
 
+def _critical_surface(svals: np.ndarray):
+    """quest7's rank test on the singular values of one elimination block:
+    None when the block keeps rank, else the CriticalSurfaceError to raise."""
+    # conservative solvability cut: anything the pseudo-inverse would
+    # regularize away is treated as unsolved here, so the caller can retry
+    # under a gauge rotation; the reported rank uses the noise floor,
+    # which is the honest count of nonzero singular values
+    decide_rank = int(np.sum(svals > _PINV_RCOND * svals[0]))
+    if decide_rank >= 31:
+        return None
+    rank = int(np.sum(svals > _RANK_FLOOR * svals[0]))
+    gap = (
+        svals[decide_rank - 1] / svals[decide_rank]
+        if svals[decide_rank] > 0.0
+        else math.inf
+    )
+    return CriticalSurfaceError(
+        f"elimination block rank {rank} (effective rank {decide_rank} < 31, "
+        f"singular-value gap {gap:.2e}); points may lie on a critical "
+        "surface - the 6-point solver handles coplanar scenes",
+        measured_rank=rank,
+        gap=gap,
+    )
+
+
+def _rotation_stack(A: np.ndarray, method: str) -> list:
+    """Rotation candidates of each coefficient matrix in the stack A
+    (S x rows x 35): per matrix, the list of canonical unit quaternions,
+    or the DegeneracyError its rank test raises.
+
+    The eliminations, B-fills and eigen solves run as stacked calls over
+    the whole stack, rank failures included (their results are dropped);
+    quaternion extraction runs per matrix that keeps rank. quest7's rank
+    test reads singular values only, so a stack in which every matrix
+    fails computes no pseudo-inverse."""
+    if method == "quest6":
+        x1, x2 = QUEST6_SPLIT
+        pinv, svals = _pinv(A[:, :, x2])
+        out = [None if ok else DegenerateConfigurationError(
+            "6-point elimination block lost rank; the correspondences do not "
+            "constrain the rotation (near-180-degree motion or degenerate points)")
+            for ok in (svals[:, -1] > _PINV_RCOND * svals[:, 0]).tolist()]
+        B = np.zeros((len(A), 20, 20))
+        B[:, _SELECTOR_ROWS, _SELECTOR_COLS] = 1.0
+        B[:, _BBAR_ROWS] = (-pinv @ A[:, :, x1])[:, _BBAR_SOURCE]
+    else:
+        x1, x2 = QUEST7_SPLIT
+        A2 = A[:, :, x2]
+        out = [_critical_surface(s) for s in np.linalg.svd(A2, compute_uv=False)]
+        if all(out):
+            return out
+        pinv, _ = _pinv(A2)
+        B = (-pinv @ A[:, :, x1])[:, _QUEST7_ROWS]
+    for i, V in enumerate(_near_real_eigenvectors(B)):
+        if out[i] is None:
+            out[i] = _quat_from_cubic_vector(V)
+    return out
+
+
+def _rotations(A: np.ndarray, method: str):
+    """Rotation candidates of one coefficient matrix: a stack of one."""
+    (qs,) = _rotation_stack(A[None], method)
+    if isinstance(qs, DegeneracyError):
+        raise qs
+    return qs
+
+
 def quest7_rotations(A: np.ndarray):
     """Rotation candidates (at most 4) from a 7-point coefficient matrix.
 
@@ -195,48 +285,14 @@ def quest7_rotations(A: np.ndarray):
     so that failure costs no pseudo-inverse."""
     if A.shape != (35, 35):
         raise ValueError("quest7 requires the 35x35 matrix built from exactly 7 points")
-    x1, x2 = QUEST7_SPLIT
-    A2 = A[:, x2]
-    svals = np.linalg.svd(A2, compute_uv=False)
-    # conservative solvability cut: anything the pseudo-inverse would
-    # regularize away is treated as unsolved here, so the caller can retry
-    # under a gauge rotation; the reported rank uses the noise floor,
-    # which is the honest count of nonzero singular values
-    decide_rank = int(np.sum(svals > _PINV_RCOND * svals[0]))
-    if decide_rank < 31:
-        rank = int(np.sum(svals > _RANK_FLOOR * svals[0]))
-        gap = (
-            svals[decide_rank - 1] / svals[decide_rank]
-            if svals[decide_rank] > 0.0
-            else math.inf
-        )
-        raise CriticalSurfaceError(
-            f"elimination block rank {rank} (effective rank {decide_rank} < 31, "
-            f"singular-value gap {gap:.2e}); points may lie on a critical "
-            "surface - the 6-point solver handles coplanar scenes",
-            measured_rank=rank,
-            gap=gap,
-        )
-    pinv, _ = _pinv(A2)
-    B = (-pinv @ A[:, x1])[_QUEST7_ROWS]
-    return _quat_from_cubic_vector(_near_real_eigenvectors(B))
+    return _rotations(A, "quest7")
 
 
 def quest6_rotations(A: np.ndarray):
     """Rotation candidates (at most 20) from a 6-point coefficient matrix."""
     if A.shape != (20, 35):
         raise ValueError("quest6 requires the 20x35 matrix built from exactly 6 points")
-    x1, x2 = QUEST6_SPLIT
-    pinv, svals = _pinv(A[:, x2])
-    if svals[-1] <= _PINV_RCOND * svals[0]:
-        raise DegenerateConfigurationError(
-            "6-point elimination block lost rank; the correspondences do not "
-            "constrain the rotation (near-180-degree motion or degenerate points)"
-        )
-    B = np.zeros((20, 20))
-    B[_SELECTOR_ROWS, _SELECTOR_COLS] = 1.0
-    B[_BBAR_ROWS] = (-pinv @ A[:, x1])[_BBAR_SOURCE]
-    return _quat_from_cubic_vector(_near_real_eigenvectors(B))
+    return _rotations(A, "quest6")
 
 
 def score_candidates(A: np.ndarray, qs):
@@ -380,6 +436,10 @@ def estimate_pose(points, method: str = "quest6"):
     try:
         cands = _finish_candidates(A, rotations(A), points)
     except DegeneracyError as e:
+        # A gauge frame keeps rank(A), and rank(A2) >= rank(A) - 4 (A2 drops
+        # the four x1 columns): a lower elimination rank reaches 31 in no frame.
+        if isinstance(e, CriticalSurfaceError) and e.measured_rank + len(QUEST7_SPLIT[0]) < 31:
+            raise
         first_error = e
 
     if any(abs(c.q.w) >= 0.1 for c in cands):
@@ -444,28 +504,40 @@ _DR = np.stack([_rotation_exp(_H * e) for e in np.eye(3)])
 _DT = _H * np.eye(3)
 # Levenberg-Marquardt rounds per polish.
 _POLISH_ITERS = 8
+# Most RANSAC samples drawn and solved together. Blocks grow from one
+# sample (never past the number already walked plus one), so a run that
+# stops after a few samples solves few past its stop.
+_BLOCK = 8
+
+
+def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
+    """Angular errors of the pose (R, t) and their forward-difference
+    Jacobian over a rotation increment and t, from one stacked evaluation
+    of the pose and its six perturbations."""
+    fs, _, _ = _angular_errors(np.concatenate([[R], _DR @ R, [R] * 3]),
+                               np.concatenate([[t] * 4, t + _DT]), M, N)
+    f = fs[0]
+    # J in C order, as a column-filled array would be: a transposed view
+    # sends J.T @ f and J.T @ J to other BLAS kernels, whose results
+    # differ in the last bits
+    return f, np.ascontiguousarray(((fs[1:] - f) / _H).T)
 
 
 def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Levenberg-Marquardt on the angular reprojection errors of the rays
     M, N over the rotation and the translation direction (the translation
     scale does not affect the angles, so t stays on the unit sphere).
-    The forward-difference Jacobian comes from one stacked evaluation of
-    the six perturbed poses. Deterministic."""
+    Each round evaluates its trial pose together with the trial's six
+    perturbations: an accepted trial brings the Jacobian of the next
+    round, and a rejected one leaves the current Jacobian in place.
+    Deterministic."""
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / np.linalg.norm(t)
-    f, _, _ = _angular_errors(R, t, M, N)
+    f, J = _errors_and_jacobian(R, t, M, N)
     cost = float(f @ f)
     lam = 1e-4
     for _ in range(_POLISH_ITERS):
-        Rs = np.concatenate([_DR @ R, [R] * 3])
-        ts = np.concatenate([[t] * 3, t + _DT])
-        fs, _, _ = _angular_errors(Rs, ts, M, N)
-        # J in C order, as a column-filled array would be: a transposed
-        # view sends J.T @ f and J.T @ J to other BLAS kernels, whose
-        # results differ in the last bits
-        J = np.ascontiguousarray(((fs - f) / _H).T)
         g = J.T @ f
         H = J.T @ J + lam * np.eye(6)
         try:
@@ -475,14 +547,53 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray):
         R_new = _rotation_exp(step[:3]) @ R
         t_new = t + step[3:]
         t_new = t_new / np.linalg.norm(t_new)
-        f_new, _, _ = _angular_errors(R_new, t_new, M, N)
+        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N)
         cost_new = float(f_new @ f_new)
         if cost_new < cost:
-            R, t, f, cost = R_new, t_new, f_new, cost_new
+            R, t, f, J, cost = R_new, t_new, f_new, J_new, cost_new
             lam = max(lam * 0.3, 1e-10)
         else:
             lam *= 10.0
     return R, t
+
+
+def _block_candidates(points, M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
+    """Per minimal sample (a row of idx), the candidates estimate_pose
+    returns for it, or None where the sample needs estimate_pose itself:
+    the block's coefficient build raised, the sample's rank test failed,
+    or no candidate has |w| >= 0.1 (estimate_pose then tries its gauge
+    frames). One coefficient build and one stacked rotation solve serve
+    the whole block; scoring and translation run per sample."""
+    try:
+        A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
+    except DegeneracyError:
+        return [None] * len(idx)
+    out = []
+    for a, qs, sample in zip(A, _rotation_stack(A, method), idx):
+        cands = []
+        if not isinstance(qs, DegeneracyError):
+            try:
+                cands = _finish_candidates(a, qs, [points[i] for i in sample])
+            except DegeneracyError:
+                pass
+        out.append(cands if any(abs(c.q.w) >= 0.1 for c in cands) else None)
+    return out
+
+
+def _scored_poses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float):
+    """Per candidate list (None passes through), the rotation, translation,
+    angular errors and inlier mask of each candidate with a nonzero
+    translation; every pose goes through one stacked _consensus call."""
+    poses = [None if cands is None else
+             [(quat_to_rotation(c.q), np.asarray(c.t, dtype=float)) for c in cands
+              if c.t is not None and float(np.linalg.norm(c.t)) != 0.0]
+             for cands in cand_lists]
+    flat = [p for ps in poses if ps for p in ps]
+    if flat:
+        scored = zip(*_consensus(np.array([R for R, _ in flat]), np.array([t for _, t in flat]),
+                                 M, N, threshold))
+        poses = [None if ps is None else [(R, t, *next(scored)) for R, t in ps] for ps in poses]
+    return poses
 
 
 def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
@@ -501,7 +612,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     inliers); translation and depths are refit on the winning inliers.
     Deterministic for a fixed seed; the iteration count shrinks adaptively
     once a large consensus is found. Only the quaternion methods sample;
-    "eightpt" raises ValueError."""
+    "eightpt" raises ValueError.
+
+    Samples are drawn and solved in blocks of up to _BLOCK (one
+    coefficient build, one stacked rotation solve and one consensus call
+    per block), then walked in order exactly as one-at-a-time sampling
+    would: the same draws, polish calls and result. A block holds at most
+    one sample more than were walked before it, so at most _BLOCK - 1
+    samples are solved past the stop, and fewer when the run stops early."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -510,55 +628,64 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
         raise InsufficientPointsError(f"need at least {minimal} points")
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     rng = np.random.default_rng(seed)
     n = len(points)
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
 
-    best = None  # ((count, -mean_err), R, t, mask)
+    best = None  # ((count, -mean_err), R, t, mask, sample)
     needed = max_iters
     it = 0
     while it < min(needed, max_iters):
-        it += 1
-        sample_idx = rng.choice(n, size=minimal, replace=False)
-        sample = [points[i] for i in sample_idx]
-        try:
-            cands = estimate_pose(sample, method)
-        except DegeneracyError:
-            continue
-        for cand in cands:
-            if cand.t is None or float(np.linalg.norm(cand.t)) == 0.0:
-                continue
-            R = quat_to_rotation(cand.q)
-            t = np.asarray(cand.t, dtype=float)
-            errs, mask = _consensus(R, t, M, N, threshold)
-            if int(mask.sum()) < minimal:
-                continue
-            for _ in range(2):
-                R, t = _polish_pose(R, t, M[mask], N[mask])
-                errs, new_mask = _consensus(R, t, M, N, threshold)
-                stable = bool((new_mask == mask).all())
-                mask = new_mask
-                if stable or int(mask.sum()) < minimal:
-                    break
-            count = int(mask.sum())
-            if count < minimal:
-                continue
-            key = (count, -float(errs[mask].mean()))
-            if best is None or key > best[0]:
-                best = (key, R, t, mask)
-                inlier_ratio = count / n
-                if inlier_ratio >= 1.0:
-                    needed = it
-                else:
-                    denom = math.log1p(-min(inlier_ratio**minimal, 1.0 - 1e-12))
-                    needed = min(max_iters, math.ceil(math.log(1e-6) / denom))
+        idx = np.array([rng.choice(n, size=minimal, replace=False)
+                        for _ in range(min(_BLOCK, it + 1, min(needed, max_iters) - it))])
+        block = _scored_poses(_block_candidates(points, M, N, idx, method), M, N, threshold)
+        for sample, hypotheses in zip(idx, block):
+            if it >= min(needed, max_iters):
+                break
+            it += 1
+            if hypotheses is None:
+                try:
+                    cands = estimate_pose([points[i] for i in sample], method)
+                except DegeneracyError:
+                    continue
+                (hypotheses,) = _scored_poses([cands], M, N, threshold)
+            for R, t, errs, mask in hypotheses:
+                if int(mask.sum()) < minimal:
+                    continue
+                for _ in range(2):
+                    R, t = _polish_pose(R, t, M[mask], N[mask])
+                    errs, new_mask = _consensus(R, t, M, N, threshold)
+                    stable = bool((new_mask == mask).all())
+                    mask = new_mask
+                    if stable or int(mask.sum()) < minimal:
+                        break
+                count = int(mask.sum())
+                if count < minimal:
+                    continue
+                key = (count, -float(errs[mask].mean()))
+                if best is None or key > best[0]:
+                    best = (key, R, t, mask, sample)
+                    inlier_ratio = count / n
+                    if inlier_ratio >= 1.0:
+                        needed = it
+                    else:
+                        denom = math.log1p(-min(inlier_ratio**minimal, 1.0 - 1e-12))
+                        needed = min(max_iters, math.ceil(math.log(1e-6) / denom))
     if best is None:
         raise RobustFailureError("no pose candidate reached a minimal inlier set")
-    _, R, t, mask = best
+    _, R, t, mask, sample = best
     q = _canonical_unit(quat_from_rotation(R))
     inliers = [p for p, keep in zip(points, mask) if keep]
-    # residual reported on the minimal-subset matrix of the inlier set
-    residual = float(np.linalg.norm(build_A(inliers[:minimal]) @ monomial_vector(q)))
+    # residual reported on the minimal-subset matrix of the inlier set; a
+    # repeated match among its first points leaves a degenerate triple, and
+    # the winning hypothesis's own sample serves instead
+    try:
+        A = build_A(inliers[:minimal])
+    except DegeneracyError:
+        A = build_A([points[i] for i in sample])
+    residual = float(np.linalg.norm(A @ monomial_vector(q)))
     (cand,) = recover_translation_depths([PoseCandidate(q=q, algebraic_residual=residual)], inliers)
     return cand, mask

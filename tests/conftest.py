@@ -16,11 +16,11 @@ def random_correspondence(rng):
     return core.Correspondence(m, n)
 
 
-def make_outlier_set(seed, n=30, outlier_fraction=0.2, sigma_px=1.0):
+def make_outlier_set(seed, n=30, outlier_fraction=0.2, sigma_px=1.0, **scene_kw):
     """Noisy scene with uniform outliers; returns (points, true inlier mask,
-    true pose)."""
+    true pose). scene_kw passes further SceneConfig fields."""
     cam = bench.SyntheticCamera()
-    scene = bench.generate_scene(bench.SceneConfig(n_points=n, rng_seed=seed))
+    scene = bench.generate_scene(bench.SceneConfig(n_points=n, rng_seed=seed, **scene_kw))
     noisy = bench.add_pixel_noise(scene.correspondences, sigma_px, cam, seed + 10_000)
     rng = np.random.default_rng(seed + 20_000)
     out_idx = rng.choice(n, size=int(round(outlier_fraction * n)), replace=False)

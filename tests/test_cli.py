@@ -313,6 +313,12 @@ def test_ransac_with_eightpt_rejected(tmp_path):
                 "--method", "eightpt", "--ransac"]) == 1
 
 
+def test_ransac_max_iters_below_one_rejected(tmp_path, capsys):
+    assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
+                "--ransac", "--max-iters", 0]) == 1
+    assert "max_iters" in capsys.readouterr().err
+
+
 def test_method_choices_are_the_method_table():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     method = next(a for a in sub.choices["estimate"]._actions if a.dest == "method")

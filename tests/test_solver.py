@@ -11,6 +11,7 @@ from quest import baseline, bench, coeffs, core, solver
 from quest.core import Quaternion, monomial_vector, quat_to_rotation
 from quest.errors import (
     CriticalSurfaceError,
+    DegeneracyError,
     DegenerateTripleError,
     InsufficientPointsError,
     NoSolutionError,
@@ -82,6 +83,11 @@ def test_pinv_is_numpy_pinv_with_its_singular_values():
             pinv, svals = solver._pinv(A)
             assert np.array_equal(pinv, np.linalg.pinv(A, rcond=solver._PINV_RCOND))
             assert np.array_equal(svals, np.linalg.svd(A, full_matrices=False)[1])
+            # a stack gives each matrix the bits of its own call
+            stack = np.stack([rng.normal(size=shape), A, rng.normal(size=shape)])
+            pinvs, svals_stack = solver._pinv(stack)
+            assert np.array_equal(pinvs[1], pinv)
+            assert np.array_equal(svals_stack[1], svals)
 
 
 def _reference_near_real_eigenvectors(B):
@@ -153,11 +159,14 @@ def _eigen_test_matrix(rng, case):
 def test_whole_matrix_extraction_matches_per_vector_reference():
     rng = np.random.default_rng(606)
     mixed = 0
-    for trial in range(200):
-        B = _eigen_test_matrix(rng, trial % 3)
+    Bs = [_eigen_test_matrix(rng, trial % 3) for trial in range(200)]
+    # one stacked eigen solve gives each matrix the bits of its own call
+    stacked = solver._near_real_eigenvectors(np.stack(Bs))
+    for trial, B in enumerate(Bs):
         ref = _reference_near_real_eigenvectors(B)
-        V = solver._near_real_eigenvectors(B)
+        (V,) = solver._near_real_eigenvectors(B[None])
         assert np.array_equal(V, np.column_stack(ref))
+        assert np.array_equal(stacked[trial], V)
         ref_qs = [q for q in map(_reference_quat_from_cubic_vector, ref) if q is not None]
         assert solver._quat_from_cubic_vector(V) == ref_qs
         # all 20 kept (real), some kept (mixed), or none kept (all returned)
@@ -621,6 +630,19 @@ def test_degenerate_triple_raises_before_any_gauge_frame(monkeypatch):
             solver.estimate_pose(pts, method)
 
 
+def test_rank_collapse_raises_before_any_gauge_frame(monkeypatch):
+    # a gauge frame keeps rank(A), and the elimination block has at most
+    # four columns fewer, so the coplanar rank of 20 can reach 31 in no frame
+    def no_gauge(points, g):
+        raise AssertionError("a gauge frame ran after a rank collapse")
+
+    monkeypatch.setattr(solver, "_apply_gauge", no_gauge)
+    sc = bench.generate_scene(bench.SceneConfig(n_points=7, geometry="coplanar", rng_seed=3))
+    with pytest.raises(CriticalSurfaceError) as info:
+        solver.estimate_pose(list(sc.correspondences), "quest7")
+    assert info.value.measured_rank == 20
+
+
 def test_estimate_pose_insufficient_points():
     sc = scene(0, n=6)
     with pytest.raises(InsufficientPointsError):
@@ -684,6 +706,185 @@ def test_ransac_golden_outputs(seed):
     assert (cand.q.w, cand.q.x, cand.q.y, cand.q.z) == tuple(float.fromhex(h) for h in q_hex)
     assert cand.t.tolist() == [float.fromhex(h) for h in t_hex]
     assert "".join("1" if keep else "0" for keep in mask) == mask_str
+
+
+# The same call with method "quest7" on outlier sets 0 and 1, recorded
+# before RANSAC sampled in blocks.
+_RANSAC_QUEST7_GOLDEN = (
+    (('0x1.26898705f6a39p-1', '0x1.7b53d7299a06cp-4', '-0x1.4c554db2b40e3p-2', '-0x1.7d7ca2116edb6p-1'),
+     ('-0x1.c8c5980b29b9bp-2', '0x1.118a63b64c048p-1', '0x1.6fa3ed2b8e0bap-1'),
+     '011111111111101101101011101101'),
+    (('0x1.b747eec7c51a8p-3', '0x1.046ea19380929p-1', '0x1.a2e2ebf183db6p-3', '-0x1.9ddfd69da7538p-1'),
+     ('-0x1.f54f611281a7bp-2', '-0x1.98efc64abcb43p-3', '0x1.b295caab31745p-1'),
+     '101111111111011110111101111100'),
+)
+
+
+@pytest.mark.parametrize("seed", range(len(_RANSAC_QUEST7_GOLDEN)))
+def test_ransac_quest7_golden_outputs(seed):
+    points, _, _ = make_outlier_set(seed=seed)
+    cand, mask = solver.ransac_pose(points, "quest7", threshold=0.005, max_iters=200, seed=seed)
+    q_hex, t_hex, mask_str = _RANSAC_QUEST7_GOLDEN[seed]
+    assert (cand.q.w, cand.q.x, cand.q.y, cand.q.z) == tuple(float.fromhex(h) for h in q_hex)
+    assert cand.t.tolist() == [float.fromhex(h) for h in t_hex]
+    assert "".join("1" if keep else "0" for keep in mask) == mask_str
+
+
+def _reference_ransac(points, method, threshold=0.005, max_iters=200, seed=0):
+    # one sample at a time through estimate_pose, as the loop ran before
+    # samples were solved in blocks: the oracle for ransac_pose. Also
+    # returns the iteration count.
+    rng = np.random.default_rng(seed)
+    n = len(points)
+    minimal = solver.MINIMAL_POINTS[method]
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    best = None
+    needed = max_iters
+    it = 0
+    while it < min(needed, max_iters):
+        it += 1
+        sample = [points[i] for i in rng.choice(n, size=minimal, replace=False)]
+        try:
+            cands = solver.estimate_pose(sample, method)
+        except DegeneracyError:
+            continue
+        for cand in cands:
+            if cand.t is None or float(np.linalg.norm(cand.t)) == 0.0:
+                continue
+            R = quat_to_rotation(cand.q)
+            t = np.asarray(cand.t, dtype=float)
+            errs, mask = solver._consensus(R, t, M, N, threshold)
+            if int(mask.sum()) < minimal:
+                continue
+            for _ in range(2):
+                R, t = solver._polish_pose(R, t, M[mask], N[mask])
+                errs, new_mask = solver._consensus(R, t, M, N, threshold)
+                stable = bool((new_mask == mask).all())
+                mask = new_mask
+                if stable or int(mask.sum()) < minimal:
+                    break
+            count = int(mask.sum())
+            if count < minimal:
+                continue
+            key = (count, -float(errs[mask].mean()))
+            if best is None or key > best[0]:
+                best = (key, R, t, mask, sample)
+                ratio = count / n
+                if ratio >= 1.0:
+                    needed = it
+                else:
+                    denom = math.log1p(-min(ratio**minimal, 1.0 - 1e-12))
+                    needed = min(max_iters, math.ceil(math.log(1e-6) / denom))
+    if best is None:
+        raise RobustFailureError("no pose candidate reached a minimal inlier set")
+    _, R, t, mask, sample = best
+    q = solver._canonical_unit(core.quat_from_rotation(R))
+    inliers = [p for p, keep in zip(points, mask) if keep]
+    try:
+        A = coeffs.build_A(inliers[:minimal])
+    except DegeneracyError:
+        A = coeffs.build_A(sample)
+    residual = float(np.linalg.norm(A @ monomial_vector(q)))
+    (cand,) = solver.recover_translation_depths(
+        [core.PoseCandidate(q=q, algebraic_residual=residual)], inliers)
+    return cand, mask, it
+
+
+def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
+    """ransac_pose against _reference_ransac, bit for bit and with as many
+    polish calls. With `count`, solver.<count> is wrapped during
+    ransac_pose only, and the list of its call outcomes (True returned,
+    False raised) is returned along with the reference's iteration count."""
+    polish = solver._polish_pose
+    polished = []
+    monkeypatch.setattr(solver, "_polish_pose", lambda *args: polished.append(1) or polish(*args))
+    ref, ref_mask, iterations = _reference_ransac(points, method, seed=seed)
+    ref_polished = len(polished)
+    polished.clear()
+    calls = []
+    if count is not None:
+        fn = getattr(solver, count)
+
+        def wrapper(*args):
+            try:
+                result = fn(*args)
+            except Exception:
+                calls.append(False)
+                raise
+            calls.append(True)
+            return result
+
+        monkeypatch.setattr(solver, count, wrapper)
+    cand, mask = solver.ransac_pose(points, method, threshold=0.005, max_iters=200, seed=seed)
+    assert np.array_equal(mask, ref_mask)
+    assert cand.q == ref.q
+    assert cand.algebraic_residual == ref.algebraic_residual
+    for field in ("t", "depths_u", "depths_v"):
+        assert np.array_equal(getattr(cand, field), getattr(ref, field)), field
+    assert (cand.chirality_ok, cand.scale_note) == (ref.chirality_ok, ref.scale_note)
+    assert len(polished) == ref_polished
+    return calls, iterations
+
+
+def _duplicated_match_set():
+    # outlier set 0 with a copy of its first inlier right after it
+    points, mask_true, pose = make_outlier_set(seed=0)
+    first = int(np.argmax(mask_true))
+    points.insert(first + 1, points[first])
+    return points, pose
+
+
+def test_ransac_survives_a_duplicated_match():
+    # the two copies lead the winning inliers, so the minimal-subset
+    # matrix of the inlier set has a degenerate triple; the residual comes
+    # from the winning sample instead
+    points, pose = _duplicated_match_set()
+    cand, mask = solver.ransac_pose(points, "quest6", threshold=0.005, max_iters=200, seed=0)
+    assert mask[1] and mask[2]
+    with pytest.raises(DegenerateTripleError):
+        coeffs.build_A([p for p, keep in zip(points, mask) if keep][:6])
+    assert core.rot_error(cand.q, pose.q) < 0.01
+    assert 0.0 < cand.algebraic_residual < 1e-3
+
+
+def test_ransac_block_matches_reference_on_duplicated_match(monkeypatch):
+    points, _ = _duplicated_match_set()
+    builds, _ = _assert_matches_reference(points, "quest6", 0, monkeypatch, "_rows")
+    assert not all(builds)  # a block's coefficient build raised
+
+
+def test_ransac_block_matches_reference_near_half_turn(monkeypatch):
+    points, _, _ = make_outlier_set(seed=2, fixed_rotation=(0.0, 0.0, 0.0, 1.0))
+    gauges, _ = _assert_matches_reference(points, "quest6", 2, monkeypatch, "_apply_gauge")
+    assert gauges  # some sample fell back to estimate_pose's gauge frames
+
+
+@pytest.mark.parametrize("method", ["quest6", "quest7"])
+def test_ransac_block_matches_reference_on_coplanar_scene(method, monkeypatch):
+    # exact coplanar inliers: an all-inlier quest7 sample fails its rank
+    # test and falls back to estimate_pose, which raises
+    points, _, _ = make_outlier_set(seed=0, sigma_px=0.0, geometry="coplanar")
+    fallbacks, _ = _assert_matches_reference(points, method, 0, monkeypatch, "estimate_pose")
+    assert (False in fallbacks) == (method == "quest7")
+
+
+def test_ransac_block_matches_reference_when_stop_lands_mid_block(monkeypatch):
+    drawn = []
+    block = solver._block_candidates
+    monkeypatch.setattr(solver, "_block_candidates",
+                        lambda points, M, N, idx, method: drawn.append(len(idx))
+                        or block(points, M, N, idx, method))
+    _, iterations = _assert_matches_reference(make_outlier_set(seed=7)[0], "quest6", 7, monkeypatch)
+    # the last block's samples past the stop are solved but never walked
+    assert sum(drawn) > iterations
+
+
+def test_ransac_rejects_max_iters_below_one():
+    points, _, _ = make_outlier_set(seed=2)
+    for max_iters in (0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            solver.ransac_pose(points, "quest6", max_iters=max_iters, seed=0)
 
 
 def _reference_angular_errors(R, t, M, N):

@@ -33,7 +33,10 @@ def test_trace_targets_exist_and_record_every_layer():
             solver.estimate_pose(exact[:n], method)
         baseline.decompose_essential(baseline.eight_point(exact[:8]), exact[:8])
         solver.estimate_pose(exact[:8], "eightpt")
+        tracer.begin_op("ransac")
+        ransac_root = len(tracer.spans) - 1
         solver.ransac_pose(exact, "quest6", max_iters=3, seed=0)
+        tracer.end_op()
     # every minimal-solve layer runs under its own name in both solvers
     for method, root in roots.items():
         assert tracer.spans[root][spans.NAME] == "solver.estimate_pose"
@@ -45,6 +48,12 @@ def test_trace_targets_exist_and_record_every_layer():
         builds = [s for s in tracer.spans
                   if s[spans.ROOT] == root and s[spans.NAME] == "coeffs.build_A"]
         assert len(builds) == 1, method
+    # the block-evaluated RANSAC samples reach every minimal-solve layer by
+    # module attribute too
+    under = {s[spans.NAME] for s in tracer.spans if s[spans.ROOT] == ransac_root}
+    for name in ("solver.pinv", "solver.eig", "solver.extract", "solver.score",
+                 "solver.translate"):
+        assert name in under, ("ransac", name)
     recorded = {s[spans.NAME] for s in tracer.spans}
     for name in ("coeffs.build_A", "solver.rotations", "solver.pinv", "solver.eig",
                  "solver.extract", "solver.score", "solver.translate", "ransac.polish",
