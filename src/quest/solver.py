@@ -32,7 +32,9 @@ A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
 shape. estimate_pose builds it once per frame: the original frame's A
 scores the candidates of every frame. The elimination, B-fill and eigen
 solve take a leading sample axis: estimate_pose runs them on a stack of
-one, and ransac_pose on a block of minimal samples at once.
+one, and ransac_pose on a block of minimal samples at once, whose
+candidates then share one translation call (each on its own sample's
+rays) and whose hypotheses are polished in lockstep.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -328,22 +330,31 @@ def recover_translation_depths(cands, points):
     positive, then the result is scaled to ||t|| = 1 unless the
     translation is negligible against the depths, in which case the mean
     absolute depth is scaled to 1 (so a near-zero translation stays near
-    zero). All candidates' systems are solved as one stack."""
-    points = list(points)
-    k = len(points)
+    zero). All candidates' systems are solved as one stack.
+
+    `points` is the list of matches every candidate is solved on, or a
+    pair (M, N) of ray arrays of shape (len(cands), k, 3) that gives each
+    candidate its own first- and second-view rays; either way a candidate
+    gets the bits it would get alone."""
+    # rays indexed (point, candidate or 1, xyz)
+    if isinstance(points, tuple) and points and isinstance(points[0], np.ndarray):
+        M, N = (rays.swapaxes(0, 1) for rays in points)
+    else:
+        points = list(points)
+        M = np.array([c.m for c in points]).reshape(-1, 1, 3)
+        N = np.array([c.n for c in points]).reshape(-1, 1, 3)
+    k = len(M)
     if k < 2:
         raise InsufficientPointsError("need at least 2 points to recover translation")
     R = np.array([quat_to_rotation(c.q) for c in cands])
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
     C = np.zeros((len(cands), 3 * k, 2 * k + 3))
     blocks = C.reshape(len(cands), k, 3, 2 * k + 3)  # point i's three rows
     i = np.arange(k)
     blocks[:, :, :, 0:3] = np.eye(3)
     # indexed (point, candidate, row); a stacked matrix-vector product,
     # since R @ M.T would round differently
-    blocks[:, i, :, 3 + 2 * i] = (R @ M[:, None, :, None])[..., 0]
-    blocks[:, i, :, 4 + 2 * i] = -N[:, None]
+    blocks[:, i, :, 3 + 2 * i] = (R @ M[..., None])[..., 0]
+    blocks[:, i, :, 4 + 2 * i] = -N
     # k = 2 needs the full Vt for its null vector; for k >= 3 the reduced
     # SVD gives the same bits but measured no faster
     _, svals, Vt = np.linalg.svd(C, full_matrices=True)
@@ -394,11 +405,16 @@ def _apply_gauge(points, g: Quaternion):
     return out
 
 
+def _ranked(cands):
+    """Candidates by residual, with chirality failures demoted below every
+    passing candidate."""
+    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
+
+
 def _finish_candidates(A, qs, points):
     """Score rotations on A, recover translation/depths on all points, and
-    rank with chirality failures demoted below every passing candidate."""
-    cands = recover_translation_depths(score_candidates(A, qs), points)
-    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
+    rank them."""
+    return _ranked(recover_translation_depths(score_candidates(A, qs), points))
 
 
 def estimate_pose(points, method: str = "quest6"):
@@ -487,20 +503,26 @@ def _consensus(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, thres
     return errs, (errs < threshold) & (u > 0.0) & (v > 0.0)
 
 
+# k @ _SKEW is the cross-product matrix of k (k x v = K @ v), row-major.
+_SKEW = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                  [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                  [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+
+
 def _rotation_exp(delta: np.ndarray) -> np.ndarray:
-    """Rotation matrix of an axis-angle increment (Rodrigues)."""
-    theta = np.linalg.norm(delta)
-    if theta < 1e-14:
-        return np.eye(3)
-    k = delta / theta
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
+    """Rotation matrices (..., 3, 3) of axis-angle increments (..., 3)
+    (Rodrigues); an increment below 1e-14 gives the identity."""
+    theta = _row_norms(delta)[..., None, None]
+    small = theta < 1e-14
+    K = (delta / np.where(small, 1.0, theta)[..., 0] @ _SKEW).reshape(delta.shape + (3,))
+    R = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    return np.where(small, np.eye(3), R)
 
 
 # Forward-difference step of the polish Jacobian, and the three rotation
 # increments and translation offsets it perturbs a pose by.
 _H = 1e-7
-_DR = np.stack([_rotation_exp(_H * e) for e in np.eye(3)])
+_DR = _rotation_exp(_H * np.eye(3))
 _DT = _H * np.eye(3)
 # Levenberg-Marquardt rounds per polish.
 _POLISH_ITERS = 8
@@ -510,90 +532,150 @@ _POLISH_ITERS = 8
 _BLOCK = 8
 
 
-def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
-    """Angular errors of the pose (R, t) and their forward-difference
-    Jacobian over a rotation increment and t, from one stacked evaluation
-    of the pose and its six perturbations."""
-    fs, _, _ = _angular_errors(np.concatenate([[R], _DR @ R, [R] * 3]),
-                               np.concatenate([[t] * 4, t + _DT]), M, N)
-    f = fs[0]
-    # J in C order, as a column-filled array would be: a transposed view
-    # sends J.T @ f and J.T @ J to other BLAS kernels, whose results
-    # differ in the last bits
-    return f, np.ascontiguousarray(((fs[1:] - f) / _H).T)
+def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
+                         W: np.ndarray):
+    """Angular errors f (P, n) of the poses (R, t) and the transpose of
+    their forward-difference Jacobian (P, 6, n) over a rotation increment
+    and t, both zero on the rays a pose's weights W (P, n) leave out. One
+    _angular_errors call evaluates every pose with its six perturbations."""
+    P = len(R)
+    Rs = np.concatenate([R[:, None], _DR @ R[:, None], np.repeat(R[:, None], 3, axis=1)], axis=1)
+    ts = np.concatenate([np.repeat(t[:, None], 4, axis=1), t[:, None] + _DT], axis=1)
+    fs, _, _ = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N)
+    fs = np.where(W[:, None], fs.reshape(P, 7, -1), 0.0)
+    f = fs[:, 0]
+    return f, (fs[:, 1:] - f[:, None]) / _H
 
 
-def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray):
+def _lm_steps(H: np.ndarray, rhs: np.ndarray, live: np.ndarray):
+    """Solutions of the systems H (P, 6, 6) x = rhs (P, 6) flagged `live`,
+    from one stacked solve, with zero steps for the rest; and the flags
+    left live. When the stacked solve meets a singular matrix, each system
+    is solved on its own, and a singular one is no longer live."""
+    step = np.zeros_like(rhs)
+    live = live.copy()
+    rows = np.flatnonzero(live)
+    try:
+        step[rows] = np.linalg.solve(H[rows], rhs[rows, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        for p in rows:
+            try:
+                step[p] = np.linalg.solve(H[p:p + 1], rhs[p:p + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                live[p] = False
+    return step, live
+
+
+def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray):
     """Levenberg-Marquardt on the angular reprojection errors of the rays
     M, N over the rotation and the translation direction (the translation
-    scale does not affect the angles, so t stays on the unit sphere).
-    Each round evaluates its trial pose together with the trial's six
-    perturbations: an accepted trial brings the Jacobian of the next
-    round, and a rejected one leaves the current Jacobian in place.
-    Deterministic."""
+    scale does not affect the angles, so t stays on the unit sphere), for
+    a stack of poses R0 (P, 3, 3), t0 (P, 3) in lockstep. W (P, n) holds
+    each pose's 0/1 ray weights: a pose fits only the rays it weights.
+
+    Each pose keeps its own damping and its own accept/reject decisions,
+    and a pose whose damped system turns singular stops where it is. A
+    round evaluates every trial pose together with its six perturbations:
+    an accepted trial brings the Jacobian of the next round, and a
+    rejected one leaves the current Jacobian in place. The sums over rays
+    are einsum reductions per pose, and each pose gets the bits it would
+    get in a stack of one. Deterministic."""
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
-    t = t / np.linalg.norm(t)
-    f, J = _errors_and_jacobian(R, t, M, N)
-    cost = float(f @ f)
-    lam = 1e-4
+    t = t / _row_norms(t)[:, None]
+    W = np.asarray(W, dtype=bool)
+    f, J = _errors_and_jacobian(R, t, M, N, W)
+    cost = np.einsum("pi,pi->p", f, f)
+    lam = np.full(len(R), 1e-4)
+    live = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_ITERS):
-        g = J.T @ f
-        H = J.T @ J + lam * np.eye(6)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
+        H = np.einsum("pji,pki->pjk", J, J) + lam[:, None, None] * np.eye(6)
+        step, live = _lm_steps(H, -np.einsum("pji,pi->pj", J, f), live)
+        if not live.any():
             break
-        R_new = _rotation_exp(step[:3]) @ R
-        t_new = t + step[3:]
-        t_new = t_new / np.linalg.norm(t_new)
-        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N)
-        cost_new = float(f_new @ f_new)
-        if cost_new < cost:
-            R, t, f, J, cost = R_new, t_new, f_new, J_new, cost_new
-            lam = max(lam * 0.3, 1e-10)
-        else:
-            lam *= 10.0
+        R_new = _rotation_exp(step[:, :3]) @ R
+        t_new = t + step[:, 3:]
+        t_new = t_new / _row_norms(t_new)[:, None]
+        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W)
+        cost_new = np.einsum("pi,pi->p", f_new, f_new)
+        better = live & (cost_new < cost)
+        R = np.where(better[:, None, None], R_new, R)
+        t = np.where(better[:, None], t_new, t)
+        f = np.where(better[:, None], f_new, f)
+        J = np.where(better[:, None, None], J_new, J)
+        cost = np.where(better, cost_new, cost)
+        lam = np.where(better, np.maximum(lam * 0.3, 1e-10), lam * 10.0)
     return R, t
 
 
-def _block_candidates(points, M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
-    """Per minimal sample (a row of idx), the candidates estimate_pose
-    returns for it, or None where the sample needs estimate_pose itself:
-    the block's coefficient build raised, the sample's rank test failed,
-    or no candidate has |w| >= 0.1 (estimate_pose then tries its gauge
-    frames). One coefficient build and one stacked rotation solve serve
-    the whole block; scoring and translation run per sample."""
+def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
+    """Per minimal sample (a row of idx into the rays M, N), the
+    candidates estimate_pose returns for it, or None where the sample
+    needs estimate_pose itself: the block's coefficient build raised, the
+    sample's rank test failed, or no candidate has |w| >= 0.1
+    (estimate_pose then tries its gauge frames). One coefficient build,
+    one stacked rotation solve and one translation call serve the whole
+    block; scoring runs per sample, and each candidate's translation is
+    solved on its own sample's rays."""
     try:
         A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
     except DegeneracyError:
         return [None] * len(idx)
+    scored = []
+    for a, qs in zip(A, _rotation_stack(A, method)):
+        try:
+            scored.append([] if isinstance(qs, DegeneracyError) else score_candidates(a, qs))
+        except DegeneracyError:
+            scored.append([])
+    flat = [c for cands in scored for c in cands]
+    solved = iter(())
+    if flat:
+        rays = idx[np.repeat(np.arange(len(idx)), [len(cands) for cands in scored])]
+        solved = iter(recover_translation_depths(flat, (M[rays], N[rays])))
     out = []
-    for a, qs, sample in zip(A, _rotation_stack(A, method), idx):
-        cands = []
-        if not isinstance(qs, DegeneracyError):
-            try:
-                cands = _finish_candidates(a, qs, [points[i] for i in sample])
-            except DegeneracyError:
-                pass
+    for cands in scored:
+        cands = _ranked([next(solved) for _ in cands])
         out.append(cands if any(abs(c.q.w) >= 0.1 for c in cands) else None)
     return out
 
 
-def _scored_poses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float):
-    """Per candidate list (None passes through), the rotation, translation,
-    angular errors and inlier mask of each candidate with a nonzero
-    translation; every pose goes through one stacked _consensus call."""
+def _hypotheses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float, minimal: int):
+    """Per candidate list (None passes through), the polished hypotheses
+    (R, t, angular errors, inlier mask) of its candidates with a nonzero
+    translation, in order, leaving out those whose consensus falls below
+    `minimal` inliers before or after polish.
+
+    A candidate is polished on its provisional inliers and re-masked with
+    the same test, once more if the mask changed and still holds
+    `minimal` points. Every candidate of every list goes through one
+    stacked _consensus call, and each polish round is one stacked
+    _polish_pose call and one _consensus call over the candidates it
+    covers."""
     poses = [None if cands is None else
              [(quat_to_rotation(c.q), np.asarray(c.t, dtype=float)) for c in cands
               if c.t is not None and float(np.linalg.norm(c.t)) != 0.0]
              for cands in cand_lists]
     flat = [p for ps in poses if ps for p in ps]
-    if flat:
-        scored = zip(*_consensus(np.array([R for R, _ in flat]), np.array([t for _, t in flat]),
-                                 M, N, threshold))
-        poses = [None if ps is None else [(R, t, *next(scored)) for R, t in ps] for ps in poses]
-    return poses
+    if not flat:
+        return poses
+    R = np.array([R for R, _ in flat])
+    t = np.array([t for _, t in flat])
+    errs, masks = _consensus(R, t, M, N, threshold)
+    kept = masks.sum(axis=1) >= minimal
+    todo = np.flatnonzero(kept)
+    for _ in range(2):
+        if not len(todo):
+            break
+        R[todo], t[todo] = _polish_pose(R[todo], t[todo], M, N, masks[todo])
+        new_errs, new_masks = _consensus(R[todo], t[todo], M, N, threshold)
+        moved = (new_masks != masks[todo]).any(axis=1)
+        errs[todo], masks[todo] = new_errs, new_masks
+        todo = todo[moved & (new_masks.sum(axis=1) >= minimal)]
+    kept &= masks.sum(axis=1) >= minimal
+    hyps = iter([(R[i], t[i], errs[i], masks[i]) if keep else None
+                 for i, keep in enumerate(kept.tolist())])
+    return [None if ps is None else [h for h in (next(hyps) for _ in ps) if h is not None]
+            for ps in poses]
 
 
 def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
@@ -614,20 +696,24 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     once a large consensus is found. Only the quaternion methods sample;
     "eightpt" raises ValueError.
 
-    Samples are drawn and solved in blocks of up to _BLOCK (one
-    coefficient build, one stacked rotation solve and one consensus call
-    per block), then walked in order exactly as one-at-a-time sampling
-    would: the same draws, polish calls and result. A block holds at most
-    one sample more than were walked before it, so at most _BLOCK - 1
-    samples are solved past the stop, and fewer when the run stops early."""
+    Samples are drawn and solved in blocks of up to _BLOCK: one
+    coefficient build, one stacked rotation solve, one translation call
+    and one consensus call per block, then at most two lockstep polish
+    calls over every hypothesis of the block. The samples are then walked
+    in order as one-at-a-time sampling would: the same draws, stop and
+    winner, and each hypothesis polished as it would be alone. A sample
+    that needs estimate_pose itself is solved and polished only when the
+    walk reaches it. A block holds at most one sample more than were
+    walked before it, so at most _BLOCK - 1 samples are solved and
+    polished past the stop, and fewer when the run stops early."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
     minimal = MINIMAL_POINTS[method]
     if len(points) < minimal:
         raise InsufficientPointsError(f"need at least {minimal} points")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     rng = np.random.default_rng(seed)
@@ -641,7 +727,7 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     while it < min(needed, max_iters):
         idx = np.array([rng.choice(n, size=minimal, replace=False)
                         for _ in range(min(_BLOCK, it + 1, min(needed, max_iters) - it))])
-        block = _scored_poses(_block_candidates(points, M, N, idx, method), M, N, threshold)
+        block = _hypotheses(_block_candidates(M, N, idx, method), M, N, threshold, minimal)
         for sample, hypotheses in zip(idx, block):
             if it >= min(needed, max_iters):
                 break
@@ -651,20 +737,9 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
                     cands = estimate_pose([points[i] for i in sample], method)
                 except DegeneracyError:
                     continue
-                (hypotheses,) = _scored_poses([cands], M, N, threshold)
+                (hypotheses,) = _hypotheses([cands], M, N, threshold, minimal)
             for R, t, errs, mask in hypotheses:
-                if int(mask.sum()) < minimal:
-                    continue
-                for _ in range(2):
-                    R, t = _polish_pose(R, t, M[mask], N[mask])
-                    errs, new_mask = _consensus(R, t, M, N, threshold)
-                    stable = bool((new_mask == mask).all())
-                    mask = new_mask
-                    if stable or int(mask.sum()) < minimal:
-                        break
                 count = int(mask.sum())
-                if count < minimal:
-                    continue
                 key = (count, -float(errs[mask].mean()))
                 if best is None or key > best[0]:
                     best = (key, R, t, mask, sample)

@@ -319,6 +319,12 @@ def test_ransac_max_iters_below_one_rejected(tmp_path, capsys):
     assert "max_iters" in capsys.readouterr().err
 
 
+def test_ransac_nan_threshold_rejected(capsys):
+    assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
+                "--ransac", "--threshold", "nan"]) == 1
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_method_choices_are_the_method_table():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     method = next(a for a in sub.choices["estimate"]._actions if a.dest == "method")

@@ -1,4 +1,6 @@
+import ast
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +19,7 @@ from quest.errors import (
     NoSolutionError,
     RobustFailureError,
 )
+import record_goldens
 from conftest import make_outlier_set
 
 
@@ -677,23 +680,24 @@ def test_ransac_rejects_twisted_pair():
 
 
 # ransac_pose(make_outlier_set(seed=s), "quest6", threshold=0.005,
-# max_iters=200, seed=s) as recorded before the RANSAC inner loop moved to
-# arrays: q (w, x, y, z), t, and the mask as one character per point.
+# max_iters=200, seed=s) as recorded when polish moved to lockstep stacks:
+# q (w, x, y, z), t, and the mask as one character per point. Both tables
+# are printed by tests/record_goldens.py.
 _RANSAC_GOLDEN = (
-    (('0x1.2688f623d0bddp-1', '0x1.7b4cb0841bae9p-4', '-0x1.4c555374a3124p-2', '-0x1.7d7d2d1d8a5cep-1'),
-     ('-0x1.c8d10a063b747p-2', '0x1.118499bf2a2fap-1', '0x1.6fa4ada4ced3ep-1'),
+    (('0x1.26892c740262ep-1', '0x1.7b50a9ce94d45p-4', '-0x1.4c557cf216dd0p-2', '-0x1.7d7cea576ce9ep-1'),
+     ('-0x1.c8ca00aab4a25p-2', '0x1.1186d393f5eb0p-1', '0x1.6fa5353feb16ep-1'),
      '011111111111101101101011101101'),
-    (('0x1.b870fe035af2ap-3', '0x1.052e70d364804p-1', '0x1.a43a9d0d2f8e2p-3', '-0x1.9d3d55e041ce4p-1'),
-     ('-0x1.e8c6b4a28b8b5p-2', '-0x1.75deca595cd35p-3', '0x1.b817ee58a0360p-1'),
+    (('0x1.b87112730a773p-3', '0x1.052e6c733f402p-1', '0x1.a43a92d4ae3f7p-3', '-0x1.9d3d57ee0523fp-1'),
+     ('-0x1.e8c74ead023f7p-2', '-0x1.75def41a5008ap-3', '0x1.b817c15be402cp-1'),
      '101111111111011110111101111100'),
-    (('0x1.273f7e953d8e7p-4', '-0x1.a1402fe2cf12fp-3', '-0x1.3e202f5ddce66p-3', '-0x1.ed88a3dc48aecp-1'),
-     ('0x1.cdddca98c4ed9p-3', '0x1.31f4d420b1c83p-1', '-0x1.89f502557c989p-1'),
+    (('0x1.273f92a8c0e9bp-4', '-0x1.a1408b5890086p-3', '-0x1.3e20aacc0f608p-3', '-0x1.ed8899de12c4bp-1'),
+     ('0x1.cddc19202733ep-3', '0x1.31f4720332dbfp-1', '-0x1.89f56e4b3b6fbp-1'),
      '011111110101011111110110111111'),
-    (('0x1.8e9deac859d64p-1', '-0x1.3f8eb3167a875p-3', '-0x1.017c0a59f265ep-1', '0x1.5dac94dd0bb53p-2'),
-     ('-0x1.803cc4ec7947ep-7', '0x1.d6a51e52c2940p-2', '0x1.c6ad5755ff55ep-1'),
+    (('0x1.8e9deaffb96c5p-1', '-0x1.3f8eb337d44c0p-3', '-0x1.017c0a02b4184p-1', '0x1.5dac94d9e6477p-2'),
+     ('-0x1.803d7b43fb27ep-7', '0x1.d6a51e2949d5bp-2', '0x1.c6ad5757193cfp-1'),
      '111111111000111111111111101011'),
-    (('0x1.94dddbcc0f7d4p-1', '-0x1.4604a6ed50973p-3', '0x1.543ba3f45303fp-2', '0x1.f493c76a6bd5fp-2'),
-     ('0x1.bc3d46968b04cp-2', '0x1.442bd578e2974p-1', '-0x1.483500e4af21ap-1'),
+    (('0x1.94dddb5054a94p-1', '-0x1.4604a79f41695p-3', '0x1.543ba43338ea2p-2', '0x1.f493c8b2fd0d8p-2'),
+     ('0x1.bc3d4ad7144f5p-2', '0x1.442bd394b3d90p-1', '-0x1.4835015291f6ep-1'),
      '011111101011111100111011111111'),
 )
 
@@ -708,14 +712,13 @@ def test_ransac_golden_outputs(seed):
     assert "".join("1" if keep else "0" for keep in mask) == mask_str
 
 
-# The same call with method "quest7" on outlier sets 0 and 1, recorded
-# before RANSAC sampled in blocks.
+# The same call with method "quest7" on outlier sets 0 and 1.
 _RANSAC_QUEST7_GOLDEN = (
-    (('0x1.26898705f6a39p-1', '0x1.7b53d7299a06cp-4', '-0x1.4c554db2b40e3p-2', '-0x1.7d7ca2116edb6p-1'),
-     ('-0x1.c8c5980b29b9bp-2', '0x1.118a63b64c048p-1', '0x1.6fa3ed2b8e0bap-1'),
+    (('0x1.26897c979755ep-1', '0x1.7b53839de8b5bp-4', '-0x1.4c5552c956ce3p-2', '-0x1.7d7caa4fc1cd7p-1'),
+     ('-0x1.c8c60a451118dp-2', '0x1.118a034c1074ep-1', '0x1.6fa4116d4dfaap-1'),
      '011111111111101101101011101101'),
-    (('0x1.b747eec7c51a8p-3', '0x1.046ea19380929p-1', '0x1.a2e2ebf183db6p-3', '-0x1.9ddfd69da7538p-1'),
-     ('-0x1.f54f611281a7bp-2', '-0x1.98efc64abcb43p-3', '0x1.b295caab31745p-1'),
+    (('0x1.b747f04ef1001p-3', '0x1.046eb82000266p-1', '0x1.a2e326323f63fp-3', '-0x1.9ddfc4a3ff949p-1'),
+     ('-0x1.f54d8e8c120d1p-2', '-0x1.98eb873503696p-3', '0x1.b2969123215d3p-1'),
      '101111111111011110111101111100'),
 )
 
@@ -728,6 +731,50 @@ def test_ransac_quest7_golden_outputs(seed):
     assert (cand.q.w, cand.q.x, cand.q.y, cand.q.z) == tuple(float.fromhex(h) for h in q_hex)
     assert cand.t.tolist() == [float.fromhex(h) for h in t_hex]
     assert "".join("1" if keep else "0" for keep in mask) == mask_str
+
+
+def test_record_goldens_prints_the_tables_as_written():
+    # tests/record_goldens.py re-records both tables; its literal for the
+    # first outlier set parses back to the row the golden test compares
+    tables = {name: (method, seeds) for name, method, seeds in record_goldens.TABLES}
+    for name, table in (("_RANSAC_GOLDEN", _RANSAC_GOLDEN),
+                        ("_RANSAC_QUEST7_GOLDEN", _RANSAC_QUEST7_GOLDEN)):
+        method, seeds = tables[name]
+        assert list(seeds) == list(range(len(table)))
+        text = record_goldens.golden_table(name, method, seeds[:1])
+        assert text.startswith(f"{name} = (")
+        assert ast.literal_eval(text.split(" = ", 1)[1]) == table[:1]
+
+
+def _reference_hypotheses(sample, method, M, N, threshold):
+    # one sample's candidates through estimate_pose, each scored, polished
+    # as a stack of one and re-masked on its own, as ransac_pose treated a
+    # sample before it polished whole blocks: (R, t, errs, mask) per
+    # candidate that keeps a minimal inlier set
+    minimal = solver.MINIMAL_POINTS[method]
+    try:
+        cands = solver.estimate_pose(sample, method)
+    except DegeneracyError:
+        return []
+    out = []
+    for cand in cands:
+        if cand.t is None or float(np.linalg.norm(cand.t)) == 0.0:
+            continue
+        R = quat_to_rotation(cand.q)
+        t = np.asarray(cand.t, dtype=float)
+        errs, mask = solver._consensus(R, t, M, N, threshold)
+        if int(mask.sum()) < minimal:
+            continue
+        for _ in range(2):
+            (R,), (t,) = solver._polish_pose(R[None], t[None], M, N, mask[None])
+            errs, new_mask = solver._consensus(R, t, M, N, threshold)
+            stable = bool((new_mask == mask).all())
+            mask = new_mask
+            if stable or int(mask.sum()) < minimal:
+                break
+        if int(mask.sum()) >= minimal:
+            out.append((R, t, errs, mask))
+    return out
 
 
 def _reference_ransac(points, method, threshold=0.005, max_iters=200, seed=0):
@@ -745,28 +792,8 @@ def _reference_ransac(points, method, threshold=0.005, max_iters=200, seed=0):
     while it < min(needed, max_iters):
         it += 1
         sample = [points[i] for i in rng.choice(n, size=minimal, replace=False)]
-        try:
-            cands = solver.estimate_pose(sample, method)
-        except DegeneracyError:
-            continue
-        for cand in cands:
-            if cand.t is None or float(np.linalg.norm(cand.t)) == 0.0:
-                continue
-            R = quat_to_rotation(cand.q)
-            t = np.asarray(cand.t, dtype=float)
-            errs, mask = solver._consensus(R, t, M, N, threshold)
-            if int(mask.sum()) < minimal:
-                continue
-            for _ in range(2):
-                R, t = solver._polish_pose(R, t, M[mask], N[mask])
-                errs, new_mask = solver._consensus(R, t, M, N, threshold)
-                stable = bool((new_mask == mask).all())
-                mask = new_mask
-                if stable or int(mask.sum()) < minimal:
-                    break
+        for R, t, errs, mask in _reference_hypotheses(sample, method, M, N, threshold):
             count = int(mask.sum())
-            if count < minimal:
-                continue
             key = (count, -float(errs[mask].mean()))
             if best is None or key > best[0]:
                 best = (key, R, t, mask, sample)
@@ -792,16 +819,27 @@ def _reference_ransac(points, method, threshold=0.005, max_iters=200, seed=0):
 
 
 def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
-    """ransac_pose against _reference_ransac, bit for bit and with as many
-    polish calls. With `count`, solver.<count> is wrapped during
-    ransac_pose only, and the list of its call outcomes (True returned,
-    False raised) is returned along with the reference's iteration count."""
+    """ransac_pose against _reference_ransac, bit for bit. Every pose the
+    reference polishes is polished, and any other polished pose belongs to
+    a sample drawn past the stop. With `count`, solver.<count> is wrapped
+    during ransac_pose only, and the list of its call outcomes (True
+    returned, False raised) is returned along with the reference's
+    iteration count and the drawn samples."""
     polish = solver._polish_pose
-    polished = []
-    monkeypatch.setattr(solver, "_polish_pose", lambda *args: polished.append(1) or polish(*args))
+    polished = Counter()
+
+    def recording(R0, t0, M, N, W):
+        polished.update((r.tobytes(), v.tobytes(), w.tobytes()) for r, v, w in zip(R0, t0, W))
+        return polish(R0, t0, M, N, W)
+
+    monkeypatch.setattr(solver, "_polish_pose", recording)
     ref, ref_mask, iterations = _reference_ransac(points, method, seed=seed)
-    ref_polished = len(polished)
+    ref_polished = Counter(polished)
     polished.clear()
+    drawn = []
+    block = solver._block_candidates
+    monkeypatch.setattr(solver, "_block_candidates",
+                        lambda M, N, idx, method: drawn.extend(idx) or block(M, N, idx, method))
     calls = []
     if count is not None:
         fn = getattr(solver, count)
@@ -823,8 +861,17 @@ def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     for field in ("t", "depths_u", "depths_v"):
         assert np.array_equal(getattr(cand, field), getattr(ref, field)), field
     assert (cand.chirality_ok, cand.scale_note) == (ref.chirality_ok, ref.scale_note)
-    assert len(polished) == ref_polished
-    return calls, iterations
+    outcomes = calls[:]
+    block_polished = Counter(polished)
+    assert not ref_polished - block_polished
+    # the reference's polish calls on the samples drawn past the stop
+    polished.clear()
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    for sample in drawn[iterations:]:
+        _reference_hypotheses([points[i] for i in sample], method, M, N, 0.005)
+    assert not block_polished - ref_polished - polished
+    return outcomes, iterations, drawn
 
 
 def _duplicated_match_set():
@@ -850,13 +897,13 @@ def test_ransac_survives_a_duplicated_match():
 
 def test_ransac_block_matches_reference_on_duplicated_match(monkeypatch):
     points, _ = _duplicated_match_set()
-    builds, _ = _assert_matches_reference(points, "quest6", 0, monkeypatch, "_rows")
+    builds, _, _ = _assert_matches_reference(points, "quest6", 0, monkeypatch, "_rows")
     assert not all(builds)  # a block's coefficient build raised
 
 
 def test_ransac_block_matches_reference_near_half_turn(monkeypatch):
     points, _, _ = make_outlier_set(seed=2, fixed_rotation=(0.0, 0.0, 0.0, 1.0))
-    gauges, _ = _assert_matches_reference(points, "quest6", 2, monkeypatch, "_apply_gauge")
+    gauges, _, _ = _assert_matches_reference(points, "quest6", 2, monkeypatch, "_apply_gauge")
     assert gauges  # some sample fell back to estimate_pose's gauge frames
 
 
@@ -865,19 +912,15 @@ def test_ransac_block_matches_reference_on_coplanar_scene(method, monkeypatch):
     # exact coplanar inliers: an all-inlier quest7 sample fails its rank
     # test and falls back to estimate_pose, which raises
     points, _, _ = make_outlier_set(seed=0, sigma_px=0.0, geometry="coplanar")
-    fallbacks, _ = _assert_matches_reference(points, method, 0, monkeypatch, "estimate_pose")
+    fallbacks, _, _ = _assert_matches_reference(points, method, 0, monkeypatch, "estimate_pose")
     assert (False in fallbacks) == (method == "quest7")
 
 
 def test_ransac_block_matches_reference_when_stop_lands_mid_block(monkeypatch):
-    drawn = []
-    block = solver._block_candidates
-    monkeypatch.setattr(solver, "_block_candidates",
-                        lambda points, M, N, idx, method: drawn.append(len(idx))
-                        or block(points, M, N, idx, method))
-    _, iterations = _assert_matches_reference(make_outlier_set(seed=7)[0], "quest6", 7, monkeypatch)
+    _, iterations, drawn = _assert_matches_reference(make_outlier_set(seed=7)[0], "quest6", 7,
+                                                     monkeypatch)
     # the last block's samples past the stop are solved but never walked
-    assert sum(drawn) > iterations
+    assert len(drawn) > iterations
 
 
 def test_ransac_rejects_max_iters_below_one():
@@ -905,25 +948,31 @@ def _reference_angular_errors(R, t, M, N):
     return np.arccos(np.clip(num / den, -1.0, 1.0))
 
 
-def _reference_polish(R0, t0, M, N, iters=8):
-    # Levenberg-Marquardt with a Jacobian built from seven separate
-    # evaluations per iteration: the oracle for the batched _polish_pose
+def _reference_polish(R0, t0, M, N, w, iters=8):
+    # Levenberg-Marquardt on one pose with a Jacobian built from seven
+    # separate evaluations per iteration, summed over the rows of all rays
+    # with those outside the 0/1 weights w zeroed: the oracle for the
+    # stacked _polish_pose
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / np.linalg.norm(t)
-    f = _reference_angular_errors(R, t, M, N)
-    cost = float(f @ f)
+
+    def errors(R, t):
+        return np.where(w, _reference_angular_errors(R, t, M, N), 0.0)
+
+    f = errors(R, t)
+    cost = float(np.einsum("i,i->", f, f))
     lam = 1e-4
     h = 1e-7
     for _ in range(iters):
-        J = np.zeros((len(M), 6))
+        J = np.zeros((6, len(M)))
         for k in range(3):
             d = np.zeros(3)
             d[k] = h
-            J[:, k] = (_reference_angular_errors(solver._rotation_exp(d) @ R, t, M, N) - f) / h
-            J[:, 3 + k] = (_reference_angular_errors(R, t + d, M, N) - f) / h
-        g = J.T @ f
-        H = J.T @ J + lam * np.eye(6)
+            J[k] = (errors(solver._rotation_exp(d) @ R, t) - f) / h
+            J[3 + k] = (errors(R, t + d) - f) / h
+        g = np.einsum("ji,i->j", J, f)
+        H = np.einsum("ji,ki->jk", J, J) + lam * np.eye(6)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -931,8 +980,8 @@ def _reference_polish(R0, t0, M, N, iters=8):
         R_new = solver._rotation_exp(step[:3]) @ R
         t_new = t + step[3:]
         t_new = t_new / np.linalg.norm(t_new)
-        f_new = _reference_angular_errors(R_new, t_new, M, N)
-        cost_new = float(f_new @ f_new)
+        f_new = errors(R_new, t_new)
+        cost_new = float(np.einsum("i,i->", f_new, f_new))
         if cost_new < cost:
             R, t, f, cost = R_new, t_new, f_new, cost_new
             lam = max(lam * 0.3, 1e-10)
@@ -941,25 +990,145 @@ def _reference_polish(R0, t0, M, N, iters=8):
     return R, t, f
 
 
+def _polish_case(rng, k):
+    # k noisy rays of a random scene, a fifth of them replaced by
+    # outliers, and a pose near the truth
+    R_true = quat_to_rotation(Quaternion(*rng.normal(size=4)).normalized())
+    t_true = rng.normal(size=3)
+    X = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(4, 8, k)])
+    Y = X @ R_true.T + t_true
+    M = X / X[:, 2:]
+    N = Y / Y[:, 2:]
+    N[:, :2] += rng.normal(scale=1e-3, size=(k, 2))
+    out = rng.random(k) < 0.2
+    N[out, :2] = rng.uniform(-1, 1, (int(out.sum()), 2))
+    R0 = solver._rotation_exp(rng.normal(scale=0.05, size=3)) @ R_true
+    t0 = t_true + rng.normal(scale=0.1, size=3)
+    return R0, t0, M, N
+
+
 def test_batched_polish_matches_per_axis_reference():
     rng = np.random.default_rng(2024)
-    for _ in range(60):
+    for case in range(60):
         k = int(rng.integers(8, 31))
-        R_true = quat_to_rotation(Quaternion(*rng.normal(size=4)).normalized())
-        t_true = rng.normal(size=3)
-        X = np.column_stack([rng.uniform(-2, 2, (k, 2)), rng.uniform(4, 8, k)])
-        Y = X @ R_true.T + t_true
-        M = X / X[:, 2:]
-        N = Y / Y[:, 2:]
-        N[:, :2] += rng.normal(scale=1e-3, size=(k, 2))
-        R0 = solver._rotation_exp(rng.normal(scale=0.05, size=3)) @ R_true
-        t0 = t_true + rng.normal(scale=0.1, size=3)
-        R_ref, t_ref, f_ref = _reference_polish(R0, t0, M, N)
-        R, t = solver._polish_pose(R0, t0, M, N)
+        R0, t0, M, N = _polish_case(rng, k)
+        w = np.ones(k, dtype=bool) if case % 3 == 0 else rng.random(k) < 0.7
+        R_ref, t_ref, f_ref = _reference_polish(R0, t0, M, N, w)
+        (R,), (t,) = solver._polish_pose(R0[None], t0[None], M, N, w[None])
         f, _, _ = solver._angular_errors(R, t, M, N)
         assert np.array_equal(R, R_ref)
         assert np.array_equal(t, t_ref)
-        assert np.array_equal(f, f_ref)
+        assert np.array_equal(np.where(w, f, 0.0), f_ref)
+
+
+def _singular_polish_pose():
+    # the identity rotation, t = (s, -s, c) and a ray along the optical
+    # axis in both views: rotating about x or about y by the Jacobian step
+    # sends the depths through mirror-image near-singular 2x2 systems, so
+    # the two rotation columns are equal and ~2.5e7; with only that ray
+    # weighted, J^T J swamps the damping and H has two equal rows
+    s = math.sqrt(0.18)
+    return np.eye(3), np.array([s, -s, math.sqrt(1.0 - 2 * s * s)]), np.array([0.0, 0.0, 1.0])
+
+
+def test_polish_stack_matches_stacks_of_one():
+    # each pose of a stack gets the bits of a stack of one: its own
+    # damping, accept/reject decisions and singular-system fallback
+    rng = np.random.default_rng(7)
+    R_sing, t_sing, axis = _singular_polish_pose()
+    singular_seen = 0
+    for _ in range(40):
+        k = int(rng.integers(8, 31))
+        R0, t0, M, N = _polish_case(rng, k)
+        M, N = np.vstack([axis, M]), np.vstack([axis, N])
+        P = int(rng.integers(1, 10))
+        Rs = solver._rotation_exp(rng.normal(scale=0.03, size=(P, 3))) @ R0
+        ts = t0 + rng.normal(scale=0.05, size=(P, 3))
+        # masks of different sizes, an empty one among them
+        W = rng.random((P, k + 1)) < rng.uniform(0.0, 1.0, (P, 1))
+        W[:, 0] = False
+        if rng.random() < 0.5:
+            p = int(rng.integers(P))
+            Rs[p], ts[p] = R_sing, t_sing
+            W[p] = False
+            W[p, 0] = True
+            singular_seen += 1
+        R, t = solver._polish_pose(Rs, ts, M, N, W)
+        for p in range(P):
+            (R1,), (t1,) = solver._polish_pose(Rs[p:p + 1], ts[p:p + 1], M, N, W[p:p + 1])
+            assert np.array_equal(R[p], R1)
+            assert np.array_equal(t[p], t1)
+    assert singular_seen
+
+
+def test_polish_leaves_a_pose_with_a_singular_system_where_it_is():
+    R0, t0, axis = _singular_polish_pose()
+    M = np.vstack([axis, [[0.1, 0.2, 1.0], [-0.3, 0.1, 1.0]]])
+    f, J = solver._errors_and_jacobian(R0[None], t0[None], M, M.copy(), np.array([[1, 0, 0]], bool))
+    assert J[0, 0, 0] == J[0, 1, 0] and abs(J[0, 0, 0]) > 1e6
+    H = np.einsum("pji,pki->pjk", J, J) + 1e-4 * np.eye(6)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(H, np.ones((1, 6, 1)))
+    R, t = solver._polish_pose(np.stack([R0, R0]), np.stack([t0, t0]), M, M.copy(),
+                               np.array([[1, 0, 0], [1, 1, 1]], bool))
+    assert np.array_equal(R[0], R0)
+    assert np.array_equal(t[0], t0 / np.linalg.norm(t0))
+    assert not np.array_equal(R[1], R0)
+
+
+def test_rotation_exp_stack_matches_single_increments():
+    rng = np.random.default_rng(3)
+    deltas = np.vstack([rng.normal(scale=0.1, size=(20, 3)), np.zeros((1, 3)), 1e-7 * np.eye(3)])
+    stacked = solver._rotation_exp(deltas)
+    for d, R in zip(deltas, stacked):
+        assert np.array_equal(solver._rotation_exp(d), R)
+        assert np.allclose(R @ R.T, np.eye(3), atol=1e-14)
+    assert np.array_equal(stacked[-3:], solver._DR)
+    assert np.array_equal(solver._rotation_exp(np.zeros(3)), np.eye(3))
+
+
+def test_block_translation_is_one_call_matching_per_sample_translation(monkeypatch):
+    # a block mixing noisy general samples with exactly coplanar ones,
+    # whose quest7 rank test fails and leaves them with no candidate; each
+    # candidate's translation is solved on its own sample's rays
+    general = make_outlier_set(seed=4, n=12, outlier_fraction=0.0)[0]
+    plane = list(bench.generate_scene(
+        bench.SceneConfig(n_points=12, geometry="coplanar", rng_seed=4)).correspondences)
+    points = general + plane
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    rng = np.random.default_rng(11)
+    for method in ("quest6", "quest7"):
+        minimal = solver.MINIMAL_POINTS[method]
+        idx = np.array([rng.choice(12, size=minimal, replace=False) + 12 * (r % 3 == 1)
+                        for r in range(8)])
+        translations = []
+        translate = solver.recover_translation_depths
+        monkeypatch.setattr(solver, "recover_translation_depths",
+                            lambda cands, pts: translations.append(len(cands)) or translate(cands, pts))
+        block = solver._block_candidates(M, N, idx, method)
+        monkeypatch.setattr(solver, "recover_translation_depths", translate)
+        assert len(translations) == 1
+        rotations = solver.quest6_rotations if method == "quest6" else solver.quest7_rotations
+        empty = 0
+        for sample, got in zip(idx, block):
+            pts = [points[i] for i in sample]
+            A = coeffs.build_A(pts)
+            try:
+                qs = rotations(A)
+            except DegeneracyError:
+                assert got is None
+                empty += 1
+                continue
+            want = solver._ranked(translate(solver.score_candidates(A, qs), pts))
+            assert got is not None and len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.q == b.q and a.algebraic_residual == b.algebraic_residual
+                for field in ("t", "depths_u", "depths_v"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+                assert (a.chirality_ok, a.scale_note, a.t_depth_ratio, a.ambiguous_depths) == (
+                    b.chirality_ok, b.scale_note, b.t_depth_ratio, b.ambiguous_depths)
+        assert empty == (3 if method == "quest7" else 0)
 
 
 def test_ransac_outlier_free_marks_everything_inlier():
@@ -988,6 +1157,12 @@ def test_ransac_rejects_bad_threshold():
     points, _, _ = make_outlier_set(seed=2)
     with pytest.raises(ValueError):
         solver.ransac_pose(points, "quest6", threshold=0.0, seed=0)
+
+
+def test_ransac_rejects_nan_threshold():
+    points, _, _ = make_outlier_set(seed=2)
+    with pytest.raises(ValueError, match="threshold"):
+        solver.ransac_pose(points, "quest6", threshold=math.nan, seed=0)
 
 
 def test_eightpt_dispatch_is_the_baseline():

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import quest
+from conftest import make_outlier_set
 from quest import baseline, solver
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -18,7 +19,7 @@ def _load_spans():
     return module
 
 
-def test_trace_targets_exist_and_record_every_layer():
+def test_trace_targets_exist_and_record_every_layer(monkeypatch):
     spans = _load_spans()
     for module_name, attr, _, _ in spans.TARGETS:
         assert hasattr(getattr(quest, module_name), attr), f"quest.{module_name}.{attr}"
@@ -37,6 +38,14 @@ def test_trace_targets_exist_and_record_every_layer():
         ransac_root = len(tracer.spans) - 1
         solver.ransac_pose(exact, "quest6", max_iters=3, seed=0)
         tracer.end_op()
+        blocks = []
+        block = solver._block_candidates
+        monkeypatch.setattr(solver, "_block_candidates",
+                            lambda M, N, idx, method: blocks.append(len(idx)) or block(M, N, idx, method))
+        tracer.begin_op("ransac")
+        outlier_root = len(tracer.spans) - 1
+        solver.ransac_pose(make_outlier_set(seed=1)[0], "quest6", seed=1)
+        tracer.end_op()
     # every minimal-solve layer runs under its own name in both solvers
     for method, root in roots.items():
         assert tracer.spans[root][spans.NAME] == "solver.estimate_pose"
@@ -54,6 +63,10 @@ def test_trace_targets_exist_and_record_every_layer():
     for name in ("solver.pinv", "solver.eig", "solver.extract", "solver.score",
                  "solver.translate"):
         assert name in under, ("ransac", name)
+    # with outliers: polish runs, and every block reaches solver.translate
+    names = [s[spans.NAME] for s in tracer.spans if s[spans.ROOT] == outlier_root]
+    assert "ransac.polish" in names
+    assert len(blocks) > 1 and names.count("solver.translate") >= len(blocks)
     recorded = {s[spans.NAME] for s in tracer.spans}
     for name in ("coeffs.build_A", "solver.rotations", "solver.pinv", "solver.eig",
                  "solver.extract", "solver.score", "solver.translate", "ransac.polish",
