@@ -169,9 +169,15 @@ def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Corresponden
     return PolyMatrix(rows)
 
 
+# Triples per pass of the row kernel. Its temporaries take ~8 KB per
+# triple, so a RANSAC block of many samples is built in passes of bounded
+# memory; a row does not depend on the others in its pass.
+_TRIPLES_PER_PASS = 256
+
+
 def _rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
     """Unit-norm constraint rows, one per triple, from fixed maps applied to
-    all rows at once.
+    _TRIPLES_PER_PASS rows at once.
 
     M and N hold the first- and second-view rays of the points (n x 3);
     triples holds the point indices of each row (T x 3). Each row is the
@@ -182,6 +188,13 @@ def _rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
     above 1e-6)."""
     rm = (M[:, :, None] * _RP).sum(axis=1).reshape(-1, 3, len(_DEG2))
     factors = rm[:, _PAIR_U] * N[:, _PAIR_V, None] - rm[:, _PAIR_V] * N[:, _PAIR_U, None]
+    return np.concatenate([_triple_rows(factors, triples[s:s + _TRIPLES_PER_PASS])
+                           for s in range(0, len(triples), _TRIPLES_PER_PASS)])
+
+
+def _triple_rows(factors: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """The rows of _rows for the triples of one pass, from the quadratic
+    factors of every point."""
     fi, fj, fk, sign = _LAPLACE.T
     ki = factors[triples[:, :1], fi] * sign[:, None]
     kj = factors[triples[:, 1:2], fj]

@@ -149,22 +149,26 @@ class PoseCandidate:
 def triangulate_uv(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Least-squares (u, v) per point for u * R @ m - v * n = -t.
 
-    M and N hold the first- and second-view rays, shape (k, 3). R (..., 3, 3)
-    and t (..., 3) may carry a leading pose axis; every pose is solved
-    against the same rays. Vectorized 2x2 normal equations; returns u, v of
+    M and N hold the first- and second-view rays, shape (k, 3), or one
+    set of rays per pose, shape (..., k, 3). R (..., 3, 3) and t (..., 3)
+    may carry a leading pose axis; a pose is solved against the shared
+    rays or its own. Vectorized 2x2 normal equations; returns u, v of
     shape (..., k) and the reprojected second-view rays u * R @ m + t,
-    shape (..., k, 3). The right-hand sides a.t and N.t are matmuls, so
-    a stacked call gives each pose the bits of a single-pose call."""
+    shape (..., k, 3). A pair whose rays are parallel under R (a zero
+    determinant) has no depths: u = v = 0 there, so it passes no
+    chirality test. The right-hand sides a.t and N.t are matmuls, so a
+    stacked call gives each pose the bits of a single-pose call."""
     a = M @ np.swapaxes(R, -1, -2)
     aa = np.einsum("...ij,...ij->...i", a, a)
     an = np.einsum("...ij,...ij->...i", a, N)
-    nn = np.einsum("ij,ij->i", N, N)
+    nn = np.einsum("...ij,...ij->...i", N, N)
     rhs_u = -(a @ t[..., None])[..., 0]
     rhs_v = (N @ t[..., None])[..., 0]
     det = aa * nn - an * an
-    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-    u = (rhs_u * nn + an * rhs_v) / det
-    v = (an * rhs_u + aa * rhs_v) / det
+    parallel = np.abs(det) < 1e-300
+    det = np.where(parallel, 1.0, det)
+    u = np.where(parallel, 0.0, (rhs_u * nn + an * rhs_v) / det)
+    v = np.where(parallel, 0.0, (an * rhs_u + aa * rhs_v) / det)
     reproj = u[..., None] * a + t[..., None, :]
     return u, v, reproj
 

@@ -32,9 +32,12 @@ A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
 shape. estimate_pose builds it once per frame: the original frame's A
 scores the candidates of every frame. The elimination, B-fill and eigen
 solve take a leading sample axis: estimate_pose runs them on a stack of
-one, and ransac_pose on a block of minimal samples at once, whose
-candidates then share one translation call (each on its own sample's
-rays) and whose hypotheses are polished in lockstep.
+one, and ransac_pose on a block of minimal samples at once. RANSAC needs
+a hypothesis's translation only to score consensus, so a block's
+candidates take theirs from the epipolar constraint on their own
+sample's rays, one stacked k x 3 SVD for the whole block, and its
+hypotheses are polished in lockstep; the winner is refit with the full
+rigid-motion system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -330,19 +333,12 @@ def recover_translation_depths(cands, points):
     positive, then the result is scaled to ||t|| = 1 unless the
     translation is negligible against the depths, in which case the mean
     absolute depth is scaled to 1 (so a near-zero translation stays near
-    zero). All candidates' systems are solved as one stack.
-
-    `points` is the list of matches every candidate is solved on, or a
-    pair (M, N) of ray arrays of shape (len(cands), k, 3) that gives each
-    candidate its own first- and second-view rays; either way a candidate
-    gets the bits it would get alone."""
-    # rays indexed (point, candidate or 1, xyz)
-    if isinstance(points, tuple) and points and isinstance(points[0], np.ndarray):
-        M, N = (rays.swapaxes(0, 1) for rays in points)
-    else:
-        points = list(points)
-        M = np.array([c.m for c in points]).reshape(-1, 1, 3)
-        N = np.array([c.n for c in points]).reshape(-1, 1, 3)
+    zero). All candidates' systems are solved as one stack on the list of
+    matches `points`, and each candidate gets the bits it would get alone."""
+    # rays indexed (point, 1, xyz), broadcast over the candidates
+    points = list(points)
+    M = np.array([c.m for c in points]).reshape(-1, 1, 3)
+    N = np.array([c.n for c in points]).reshape(-1, 1, 3)
     k = len(M)
     if k < 2:
         raise InsufficientPointsError("need at least 2 points to recover translation")
@@ -486,12 +482,17 @@ def estimate_pose(points, method: str = "quest6"):
 def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Angle (radians) between each second-view ray and its reprojection,
     with the triangulated depths u, v. R and t may carry a leading pose
-    axis (see triangulate_uv); the outputs then have shape (..., k)."""
+    axis (see triangulate_uv); the outputs then have shape (..., k).
+
+    A pair without depths (u = v = 0: rays parallel under R, or t = 0)
+    gets error pi, so consensus counts it as an outlier by both of its
+    tests."""
     u, v, reproj = triangulate_uv(R, t, M, N)
     num = np.einsum("...ij,ij->...i", reproj, N)
     den = np.linalg.norm(reproj, axis=-1) * np.linalg.norm(N, axis=1)
     den = np.where(den == 0.0, 1e-300, den)
-    return np.arccos(np.clip(num / den, -1.0, 1.0)), u, v
+    errs = np.arccos(np.clip(num / den, -1.0, 1.0))
+    return np.where((u == 0.0) & (v == 0.0), np.pi, errs), u, v
 
 
 def _consensus(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, threshold: float):
@@ -526,10 +527,9 @@ _DR = _rotation_exp(_H * np.eye(3))
 _DT = _H * np.eye(3)
 # Levenberg-Marquardt rounds per polish.
 _POLISH_ITERS = 8
-# Most RANSAC samples drawn and solved together. Blocks grow from one
-# sample (never past the number already walked plus one), so a run that
-# stops after a few samples solves few past its stop.
-_BLOCK = 8
+# Sine of the angle between R m and n at or below which a point has no
+# parallax under R: its epipolar row is rounding noise.
+_PARALLAX_FLOOR = 1e-8
 
 
 def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
@@ -608,19 +608,59 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     return R, t
 
 
+def _epipolar_candidates(cands, M: np.ndarray, N: np.ndarray):
+    """The candidates with a hypothesis-grade translation, each solved on
+    its own sample's first- and second-view rays M, N (len(cands), k, 3).
+
+    For a fixed rotation R the epipolar constraint t . (R m_i x n_i) = 0
+    makes t the null vector of the k x 3 matrix of those rows. Each row is
+    scaled to unit length, and one stacked SVD gives every candidate's
+    unit t. The sign puts most of the sample's depths (triangulate_uv)
+    in front of the cameras, and chirality_ok means all of them are.
+
+    A point whose rays R m_i and n_i are parallel to within
+    _PARALLAX_FLOOR leaves its row as rounding noise, yet it still pins
+    t: at finite depth it lies on the baseline, so t runs along its ray,
+    and two such points leave only t = 0 (a camera that only rotates).
+    A candidate with such a point takes recover_translation_depths on its
+    sample instead, which finds that near-zero t. Each candidate gets the
+    bits it would get alone."""
+    R = np.array([quat_to_rotation(c.q) for c in cands])
+    a = M @ np.swapaxes(R, -1, -2)  # R m_i, indexed (candidate, point, xyz)
+    rows = np.cross(a, N)
+    lengths = _row_norms(rows)
+    parallax = lengths > _PARALLAX_FLOOR * _row_norms(a) * _row_norms(N)
+    unit = np.divide(rows, lengths[..., None], out=np.zeros_like(rows), where=parallax[..., None])
+    t = np.linalg.svd(unit, full_matrices=False)[2][:, -1]
+    u, v, _ = triangulate_uv(R, t, M, N)
+    # more negative depths than positive ones: the sign flips
+    sign = np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+    t, u, v = t * sign, u * sign, v * sign
+    chirality_ok = np.all((u > 0.0) & (v > 0.0), axis=1)
+    return [
+        PoseCandidate(q=cand.q, algebraic_residual=cand.algebraic_residual, t=tc, depths_u=uc,
+                      depths_v=vc, chirality_ok=ok, scale_note="unit-translation")
+        if seen else recover_translation_depths([cand], map(Correspondence, m, n))[0]
+        for cand, m, n, tc, uc, vc, ok, seen in zip(cands, M, N, t, u, v, chirality_ok.tolist(),
+                                                     parallax.all(axis=1).tolist())
+    ]
+
+
 def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
-    """Per minimal sample (a row of idx into the rays M, N), the
-    candidates estimate_pose returns for it, or None where the sample
-    needs estimate_pose itself: the block's coefficient build raised, the
-    sample's rank test failed, or no candidate has |w| >= 0.1
+    """Per minimal sample (a row of idx into the rays M, N), its ranked
+    candidates with hypothesis-grade translations (_epipolar_candidates),
+    or None where the sample needs estimate_pose itself: its coefficient
+    build raised, its rank test failed, or no candidate has |w| >= 0.1
     (estimate_pose then tries its gauge frames). One coefficient build,
     one stacked rotation solve and one translation call serve the whole
-    block; scoring runs per sample, and each candidate's translation is
-    solved on its own sample's rays."""
+    block; scoring runs per sample. When the block's build raises, each
+    sample is solved as a block of its own."""
     try:
         A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
     except DegeneracyError:
-        return [None] * len(idx)
+        if len(idx) == 1:
+            return [None]
+        return [c for sample in idx for c in _block_candidates(M, N, sample[None], method)]
     scored = []
     for a, qs in zip(A, _rotation_stack(A, method)):
         try:
@@ -631,7 +671,7 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
     solved = iter(())
     if flat:
         rays = idx[np.repeat(np.arange(len(idx)), [len(cands) for cands in scored])]
-        solved = iter(recover_translation_depths(flat, (M[rays], N[rays])))
+        solved = iter(_epipolar_candidates(flat, M[rays], N[rays]))
     out = []
     for cands in scored:
         cands = _ranked([next(solved) for _ in cands])
@@ -696,16 +736,19 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     once a large consensus is found. Only the quaternion methods sample;
     "eightpt" raises ValueError.
 
-    Samples are drawn and solved in blocks of up to _BLOCK: one
-    coefficient build, one stacked rotation solve, one translation call
-    and one consensus call per block, then at most two lockstep polish
-    calls over every hypothesis of the block. The samples are then walked
-    in order as one-at-a-time sampling would: the same draws, stop and
-    winner, and each hypothesis polished as it would be alone. A sample
-    that needs estimate_pose itself is solved and polished only when the
-    walk reaches it. A block holds at most one sample more than were
-    walked before it, so at most _BLOCK - 1 samples are solved and
-    polished past the stop, and fewer when the run stops early."""
+    Samples are drawn and solved in blocks: one coefficient build, one
+    stacked rotation solve, one epipolar translation call
+    (_epipolar_candidates: a hypothesis needs its translation only for
+    consensus) and one consensus call per block, then at most two
+    lockstep polish calls over every hypothesis of the block. The
+    samples are then walked in order as one-at-a-time sampling would:
+    the same draws, stop and winner, and each hypothesis polished as it
+    would be alone. A sample that needs estimate_pose itself is solved
+    and polished only when the walk reaches it, with estimate_pose's full
+    translation. A block holds one sample more than were walked before
+    it, and no more than the current stop allows, so no more samples are
+    solved and polished past the stop than were walked before the last
+    block."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -726,7 +769,7 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     it = 0
     while it < min(needed, max_iters):
         idx = np.array([rng.choice(n, size=minimal, replace=False)
-                        for _ in range(min(_BLOCK, it + 1, min(needed, max_iters) - it))])
+                        for _ in range(min(it + 1, min(needed, max_iters) - it))])
         block = _hypotheses(_block_candidates(M, N, idx, method), M, N, threshold, minimal)
         for sample, hypotheses in zip(idx, block):
             if it >= min(needed, max_iters):

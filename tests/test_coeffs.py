@@ -140,8 +140,9 @@ def test_batched_rows_match_reference_path(n):
 
 
 def test_coefficient_row_is_the_batched_row(rng):
-    # one kernel: a triple's row does not depend on the other rows built with it
-    for n in (6, 7, 8):
+    # one kernel: a triple's row does not depend on the other rows built
+    # with it, nor on the pass that builds it (13 points take two passes)
+    for n in (6, 7, 8, 13):
         pts = [random_correspondence(rng) for _ in range(n)]
         A = build_A(pts)
         for r, (i, j, k) in enumerate(combinations(range(n), 3)):

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -680,24 +681,24 @@ def test_ransac_rejects_twisted_pair():
 
 
 # ransac_pose(make_outlier_set(seed=s), "quest6", threshold=0.005,
-# max_iters=200, seed=s) as recorded when polish moved to lockstep stacks:
-# q (w, x, y, z), t, and the mask as one character per point. Both tables
-# are printed by tests/record_goldens.py.
+# max_iters=200, seed=s) as recorded when hypotheses moved to the epipolar
+# translation: q (w, x, y, z), t, and the mask as one character per point.
+# Both tables are printed by tests/record_goldens.py.
 _RANSAC_GOLDEN = (
-    (('0x1.26892c740262ep-1', '0x1.7b50a9ce94d45p-4', '-0x1.4c557cf216dd0p-2', '-0x1.7d7cea576ce9ep-1'),
-     ('-0x1.c8ca00aab4a25p-2', '0x1.1186d393f5eb0p-1', '0x1.6fa5353feb16ep-1'),
-     '011111111111101101101011101101'),
-    (('0x1.b87112730a773p-3', '0x1.052e6c733f402p-1', '0x1.a43a92d4ae3f7p-3', '-0x1.9d3d57ee0523fp-1'),
-     ('-0x1.e8c74ead023f7p-2', '-0x1.75def41a5008ap-3', '0x1.b817c15be402cp-1'),
+    (('0x1.255159d6bb5d8p-1', '0x1.6ae954d8022a9p-4', '-0x1.4f0ecf5e9c5ecp-2', '-0x1.7e14638d17895p-1'),
+     ('-0x1.db5c742701a76p-2', '0x1.f89ebf759105dp-2', '0x1.78d154fc46bebp-1'),
+     '011111111111101111101011101101'),
+    (('0x1.b8710886527fep-3', '0x1.052e77706281fp-1', '0x1.a43aae3d3c270p-3', '-0x1.9d3d4fe751444p-1'),
+     ('-0x1.e8c64dcffe0ffp-2', '-0x1.75dd50df0c5b6p-3', '0x1.b8181eeff9280p-1'),
      '101111111111011110111101111100'),
-    (('0x1.273f92a8c0e9bp-4', '-0x1.a1408b5890086p-3', '-0x1.3e20aacc0f608p-3', '-0x1.ed8899de12c4bp-1'),
-     ('0x1.cddc19202733ep-3', '0x1.31f4720332dbfp-1', '-0x1.89f56e4b3b6fbp-1'),
+    (('0x1.273f909f078f6p-4', '-0x1.a1407329e606bp-3', '-0x1.3e208da4f09e1p-3', '-0x1.ed889c56baee4p-1'),
+     ('0x1.cddca1368bf57p-3', '0x1.31f4870185f82p-1', '-0x1.89f55404be8dep-1'),
      '011111110101011111110110111111'),
-    (('0x1.8e9deaffb96c5p-1', '-0x1.3f8eb337d44c0p-3', '-0x1.017c0a02b4184p-1', '0x1.5dac94d9e6477p-2'),
-     ('-0x1.803d7b43fb27ep-7', '0x1.d6a51e2949d5bp-2', '0x1.c6ad5757193cfp-1'),
-     '111111111000111111111111101011'),
-    (('0x1.94dddb5054a94p-1', '-0x1.4604a79f41695p-3', '0x1.543ba43338ea2p-2', '0x1.f493c8b2fd0d8p-2'),
-     ('0x1.bc3d4ad7144f5p-2', '0x1.442bd394b3d90p-1', '-0x1.4835015291f6ep-1'),
+    (('0x1.8df8a147fe3cdp-1', '-0x1.3c99cebd91fa0p-3', '-0x1.0259c0dcc5711p-1', '0x1.5ebb3cfb5ec75p-2'),
+     ('-0x1.de90764761cbap-7', '0x1.eef970615af71p-2', '0x1.c0265498571c0p-1'),
+     '111111101000111111111111101011'),
+    (('0x1.94ddd8bd6b0c1p-1', '-0x1.4604b8550a252p-3', '0x1.543bb454fcb28p-2', '0x1.f493c35743297p-2'),
+     ('0x1.bc3d4bb9911a2p-2', '0x1.442bd0739d14cp-1', '-0x1.4835041d2b2c6p-1'),
      '011111101011111100111011111111'),
 )
 
@@ -714,11 +715,11 @@ def test_ransac_golden_outputs(seed):
 
 # The same call with method "quest7" on outlier sets 0 and 1.
 _RANSAC_QUEST7_GOLDEN = (
-    (('0x1.26897c979755ep-1', '0x1.7b53839de8b5bp-4', '-0x1.4c5552c956ce3p-2', '-0x1.7d7caa4fc1cd7p-1'),
-     ('-0x1.c8c60a451118dp-2', '0x1.118a034c1074ep-1', '0x1.6fa4116d4dfaap-1'),
-     '011111111111101101101011101101'),
-    (('0x1.b747f04ef1001p-3', '0x1.046eb82000266p-1', '0x1.a2e326323f63fp-3', '-0x1.9ddfc4a3ff949p-1'),
-     ('-0x1.f54d8e8c120d1p-2', '-0x1.98eb873503696p-3', '0x1.b2969123215d3p-1'),
+    (('0x1.26bda976b23a7p-1', '0x1.7baff54f7d00ep-4', '-0x1.4c3ca1b68a63ep-2', '-0x1.7d584d1583a6ap-1'),
+     ('-0x1.c86125eb62fb8p-2', '0x1.119ae26075150p-1', '0x1.6fb6d61ceacb9p-1'),
+     '011111111111101101100011101101'),
+    (('0x1.b4d47e5750a92p-3', '0x1.02d0f177da685p-1', '0x1.a19ff0cb98ecap-3', '-0x1.9f20c401bace9p-1'),
+     ('-0x1.099a677dcb935p-1', '-0x1.d0b264a9a0511p-3', '0x1.a6059e4e38601p-1'),
      '101111111111011110111101111100'),
 )
 
@@ -746,14 +747,40 @@ def test_record_goldens_prints_the_tables_as_written():
         assert ast.literal_eval(text.split(" = ", 1)[1]) == table[:1]
 
 
+def _sample_rays(sample, count=1):
+    # a sample's first- and second-view rays, stacked `count` times
+    M = np.array([c.m for c in sample])
+    N = np.array([c.n for c in sample])
+    return np.repeat(M[None], count, axis=0), np.repeat(N[None], count, axis=0)
+
+
+def _reference_candidates(sample, method):
+    # one sample's candidates by the block path's rule, one sample at a
+    # time: its rotations, scored, with epipolar translations on its own
+    # rays, ranked; or estimate_pose's candidates when its coefficient
+    # build, rank test or scoring raises, or when no candidate has
+    # |w| >= 0.1
+    rotations = solver.quest6_rotations if method == "quest6" else solver.quest7_rotations
+    try:
+        A = coeffs.build_A(sample)
+        cands = solver.score_candidates(A, rotations(A))
+    except DegeneracyError:
+        cands = []
+    if cands:
+        cands = solver._ranked(solver._epipolar_candidates(cands, *_sample_rays(sample, len(cands))))
+    if any(abs(c.q.w) >= 0.1 for c in cands):
+        return cands
+    return solver.estimate_pose(sample, method)
+
+
 def _reference_hypotheses(sample, method, M, N, threshold):
-    # one sample's candidates through estimate_pose, each scored, polished
-    # as a stack of one and re-masked on its own, as ransac_pose treated a
-    # sample before it polished whole blocks: (R, t, errs, mask) per
-    # candidate that keeps a minimal inlier set
+    # one sample's candidates (_reference_candidates), each scored,
+    # polished as a stack of one and re-masked on its own, as ransac_pose
+    # treated a sample before it polished whole blocks: (R, t, errs, mask)
+    # per candidate that keeps a minimal inlier set
     minimal = solver.MINIMAL_POINTS[method]
     try:
-        cands = solver.estimate_pose(sample, method)
+        cands = _reference_candidates(sample, method)
     except DegeneracyError:
         return []
     out = []
@@ -778,9 +805,8 @@ def _reference_hypotheses(sample, method, M, N, threshold):
 
 
 def _reference_ransac(points, method, threshold=0.005, max_iters=200, seed=0):
-    # one sample at a time through estimate_pose, as the loop ran before
-    # samples were solved in blocks: the oracle for ransac_pose. Also
-    # returns the iteration count.
+    # one sample at a time through _reference_hypotheses: the oracle for
+    # ransac_pose. Also returns the iteration count.
     rng = np.random.default_rng(seed)
     n = len(points)
     minimal = solver.MINIMAL_POINTS[method]
@@ -824,7 +850,7 @@ def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     a sample drawn past the stop. With `count`, solver.<count> is wrapped
     during ransac_pose only, and the list of its call outcomes (True
     returned, False raised) is returned along with the reference's
-    iteration count and the drawn samples."""
+    iteration count and the drawn samples, one array per block."""
     polish = solver._polish_pose
     polished = Counter()
 
@@ -837,9 +863,21 @@ def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     ref_polished = Counter(polished)
     polished.clear()
     drawn = []
+    nested = []
     block = solver._block_candidates
-    monkeypatch.setattr(solver, "_block_candidates",
-                        lambda M, N, idx, method: drawn.extend(idx) or block(M, N, idx, method))
+
+    def recording_block(M, N, idx, method):
+        # a block whose coefficient build raised solves each of its
+        # samples again as a block of its own; those are not new draws
+        if not nested:
+            drawn.append(idx)
+        nested.append(idx)
+        try:
+            return block(M, N, idx, method)
+        finally:
+            nested.pop()
+
+    monkeypatch.setattr(solver, "_block_candidates", recording_block)
     calls = []
     if count is not None:
         fn = getattr(solver, count)
@@ -868,7 +906,7 @@ def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     polished.clear()
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
-    for sample in drawn[iterations:]:
+    for sample in np.concatenate(drawn)[iterations:]:
         _reference_hypotheses([points[i] for i in sample], method, M, N, 0.005)
     assert not block_polished - ref_polished - polished
     return outcomes, iterations, drawn
@@ -919,8 +957,13 @@ def test_ransac_block_matches_reference_on_coplanar_scene(method, monkeypatch):
 def test_ransac_block_matches_reference_when_stop_lands_mid_block(monkeypatch):
     _, iterations, drawn = _assert_matches_reference(make_outlier_set(seed=7)[0], "quest6", 7,
                                                      monkeypatch)
-    # the last block's samples past the stop are solved but never walked
-    assert len(drawn) > iterations
+    # the last block's samples past the stop are solved but never walked;
+    # a block holds at most one sample more than were drawn before it, so
+    # no more samples are solved past the stop than were walked
+    sizes = [len(idx) for idx in drawn]
+    assert sizes[0] == 1 and len(sizes) > 2
+    assert all(size <= sum(sizes[:j]) + 1 for j, size in enumerate(sizes))
+    assert iterations < sum(sizes) <= 2 * iterations
 
 
 def test_ransac_rejects_max_iters_below_one():
@@ -931,7 +974,8 @@ def test_ransac_rejects_max_iters_below_one():
 
 
 def _reference_angular_errors(R, t, M, N):
-    # one pose at a time, as the per-axis loop below evaluated it
+    # one pose at a time, as the per-axis loop below evaluated it; a pair
+    # without depths (parallel under R, or t = 0) has error pi
     a = M @ R.T
     aa = np.einsum("ij,ij->i", a, a)
     an = np.einsum("ij,ij->i", a, N)
@@ -939,13 +983,15 @@ def _reference_angular_errors(R, t, M, N):
     rhs_u = -(a @ t)
     rhs_v = N @ t
     det = aa * nn - an * an
-    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-    u = (rhs_u * nn + an * rhs_v) / det
+    parallel = np.abs(det) < 1e-300
+    det = np.where(parallel, 1.0, det)
+    u = np.where(parallel, 0.0, (rhs_u * nn + an * rhs_v) / det)
+    v = np.where(parallel, 0.0, (an * rhs_u + aa * rhs_v) / det)
     reproj = u[:, None] * a + t[None, :]
     num = np.einsum("ij,ij->i", reproj, N)
     den = np.linalg.norm(reproj, axis=1) * np.linalg.norm(N, axis=1)
     den = np.where(den == 0.0, 1e-300, den)
-    return np.arccos(np.clip(num / den, -1.0, 1.0))
+    return np.where((u == 0.0) & (v == 0.0), np.pi, np.arccos(np.clip(num / den, -1.0, 1.0)))
 
 
 def _reference_polish(R0, t0, M, N, w, iters=8):
@@ -1022,13 +1068,15 @@ def test_batched_polish_matches_per_axis_reference():
 
 
 def _singular_polish_pose():
-    # the identity rotation, t = (s, -s, c) and a ray along the optical
-    # axis in both views: rotating about x or about y by the Jacobian step
-    # sends the depths through mirror-image near-singular 2x2 systems, so
-    # the two rotation columns are equal and ~2.5e7; with only that ray
-    # weighted, J^T J swamps the damping and H has two equal rows
+    # the identity rotation, t = (-s, s, c) and a ray along the optical
+    # axis in both views: the pair is parallel, so it has no depths and
+    # error pi; rotating about x or about y by the Jacobian step sends the
+    # depths through mirror-image near-singular 2x2 systems that put the
+    # point in front, so the error drops to ~0 and the two rotation
+    # columns are equal and ~-3.1e7; with only that ray weighted, J^T J
+    # swamps the damping and H has two equal rows
     s = math.sqrt(0.18)
-    return np.eye(3), np.array([s, -s, math.sqrt(1.0 - 2 * s * s)]), np.array([0.0, 0.0, 1.0])
+    return np.eye(3), np.array([-s, s, math.sqrt(1.0 - 2 * s * s)]), np.array([0.0, 0.0, 1.0])
 
 
 def test_polish_stack_matches_stacks_of_one():
@@ -1088,47 +1136,139 @@ def test_rotation_exp_stack_matches_single_increments():
 
 
 def test_block_translation_is_one_call_matching_per_sample_translation(monkeypatch):
-    # a block mixing noisy general samples with exactly coplanar ones,
-    # whose quest7 rank test fails and leaves them with no candidate; each
-    # candidate's translation is solved on its own sample's rays
+    # a block mixing noisy general samples with exactly coplanar ones
+    # (whose quest7 rank test fails) and ones of a camera that only rotates
+    # (whose rank tests both fail), which leave a sample no candidate; each
+    # candidate's translation is the one its sample gets alone
     general = make_outlier_set(seed=4, n=12, outlier_fraction=0.0)[0]
-    plane = list(bench.generate_scene(
-        bench.SceneConfig(n_points=12, geometry="coplanar", rng_seed=4)).correspondences)
-    points = general + plane
+    plane = list(scene(4, n=12, geometry="coplanar").correspondences)
+    still = list(scene(5, n=12, fixed_translation=(0.0, 0.0, 0.0)).correspondences)
+    points = general + plane + still
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
     rng = np.random.default_rng(11)
     for method in ("quest6", "quest7"):
         minimal = solver.MINIMAL_POINTS[method]
-        idx = np.array([rng.choice(12, size=minimal, replace=False) + 12 * (r % 3 == 1)
-                        for r in range(8)])
-        translations = []
-        translate = solver.recover_translation_depths
-        monkeypatch.setattr(solver, "recover_translation_depths",
-                            lambda cands, pts: translations.append(len(cands)) or translate(cands, pts))
+        idx = np.array([rng.choice(12, size=minimal, replace=False) + 12 * (r % 3)
+                        for r in range(9)])
+        calls = Counter()
+        for name in ("_epipolar_candidates", "recover_translation_depths"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, fn=fn, name=name:
+                                calls.update([name]) or fn(*args))
         block = solver._block_candidates(M, N, idx, method)
-        monkeypatch.setattr(solver, "recover_translation_depths", translate)
-        assert len(translations) == 1
-        rotations = solver.quest6_rotations if method == "quest6" else solver.quest7_rotations
+        monkeypatch.undo()
+        assert calls == {"_epipolar_candidates": 1}
         empty = 0
         for sample, got in zip(idx, block):
             pts = [points[i] for i in sample]
-            A = coeffs.build_A(pts)
-            try:
-                qs = rotations(A)
-            except DegeneracyError:
-                assert got is None
+            if got is None:
+                # the block leaves the sample to estimate_pose, which raises
+                with pytest.raises(DegeneracyError):
+                    _reference_candidates(pts, method)
                 empty += 1
                 continue
-            want = solver._ranked(translate(solver.score_candidates(A, qs), pts))
-            assert got is not None and len(got) == len(want)
+            want = _reference_candidates(pts, method)
+            assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.q == b.q and a.algebraic_residual == b.algebraic_residual
                 for field in ("t", "depths_u", "depths_v"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), field
                 assert (a.chirality_ok, a.scale_note, a.t_depth_ratio, a.ambiguous_depths) == (
                     b.chirality_ok, b.scale_note, b.t_depth_ratio, b.ambiguous_depths)
-        assert empty == (3 if method == "quest7" else 0)
+        assert empty == (6 if method == "quest7" else 3)
+
+
+def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
+    # the top candidate of estimate_pose, whose t comes from the full
+    # rigid-motion system, gets the same unit t, sign and chirality from
+    # the epipolar rows of the same points
+    for seed in range(40):
+        pts = list(scene(seed).correspondences)
+        for method in ("quest6", "quest7"):
+            best = solver.estimate_pose(pts, method)[0]
+            (got,) = solver._epipolar_candidates([best], *_sample_rays(pts))
+            assert best.scale_note == got.scale_note == "unit-translation"
+            assert np.abs(got.t - best.t).max() < 1e-9
+            assert got.chirality_ok == best.chirality_ok
+            assert np.abs(got.depths_u / best.depths_u - 1.0).max() < 1e-6
+
+
+def test_epipolar_translation_falls_back_without_parallax():
+    # under the true rotation of a camera that only rotates every point
+    # has no parallax, and a candidate with even one such point takes
+    # recover_translation_depths on its sample; a candidate of a moving
+    # camera in the same stack keeps its epipolar t
+    still = scene(3, fixed_translation=(0.0, 0.0, 0.0))
+    moving = scene(4)
+    pts = list(still.correspondences)
+    half = pts[:4] + list(moving.correspondences)[4:]  # four points without parallax
+    cands = [core.PoseCandidate(q=q, algebraic_residual=0.0)
+             for q in (still.pose.q, still.pose.q, moving.pose.q)]
+    rays = [_sample_rays(p) for p in (pts, half, moving.correspondences)]
+    M = np.concatenate([m for m, _ in rays])
+    N = np.concatenate([n for _, n in rays])
+    got = solver._epipolar_candidates(cands, M, N)
+    for cand, sample in zip(got[:2], (pts, half)):
+        (want,) = translate(still.pose.q, sample)
+        for field in ("t", "depths_u", "depths_v"):
+            assert np.array_equal(getattr(cand, field), getattr(want, field)), field
+        assert (cand.scale_note, cand.chirality_ok) == (want.scale_note, want.chirality_ok)
+    assert got[0].scale_note == "unit-mean-depth" and np.linalg.norm(got[0].t) < 1e-8
+    assert got[2].scale_note == "unit-translation"
+    assert core.trans_error(got[2].t, moving.pose.t) < 1e-9
+
+
+# (true positives, false positives, false negatives) of quest6 RANSAC on
+# make_outlier_set(seed=s, sigma_px=sigma, fixed_translation=(0, 0, 0)),
+# as the full translation of every hypothesis gave them
+_PURE_ROTATION_FLOOR = {
+    (0.0, 0): (24, 0, 0), (0.0, 1): (24, 0, 0), (0.0, 2): (24, 0, 0), (0.0, 3): (24, 0, 0),
+    (1.0, 0): (24, 0, 0), (1.0, 1): (24, 1, 0), (1.0, 2): (23, 1, 1), (1.0, 3): (24, 1, 0),
+}
+
+
+@pytest.mark.parametrize("sigma, seed", sorted(_PURE_ROTATION_FLOOR))
+def test_ransac_pure_rotation_keeps_precision_and_recall(sigma, seed):
+    # a camera that only rotates: at sigma 0 the inliers have no parallax
+    # under the true rotation, so a hypothesis holding one takes the full
+    # translation; the outliers stay out as when every hypothesis took it
+    points, mask_true, pose = make_outlier_set(seed=seed, sigma_px=sigma,
+                                               fixed_translation=(0.0, 0.0, 0.0))
+    cand, mask = solver.ransac_pose(points, "quest6", threshold=0.005, max_iters=200, seed=seed)
+    tp, fp, fn = (int(np.sum(mask & mask_true)), int(np.sum(mask & ~mask_true)),
+                  int(np.sum(~mask & mask_true)))
+    tp0, fp0, fn0 = _PURE_ROTATION_FLOOR[sigma, seed]
+    assert tp / (tp + fp) >= tp0 / (tp0 + fp0)
+    assert tp / (tp + fn) >= tp0 / (tp0 + fn0)
+    assert core.rot_error(cand.q, pose.q) < 0.01
+
+
+def test_parallel_rays_are_outliers_with_undefined_depths():
+    # ray pairs that are parallel under R have a zero triangulation
+    # determinant: error pi and depths 0, with no overflow and no NaN
+    rng = np.random.default_rng(5)
+    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # exact in floats
+    M = np.column_stack([rng.uniform(-1, 1, (6, 2)), np.ones(6)])
+    N = np.column_stack([rng.uniform(-1, 1, (6, 2)), np.ones(6)])
+    N[0] = R @ M[0]  # an exactly parallel pair
+    t = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
+    with np.errstate(all="raise"):
+        errs, u, v = solver._angular_errors(np.stack([R, R]), t, M, N)
+        _, mask = solver._consensus(np.stack([R, R]), t, M, N, 0.005)
+    assert np.all(np.isfinite(errs))
+    assert errs[0, 0] == math.pi and u[0, 0] == 0.0 and v[0, 0] == 0.0
+    assert not mask[:, 0].any()
+
+
+def test_ransac_zero_parallax_set_raises_no_warning():
+    # exact rays of a camera that only rotates: some inlier pairs are
+    # exactly parallel under the winning rotation
+    points = make_outlier_set(seed=0, sigma_px=0.0, fixed_translation=(0.0, 0.0, 0.0))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cand, mask = solver.ransac_pose(points, "quest6", seed=0)
+    assert np.all(np.isfinite(cand.t)) and mask.sum() >= 24
 
 
 def test_ransac_outlier_free_marks_everything_inlier():
