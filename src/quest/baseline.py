@@ -56,13 +56,12 @@ def eight_point(points) -> np.ndarray:
         ],
         axis=1,
     )
-    svals = np.linalg.svd(design, compute_uv=False)
+    _, svals, Vt = np.linalg.svd(design)
     if svals[7] <= 1e-10 * svals[0]:
         raise DegenerateConfigurationError(
             "epipolar design matrix has rank < 8; the correspondences do not "
             "determine a unique essential matrix (coplanar points?)"
         )
-    _, _, Vt = np.linalg.svd(design)
     E = Vt[-1].reshape(3, 3)
     E = T2.T @ E @ T1
     U, s, Vt = np.linalg.svd(E)

@@ -51,6 +51,9 @@ class SceneConfig:
     def __post_init__(self):
         if self.geometry not in ("general", "coplanar"):
             raise ValueError(f"unknown geometry {self.geometry!r}")
+        boxes = (self.box_x, self.box_y, self.box_z, *self.translation_box)
+        if len(self.translation_box) != 3 or any(len(box) != 2 for box in boxes):
+            raise ValueError("each box must be a (lo, hi) pair, and translation_box three of them")
         if self.box_z[0] <= 0.0:
             raise ValueError("scene box must lie strictly in front of the camera")
         if self.n_points < 1:

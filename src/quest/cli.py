@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -226,6 +227,11 @@ def _scene_config_from_args(args) -> SceneConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"the config must be a JSON object, not {type(cfg).__name__}")
+        unknown = sorted(set(cfg) - {f.name for f in fields(SceneConfig)})
+        if unknown:
+            raise ValueError(f"the config has unknown keys {', '.join(map(repr, unknown))}")
     if args.kind == "time" and (args.geometry is not None or "geometry" in cfg):
         raise ValueError("bench time always alternates general and coplanar scenes; "
                          "drop --geometry and the config's \"geometry\" key")

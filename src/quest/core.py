@@ -193,9 +193,6 @@ def monomials_of_degree(degree: int) -> tuple:
     return tuple(sorted(exps, reverse=True))
 
 
-MONOMIALS = monomials_of_degree(4)
-
-
 @lru_cache(maxsize=None)
 def monomial_positions(degree: int) -> dict:
     """Exponent tuple -> column index for the given degree."""

@@ -648,42 +648,44 @@ def _epipolar_candidates(cands, M: np.ndarray, N: np.ndarray):
 
 def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
     """Per minimal sample (a row of idx into the rays M, N), its ranked
-    candidates with hypothesis-grade translations (_epipolar_candidates),
-    or None where the sample needs estimate_pose itself: its coefficient
-    build raised, its rank test failed, or no candidate has |w| >= 0.1
-    (estimate_pose then tries its gauge frames). One coefficient build,
-    one stacked rotation solve and one translation call serve the whole
-    block; scoring runs per sample. When the block's build raises, each
-    sample is solved as a block of its own."""
+    candidates with hypothesis-grade translations (_epipolar_candidates).
+    One coefficient build, one stacked rotation solve and one translation
+    call serve the whole block; scoring runs per sample. A sample whose
+    rank test failed, or none of whose candidates has |w| >= 0.1, takes
+    estimate_pose's candidates instead (its gauge frames, full
+    translation); one where that raises, or whose own coefficient build
+    raised, gets none. When the block's build raises, each sample is
+    solved as a block of its own."""
     try:
         A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
     except DegeneracyError:
         if len(idx) == 1:
-            return [None]
+            return [[]]
         return [c for sample in idx for c in _block_candidates(M, N, sample[None], method)]
-    scored = []
-    for a, qs in zip(A, _rotation_stack(A, method)):
-        try:
-            scored.append([] if isinstance(qs, DegeneracyError) else score_candidates(a, qs))
-        except DegeneracyError:
-            scored.append([])
+    scored = [score_candidates(a, qs) if isinstance(qs, list) and qs else []
+              for a, qs in zip(A, _rotation_stack(A, method))]
     flat = [c for cands in scored for c in cands]
     solved = iter(())
     if flat:
         rays = idx[np.repeat(np.arange(len(idx)), [len(cands) for cands in scored])]
         solved = iter(_epipolar_candidates(flat, M[rays], N[rays]))
     out = []
-    for cands in scored:
+    for sample, cands in zip(idx, scored):
         cands = _ranked([next(solved) for _ in cands])
-        out.append(cands if any(abs(c.q.w) >= 0.1 for c in cands) else None)
+        if not any(abs(c.q.w) >= 0.1 for c in cands):
+            try:
+                cands = estimate_pose(map(Correspondence, M[sample], N[sample]), method)
+            except DegeneracyError:
+                cands = []
+        out.append(cands)
     return out
 
 
 def _hypotheses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float, minimal: int):
-    """Per candidate list (None passes through), the polished hypotheses
-    (R, t, angular errors, inlier mask) of its candidates with a nonzero
-    translation, in order, leaving out those whose consensus falls below
-    `minimal` inliers before or after polish.
+    """Per candidate list, the polished hypotheses (R, t, angular errors,
+    inlier mask) of its candidates with a nonzero translation, in order,
+    leaving out those whose consensus falls below `minimal` inliers
+    before or after polish.
 
     A candidate is polished on its provisional inliers and re-masked with
     the same test, once more if the mask changed and still holds
@@ -691,11 +693,10 @@ def _hypotheses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float, mini
     stacked _consensus call, and each polish round is one stacked
     _polish_pose call and one _consensus call over the candidates it
     covers."""
-    poses = [None if cands is None else
-             [(quat_to_rotation(c.q), np.asarray(c.t, dtype=float)) for c in cands
+    poses = [[(quat_to_rotation(c.q), np.asarray(c.t, dtype=float)) for c in cands
               if c.t is not None and float(np.linalg.norm(c.t)) != 0.0]
              for cands in cand_lists]
-    flat = [p for ps in poses if ps for p in ps]
+    flat = [p for ps in poses for p in ps]
     if not flat:
         return poses
     R = np.array([R for R, _ in flat])
@@ -714,8 +715,7 @@ def _hypotheses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float, mini
     kept &= masks.sum(axis=1) >= minimal
     hyps = iter([(R[i], t[i], errs[i], masks[i]) if keep else None
                  for i, keep in enumerate(kept.tolist())])
-    return [None if ps is None else [h for h in (next(hyps) for _ in ps) if h is not None]
-            for ps in poses]
+    return [[h for h in (next(hyps) for _ in ps) if h is not None] for ps in poses]
 
 
 def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
@@ -740,15 +740,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     stacked rotation solve, one epipolar translation call
     (_epipolar_candidates: a hypothesis needs its translation only for
     consensus) and one consensus call per block, then at most two
-    lockstep polish calls over every hypothesis of the block. The
-    samples are then walked in order as one-at-a-time sampling would:
-    the same draws, stop and winner, and each hypothesis polished as it
-    would be alone. A sample that needs estimate_pose itself is solved
-    and polished only when the walk reaches it, with estimate_pose's full
-    translation. A block holds one sample more than were walked before
-    it, and no more than the current stop allows, so no more samples are
-    solved and polished past the stop than were walked before the last
-    block."""
+    lockstep polish calls over every hypothesis of the block; a sample
+    the block cannot solve takes estimate_pose's candidates there
+    (_block_candidates). The samples are then walked in order as
+    one-at-a-time sampling would: the same draws, stop and winner, and
+    each hypothesis polished as it would be alone. A block holds one
+    sample more than were walked before it, and no more than the current
+    stop allows, so no more samples are solved and polished past the
+    stop than were walked before the last block."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -767,20 +766,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     best = None  # ((count, -mean_err), R, t, mask, sample)
     needed = max_iters
     it = 0
-    while it < min(needed, max_iters):
+    while it < needed:
         idx = np.array([rng.choice(n, size=minimal, replace=False)
-                        for _ in range(min(it + 1, min(needed, max_iters) - it))])
+                        for _ in range(min(it + 1, needed - it))])
         block = _hypotheses(_block_candidates(M, N, idx, method), M, N, threshold, minimal)
         for sample, hypotheses in zip(idx, block):
-            if it >= min(needed, max_iters):
+            if it >= needed:
                 break
             it += 1
-            if hypotheses is None:
-                try:
-                    cands = estimate_pose([points[i] for i in sample], method)
-                except DegeneracyError:
-                    continue
-                (hypotheses,) = _hypotheses([cands], M, N, threshold, minimal)
             for R, t, errs, mask in hypotheses:
                 count = int(mask.sum())
                 key = (count, -float(errs[mask].mean()))

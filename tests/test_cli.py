@@ -301,6 +301,20 @@ def test_bench_rejects_config_keys_owned_by_flags(tmp_path, capsys, key, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,message", [([1, 2], "must be a JSON object"),
+                                            ({"foo": 1}, "unknown keys 'foo'"),
+                                            ({"box_z": [4.0]}, "(lo, hi) pair")])
+def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
+    out = tmp_path / "n.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["bench", "noise", "--methods", "eightpt", "--sigmas", "0", "--trials", 1,
+                "--config", cfg, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bench_geometry_mix_is_not_a_choice(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["bench", "noise", "--methods", "quest6", "--trials", 1,

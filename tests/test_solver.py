@@ -1137,38 +1137,52 @@ def test_rotation_exp_stack_matches_single_increments():
 
 def test_block_translation_is_one_call_matching_per_sample_translation(monkeypatch):
     # a block mixing noisy general samples with exactly coplanar ones
-    # (whose quest7 rank test fails) and ones of a camera that only rotates
-    # (whose rank tests both fail), which leave a sample no candidate; each
-    # candidate's translation is the one its sample gets alone
+    # (whose quest7 rank test fails), ones of a camera that only rotates
+    # (whose rank tests both fail, so estimate_pose raises and the sample
+    # gets no candidate) and ones of a half turn (which the block's frame
+    # leaves without a candidate of |w| >= 0.1, and estimate_pose's gauge
+    # frames rescue); each sample gets the candidates it gets alone
     general = make_outlier_set(seed=4, n=12, outlier_fraction=0.0)[0]
     plane = list(scene(4, n=12, geometry="coplanar").correspondences)
     still = list(scene(5, n=12, fixed_translation=(0.0, 0.0, 0.0)).correspondences)
-    points = general + plane + still
+    half = list(scene(6, n=12, fixed_rotation=(0.0, 0.0, 0.0, 1.0)).correspondences)
+    points = general + plane + still + half
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
     rng = np.random.default_rng(11)
     for method in ("quest6", "quest7"):
         minimal = solver.MINIMAL_POINTS[method]
-        idx = np.array([rng.choice(12, size=minimal, replace=False) + 12 * (r % 3)
-                        for r in range(9)])
+        idx = np.array([rng.choice(12, size=minimal, replace=False) + 12 * (r % 4)
+                        for r in range(16)])
+        # each call's name and the name of the traced call it runs inside
         calls = Counter()
-        for name in ("_epipolar_candidates", "recover_translation_depths"):
-            fn = getattr(solver, name)
-            monkeypatch.setattr(solver, name, lambda *args, fn=fn, name=name:
-                                calls.update([name]) or fn(*args))
+        stack = []
+        for name in ("_epipolar_candidates", "recover_translation_depths", "estimate_pose"):
+            def traced(*args, fn=getattr(solver, name), name=name):
+                calls.update([(name, stack[-1] if stack else None)])
+                stack.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    stack.pop()
+            monkeypatch.setattr(solver, name, traced)
         block = solver._block_candidates(M, N, idx, method)
         monkeypatch.undo()
-        assert calls == {"_epipolar_candidates": 1}
-        empty = 0
-        for sample, got in zip(idx, block):
+        empty = rescued = 0
+        for r, (sample, got) in enumerate(zip(idx, block)):
             pts = [points[i] for i in sample]
-            if got is None:
-                # the block leaves the sample to estimate_pose, which raises
+            if not got:
+                # the block left the sample to estimate_pose, which raised
                 with pytest.raises(DegeneracyError):
                     _reference_candidates(pts, method)
                 empty += 1
                 continue
-            want = _reference_candidates(pts, method)
+            if r % 4 == 3:
+                # rescued by the gauge frames: estimate_pose's candidates
+                want = solver.estimate_pose(pts, method)
+                rescued += 1
+            else:
+                want = _reference_candidates(pts, method)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.q == b.q and a.algebraic_residual == b.algebraic_residual
@@ -1176,7 +1190,13 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
                     assert np.array_equal(getattr(a, field), getattr(b, field)), field
                 assert (a.chirality_ok, a.scale_note, a.t_depth_ratio, a.ambiguous_depths) == (
                     b.chirality_ok, b.scale_note, b.t_depth_ratio, b.ambiguous_depths)
-        assert empty == (6 if method == "quest7" else 3)
+        assert empty == (8 if method == "quest7" else 4)
+        assert rescued == 4
+        # one translation call for the block; full translation only inside
+        # the estimate_pose calls that rescued a sample
+        assert calls == {("_epipolar_candidates", None): 1,
+                         ("estimate_pose", None): empty + rescued,
+                         ("recover_translation_depths", "estimate_pose"): rescued}
 
 
 def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
