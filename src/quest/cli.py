@@ -272,11 +272,16 @@ def cmd_bench(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.estimates, "r", encoding="utf-8") as fh:
         estimates = json.load(fh)
+    if not isinstance(estimates, dict):
+        raise ValueError(f"the estimates must be a JSON object, not {type(estimates).__name__}")
     q_star, t_star = read_pose_file(args.ground_truth)
     out = {"candidates": [], "ground_truth": args.ground_truth}
     best_idx, best_err = None, math.inf
     for i, cand in enumerate(estimates.get("candidates", [])):
-        q = Quaternion(*cand["quaternion"]).normalized()
+        quat = cand.get("quaternion") if isinstance(cand, dict) else None
+        if not isinstance(quat, list) or len(quat) != 4:
+            raise ValueError(f"candidate {i} needs a \"quaternion\" of 4 numbers, got {quat!r}")
+        q = Quaternion(*quat).normalized()
         re_ = rot_error(q, q_star)
         te = None
         if cand.get("translation") is not None and np.linalg.norm(t_star) > 0.0:

@@ -19,9 +19,9 @@ Every step works on whole arrays and keeps the bits of a per-vector loop.
 quest6 takes its rank test and pseudo-inverse from one SVD of A2; quest7
 tests rank on singular values alone, so a critical surface fails before
 any pseudo-inverse. B is filled from index tables built at import.
-Eigenvector alignment, selection and quaternion extraction act on the
-eigenvector matrix, and scoring and translation treat all candidates as
-one array or stack.
+Eigenvector alignment, selection, quaternion extraction and scoring act
+on a stack of eigenvector matrices at once, with a mask of each
+matrix's candidates, and translation treats all candidates as one stack.
 
 Translation and both views' depths come from the null vector of the
 stacked rigid-motion system, and candidates are ranked by the algebraic
@@ -30,14 +30,15 @@ mirrored solutions.
 
 A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
 shape. estimate_pose builds it once per frame: the original frame's A
-scores the candidates of every frame. The elimination, B-fill and eigen
-solve take a leading sample axis: estimate_pose runs them on a stack of
-one, and ransac_pose on a block of minimal samples at once. RANSAC needs
-a hypothesis's translation only to score consensus, so a block's
-candidates take theirs from the epipolar constraint on their own
-sample's rays, one stacked k x 3 SVD for the whole block, and its
-hypotheses are polished in lockstep; the winner is refit with the full
-rigid-motion system.
+scores the candidates of every frame. The elimination, B-fill, eigen
+solve, extraction and scoring take a leading sample axis: estimate_pose
+runs them on a stack of one, and ransac_pose on a block of minimal
+samples at once, whose candidates stay arrays from the eigen solve to
+the hypotheses. RANSAC needs a hypothesis's translation only to score
+consensus, so a block's candidates take theirs from the epipolar
+constraint on their own sample's rays, one stacked k x 3 SVD for the
+whole block, and its hypotheses are polished in lockstep; the winner is
+refit with the full rigid-motion system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -46,13 +47,13 @@ MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import baseline
 from .coeffs import _rows, _triples, build_A
 from .core import (
+    _CANONICAL_EPS,
     Correspondence,
     PoseCandidate,
     Quaternion,
@@ -75,7 +76,10 @@ from .errors import (
 _DEG3 = monomials_of_degree(3)
 _DEG4 = monomials_of_degree(4)
 _POS3 = monomial_positions(3)
-_EXP4 = np.array(_DEG4, dtype=float)
+# _POW_INDEX[m, c] picks component c's power in degree-4 monomial m from
+# the powers 0..4 of each component (_POWERS, on components repeated 5x).
+_POWERS = np.tile(np.arange(5.0), 4)
+_POW_INDEX = 5 * np.arange(4) + np.array(_DEG4)
 
 _PINV_RCOND = 1e-10
 # Rank is measured at the float noise floor of these unit-norm-row
@@ -140,27 +144,27 @@ def _pinv(mat: np.ndarray):
     return np.swapaxes(vt, -1, -2) @ (inv[..., :, None] * np.swapaxes(u, -1, -2)), s
 
 
-def _aligned_columns(V: np.ndarray) -> list:
-    """The near-real columns of each eigenvector matrix in the stack V (all
-    real or all complex), phase-aligned; see _near_real_eigenvectors."""
+def _aligned_columns(V: np.ndarray):
+    """Phase-aligned real parts of the eigenvector stack V (all real or all
+    complex) and the mask of its kept columns; see _near_real_eigenvectors."""
     S, k, _ = V.shape
-    peak = V[np.arange(S)[:, None], np.argmax(np.abs(V), axis=1), np.arange(k)][:, None]
+    peak = V[np.arange(S)[:, None], np.abs(V).argmax(axis=1), np.arange(k)][:, None]
     aligned = V / (peak / np.abs(peak))
     cols = aligned.transpose(0, 2, 1)
     kept = _row_norms(cols.imag) <= _IMAG_RATIO * _row_norms(cols.real)
-    return [a[:, c] if np.count_nonzero(c) >= 2 else a for a, c in zip(aligned.real, kept)]
+    return aligned.real, kept | (kept.sum(axis=1) < 2)[:, None]
 
 
-def _near_real_eigenvectors(B: np.ndarray) -> list:
+def _near_real_eigenvectors(B: np.ndarray):
     """Eigenvectors of each real matrix in the stack B (S x k x k) that are
-    real up to a complex phase, as the columns of one real matrix per
-    matrix of the stack; the eigen solve is one stacked call.
+    real up to a complex phase: the real parts V (S x k x k) of all k
+    phase-aligned eigenvectors, as columns, and a mask (S x k) of the
+    columns kept. The eigen solve is one stacked call.
 
     Each eigenvector is rotated so its largest component is real positive;
     vectors whose imaginary part stays below _IMAG_RATIO of the real part
     are kept. If fewer than 2 survive (noise can push a real pair
-    slightly complex), the real parts of all phase-aligned vectors are
-    returned instead."""
+    slightly complex), all of the matrix's columns are kept instead."""
     vals, vecs = np.linalg.eig(B)
     # eig returns a lone matrix's vectors as real when its eigenvalues all
     # are, but a stack's as complex when any matrix has a complex pair, and
@@ -169,48 +173,52 @@ def _near_real_eigenvectors(B: np.ndarray) -> list:
     if len(B) == 1 or not np.iscomplexobj(vecs):
         return _aligned_columns(vecs)
     real = ~np.any(vals.imag, axis=1)
-    out = [None] * len(B)
-    for group, V in ((real, vecs[real].real), (~real, vecs[~real])):
-        for i, a in zip(np.flatnonzero(group), _aligned_columns(V)):
-            out[i] = a
-    return out
+    V, kept = np.empty(B.shape), np.empty(B.shape[:2], dtype=bool)
+    for group, W in ((real, vecs[real].real), (~real, vecs[~real])):
+        V[group], kept[group] = _aligned_columns(W)
+    return V, kept
 
 
-def _canonical_unit(q: Quaternion) -> Quaternion:
-    return q.normalized().canonical()
-
-
-def _quat_from_cubic_vector(V: np.ndarray) -> list:
-    """Canonical unit quaternions from the columns of an eigenvector matrix.
+def _quat_from_cubic_vector(V: np.ndarray, kept: np.ndarray):
+    """Canonical unit quaternions (L, 4) from the kept columns of the
+    eigenvector matrices V (S, 4 or 20, k), and the mask (S, k) of the L
+    columns that give one, in row-major order.
 
     Columns of 4 entries are the quaternions themselves (quest7). Columns
     of 20 entries hold the degree-3 monomials (quest6): component
     magnitudes come from cube roots of the w^3, x^3, y^3, z^3 entries;
     signs come from the mixed monomials anchored at the largest cube entry
     (numerically larger when a component is small), falling back to the
-    cube entry's own sign. Columns that vanish are skipped."""
-    if V.shape[0] == 4:
-        comps = V.T
-    else:
-        scale = np.abs(V).max(axis=0)
-        live = scale >= 1e-12
-        V, scale = V[:, live], scale[live]
-        cols = np.arange(V.shape[1])
-        cubes = V[_CUBES]
-        anchor = np.argmax(np.abs(cubes), axis=0)
-        flip = cubes[anchor, cols] < 0.0
-        V = np.where(flip, -V, V)
+    cube entry's own sign. Columns that vanish are skipped. The norm squares
+    with Python's ** (libm pow, not always numpy's x*x), for the bits of
+    Quaternion(...).normalized().canonical()."""
+    cols = V.transpose(0, 2, 1)[kept]
+    if V.shape[1] == 20:
+        scale = np.abs(cols).max(axis=1)[:, None]
+        at = np.arange(len(cols))
+        cubes = cols[:, _CUBES]
+        anchor = np.abs(cubes).argmax(axis=1)
+        flip = cubes[at, anchor][:, None] < 0.0
+        cols = np.where(flip, -cols, cols)
         cubes = np.where(flip, -cubes, cubes)
         mags = np.cbrt(np.abs(cubes))
-        mixed = V[_MIXED[anchor].T, cols]
+        mixed = cols[at[:, None], _MIXED[anchor]]
         sign_source = np.where(np.abs(mixed) > 1e-12 * scale, mixed, cubes)
-        comps = np.where(sign_source != 0.0, np.copysign(mags, sign_source), 0.0).T
-    out = []
-    for c in comps.tolist():
-        q = Quaternion(*c)
-        if q.norm() >= 1e-12:
-            out.append(_canonical_unit(q))
-    return out
+        # a vanishing column gets zero components, which the norm test drops
+        cols = np.where((sign_source != 0.0) & (scale >= 1e-12),
+                        np.copysign(mags, sign_source), 0.0)
+    norms = np.array([math.sqrt(w**2 + x**2 + y**2 + z**2) for w, x, y, z in cols.tolist()])
+    good = norms >= 1e-12
+    U = cols[good] / norms[good, None]
+    live = np.zeros(kept.shape, dtype=bool)
+    live[kept] = good
+    # canonical sign: the first component beyond _CANONICAL_EPS is positive
+    lead = U[np.arange(len(U)), (np.abs(U) > _CANONICAL_EPS).argmax(axis=1)]
+    return np.where(lead[:, None] < 0.0, -U, U), live
+
+
+def _canonical_unit(q: Quaternion) -> Quaternion:
+    return q.normalized().canonical()
 
 
 def _critical_surface(svals: np.ndarray):
@@ -220,38 +228,31 @@ def _critical_surface(svals: np.ndarray):
     # regularize away is treated as unsolved here, so the caller can retry
     # under a gauge rotation; the reported rank uses the noise floor,
     # which is the honest count of nonzero singular values
-    decide_rank = int(np.sum(svals > _PINV_RCOND * svals[0]))
+    decide_rank = int(np.count_nonzero(svals > _PINV_RCOND * svals[0]))
     if decide_rank >= 31:
         return None
-    rank = int(np.sum(svals > _RANK_FLOOR * svals[0]))
-    gap = (
-        svals[decide_rank - 1] / svals[decide_rank]
-        if svals[decide_rank] > 0.0
-        else math.inf
-    )
+    rank = int(np.count_nonzero(svals > _RANK_FLOOR * svals[0]))
+    gap = svals[decide_rank - 1] / svals[decide_rank] if svals[decide_rank] > 0.0 else math.inf
     return CriticalSurfaceError(
         f"elimination block rank {rank} (effective rank {decide_rank} < 31, "
         f"singular-value gap {gap:.2e}); points may lie on a critical "
-        "surface - the 6-point solver handles coplanar scenes",
-        measured_rank=rank,
-        gap=gap,
-    )
+        "surface - the 6-point solver handles coplanar scenes", measured_rank=rank, gap=gap)
 
 
-def _rotation_stack(A: np.ndarray, method: str) -> list:
+def _rotation_stack(A: np.ndarray, method: str):
     """Rotation candidates of each coefficient matrix in the stack A
-    (S x rows x 35): per matrix, the list of canonical unit quaternions,
-    or the DegeneracyError its rank test raises.
+    (S x rows x 35): unit quaternions and their mask as
+    _quat_from_cubic_vector gives them, and per matrix None or the
+    DegeneracyError its rank test raises (it gets no candidates).
 
-    The eliminations, B-fills and eigen solves run as stacked calls over
-    the whole stack, rank failures included (their results are dropped);
-    quaternion extraction runs per matrix that keeps rank. quest7's rank
-    test reads singular values only, so a stack in which every matrix
-    fails computes no pseudo-inverse."""
+    The eliminations, B-fills, eigen solves and extractions run as stacked
+    calls over the whole stack. quest7's rank test reads singular values
+    only, so a stack in which every matrix fails computes no
+    pseudo-inverse."""
     if method == "quest6":
         x1, x2 = QUEST6_SPLIT
         pinv, svals = _pinv(A[:, :, x2])
-        out = [None if ok else DegenerateConfigurationError(
+        failed = [None if ok else DegenerateConfigurationError(
             "6-point elimination block lost rank; the correspondences do not "
             "constrain the rotation (near-180-degree motion or degenerate points)")
             for ok in (svals[:, -1] > _PINV_RCOND * svals[:, 0]).tolist()]
@@ -261,23 +262,32 @@ def _rotation_stack(A: np.ndarray, method: str) -> list:
     else:
         x1, x2 = QUEST7_SPLIT
         A2 = A[:, :, x2]
-        out = [_critical_surface(s) for s in np.linalg.svd(A2, compute_uv=False)]
-        if all(out):
-            return out
+        failed = [_critical_surface(s) for s in np.linalg.svd(A2, compute_uv=False)]
+        if all(failed):
+            return np.zeros((0, 4)), np.zeros((len(A), 4), dtype=bool), failed
         pinv, _ = _pinv(A2)
         B = (-pinv @ A[:, :, x1])[:, _QUEST7_ROWS]
-    for i, V in enumerate(_near_real_eigenvectors(B)):
-        if out[i] is None:
-            out[i] = _quat_from_cubic_vector(V)
-    return out
+    V, kept = _near_real_eigenvectors(B)
+    if any(failed):
+        kept &= np.array([e is None for e in failed])[:, None]
+    return (*_quat_from_cubic_vector(V, kept), failed)
 
 
 def _rotations(A: np.ndarray, method: str):
     """Rotation candidates of one coefficient matrix: a stack of one."""
-    (qs,) = _rotation_stack(A[None], method)
-    if isinstance(qs, DegeneracyError):
-        raise qs
-    return qs
+    U, _, (error,) = _rotation_stack(A[None], method)
+    if error is not None:
+        raise error
+    return [Quaternion(*q) for q in U.tolist()]
+
+
+def _rotation_matrices(Q: np.ndarray) -> np.ndarray:
+    """quat_to_rotation of each unit quaternion in Q (..., 4), bit for bit."""
+    w, x, y, z = np.moveaxis(Q, -1, 0)
+    return np.stack([w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
+                     2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
+                     2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+                    axis=-1).reshape(Q.shape[:-1] + (3, 3))
 
 
 def quest7_rotations(A: np.ndarray):
@@ -300,27 +310,45 @@ def quest6_rotations(A: np.ndarray):
     return _rotations(A, "quest6")
 
 
-def score_candidates(A: np.ndarray, qs):
+def score_candidates(A: np.ndarray, qs, live=None):
     """Rank rotation candidates by ||A @ x(q)|| ascending, keep the best 4.
 
     The residual vanishes exactly when q solves every polynomial row, so
     on noiseless data it singles out the mathematically feasible
     candidates. Near-duplicates (same rotation, |<q, u>| >= 1 - 1e-9) are
-    collapsed first, keeping the earliest; the ranking sort is stable."""
-    if not qs:
+    collapsed first, keeping the earliest; the ranking sort is stable.
+
+    For one matrix A and a list qs of Quaternions, returns the ranked
+    PoseCandidates. For a stack A (S, rows, 35), qs (S, k, 4) and live
+    (S, k) marking the candidates, returns per sample the positions in k
+    of the best 4, their residuals and which of them are filled, each
+    (S, min(k, 4)), with the bits of each sample's own call."""
+    single = live is None
+    if single and not qs:
         raise NoSolutionError("no rotation candidates to score")
-    Q = np.array([[q.w, q.x, q.y, q.z] for q in qs])
-    dup = (np.abs(Q @ Q.T) >= 1.0 - 1e-9).tolist()
-    keep = []
-    for i, row in enumerate(dup):
-        if not any(row[j] for j in keep):
-            keep.append(i)
-    X = np.prod(Q[keep, None, :] ** _EXP4, axis=2)
-    residuals = _row_norms((A @ X[:, :, None])[:, :, 0])
-    return [
-        PoseCandidate(q=qs[keep[i]], algebraic_residual=float(residuals[i]))
-        for i in np.argsort(residuals, kind="stable")[:4]
-    ]
+    Q = np.array([[[q.w, q.x, q.y, q.z] for q in qs]]) if single else qs
+    A, live = (A[None], np.ones(Q.shape[:2], dtype=bool)) if single else (A, live)
+    dup = np.abs(Q @ Q.swapaxes(1, 2)) >= 1.0 - 1e-9
+    keep = live
+    if np.count_nonzero(dup) > np.count_nonzero(live):  # not only each with itself
+        earlier = np.tril(dup, -1) & live[:, None, :]
+        keep = live & ~earlier.any(axis=2)
+        # a duplicate only of dropped candidates is kept: loop over those samples
+        for s in np.flatnonzero((earlier & ~keep[:, None, :]).any(axis=(1, 2))):
+            for i in np.flatnonzero(live[s]):
+                keep[s, i] = not (earlier[s, i] & keep[s]).any()
+    X = np.zeros(keep.shape + (35,))
+    # a monomial multiplies its 4 component powers in np.prod's order
+    F = (Q[keep].repeat(5, axis=1) ** _POWERS)[:, _POW_INDEX]
+    X[keep] = F[..., 0] * F[..., 1] * F[..., 2] * F[..., 3]
+    residuals = _row_norms((A[:, None] @ X[..., None])[..., 0])
+    order = np.where(keep, residuals, np.inf).argsort(axis=1, kind="stable")[:, :4]
+    at = np.arange(len(Q))[:, None]
+    residuals, valid = residuals[at, order], keep[at, order]
+    if not single:
+        return order, residuals, valid
+    return [PoseCandidate(q=qs[i], algebraic_residual=r)
+            for i, r in zip(order[valid].tolist(), residuals[valid].tolist())]
 
 
 def recover_translation_depths(cands, points):
@@ -370,9 +398,10 @@ def recover_translation_depths(cands, points):
     unit_t = t_norm > 1e-8 * mean_depth
     Y = Y / np.where(unit_t, t_norm, np.where(mean_depth > 0.0, mean_depth, 1.0))[:, None]
     return [
-        replace(cand, t=y[:3], depths_u=y[3::2], depths_v=y[4::2], chirality_ok=ok,
-                t_depth_ratio=r, ambiguous_depths=amb,
-                scale_note="unit-translation" if unit else "unit-mean-depth")
+        PoseCandidate(q=cand.q, algebraic_residual=cand.algebraic_residual, t=y[:3],
+                      depths_u=y[3::2], depths_v=y[4::2], chirality_ok=ok,
+                      scale_note="unit-translation" if unit else "unit-mean-depth",
+                      t_depth_ratio=r, ambiguous_depths=amb)
         for cand, y, ok, r, amb, unit in zip(cands, Y, chirality_ok.tolist(), ratio.tolist(),
                                              ambiguous.tolist(), unit_t.tolist())
     ]
@@ -401,16 +430,11 @@ def _apply_gauge(points, g: Quaternion):
     return out
 
 
-def _ranked(cands):
-    """Candidates by residual, with chirality failures demoted below every
-    passing candidate."""
-    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
-
-
 def _finish_candidates(A, qs, points):
     """Score rotations on A, recover translation/depths on all points, and
-    rank them."""
-    return _ranked(recover_translation_depths(score_candidates(A, qs), points))
+    rank them by residual, chirality failures below every passing one."""
+    cands = recover_translation_depths(score_candidates(A, qs), points)
+    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
 
 
 def estimate_pose(points, method: str = "quest6"):
@@ -588,7 +612,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     cost = np.einsum("pi,pi->p", f, f)
     lam = np.full(len(R), 1e-4)
     live = np.ones(len(R), dtype=bool)
-    for _ in range(_POLISH_ITERS):
+    for i in range(_POLISH_ITERS):
         H = np.einsum("pji,pki->pjk", J, J) + lam[:, None, None] * np.eye(6)
         step, live = _lm_steps(H, -np.einsum("pji,pi->pj", J, f), live)
         if not live.any():
@@ -596,7 +620,10 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
         R_new = _rotation_exp(step[:, :3]) @ R
         t_new = t + step[:, 3:]
         t_new = t_new / _row_norms(t_new)[:, None]
-        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W)
+        if i + 1 < _POLISH_ITERS:
+            f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W)
+        else:  # the last round's Jacobian would go unused
+            f_new, J_new = np.where(W, _angular_errors(R_new, t_new, M, N)[0], 0.0), J
         cost_new = np.einsum("pi,pi->p", f_new, f_new)
         better = live & (cost_new < cost)
         R = np.where(better[:, None, None], R_new, R)
@@ -608,15 +635,16 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     return R, t
 
 
-def _epipolar_candidates(cands, M: np.ndarray, N: np.ndarray):
-    """The candidates with a hypothesis-grade translation, each solved on
-    its own sample's first- and second-view rays M, N (len(cands), k, 3).
+def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.ndarray):
+    """Hypothesis-grade unit translations (C, 3) and chirality flags (C,)
+    of the rotations R (C, 3, 3) of the quaternions q (C, 4), each on its
+    own sample's first- and second-view rays M, N (C, k, 3).
 
     For a fixed rotation R the epipolar constraint t . (R m_i x n_i) = 0
-    makes t the null vector of the k x 3 matrix of those rows. Each row is
-    scaled to unit length, and one stacked SVD gives every candidate's
-    unit t. The sign puts most of the sample's depths (triangulate_uv)
-    in front of the cameras, and chirality_ok means all of them are.
+    makes t the null vector of the k x 3 matrix of those rows, each scaled
+    to unit length; one stacked SVD solves them all. The sign puts most of
+    the sample's depths (triangulate_uv) in front of the cameras, and
+    chirality means all of them are.
 
     A point whose rays R m_i and n_i are parallel to within
     _PARALLAX_FLOOR leaves its row as rounding noise, yet it still pins
@@ -625,7 +653,6 @@ def _epipolar_candidates(cands, M: np.ndarray, N: np.ndarray):
     A candidate with such a point takes recover_translation_depths on its
     sample instead, which finds that near-zero t. Each candidate gets the
     bits it would get alone."""
-    R = np.array([quat_to_rotation(c.q) for c in cands])
     a = M @ np.swapaxes(R, -1, -2)  # R m_i, indexed (candidate, point, xyz)
     rows = np.cross(a, N)
     lengths = _row_norms(rows)
@@ -634,73 +661,78 @@ def _epipolar_candidates(cands, M: np.ndarray, N: np.ndarray):
     t = np.linalg.svd(unit, full_matrices=False)[2][:, -1]
     u, v, _ = triangulate_uv(R, t, M, N)
     # more negative depths than positive ones: the sign flips
-    sign = np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
-    t, u, v = t * sign, u * sign, v * sign
+    sign = np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)
+    t, u, v = t * sign[:, None], u * sign[:, None], v * sign[:, None]
     chirality_ok = np.all((u > 0.0) & (v > 0.0), axis=1)
-    return [
-        PoseCandidate(q=cand.q, algebraic_residual=cand.algebraic_residual, t=tc, depths_u=uc,
-                      depths_v=vc, chirality_ok=ok, scale_note="unit-translation")
-        if seen else recover_translation_depths([cand], map(Correspondence, m, n))[0]
-        for cand, m, n, tc, uc, vc, ok, seen in zip(cands, M, N, t, u, v, chirality_ok.tolist(),
-                                                     parallax.all(axis=1).tolist())
-    ]
+    for c in np.flatnonzero(~parallax.all(axis=1)):
+        (full,) = recover_translation_depths(
+            [PoseCandidate(q=Quaternion(*q[c].tolist()), algebraic_residual=0.0)],
+            map(Correspondence, M[c], N[c]))
+        t[c], chirality_ok[c] = full.t, full.chirality_ok
+    return t, chirality_ok
+
+
+_NO_CANDIDATES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros((0, 3, 3)), np.zeros((0, 3)))
 
 
 def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
-    """Per minimal sample (a row of idx into the rays M, N), its ranked
-    candidates with hypothesis-grade translations (_epipolar_candidates).
-    One coefficient build, one stacked rotation solve and one translation
-    call serve the whole block; scoring runs per sample. A sample whose
-    rank test failed, or none of whose candidates has |w| >= 0.1, takes
-    estimate_pose's candidates instead (its gauge frames, full
-    translation); one where that raises, or whose own coefficient build
-    raised, gets none. When the block's build raises, each sample is
-    solved as a block of its own."""
+    """Per minimal sample (a row of idx into the rays M, N), its candidates
+    with hypothesis-grade translations (_epipolar_translations), ranked by
+    chirality, then residual: arrays of their samples (ascending), unit
+    quaternions, rotation matrices and translations. One coefficient build,
+    rotation solve, scoring call, translation call and lexsort serve the
+    block. A sample whose rank test failed, or none of whose candidates has
+    |w| >= 0.1, takes estimate_pose's candidates; one where that raises,
+    or whose own build raised, gets none. When the block's build raises,
+    each sample is solved as a block of its own."""
     try:
         A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
     except DegeneracyError:
         if len(idx) == 1:
-            return [[]]
-        return [c for sample in idx for c in _block_candidates(M, N, sample[None], method)]
-    scored = [score_candidates(a, qs) if isinstance(qs, list) and qs else []
-              for a, qs in zip(A, _rotation_stack(A, method))]
-    flat = [c for cands in scored for c in cands]
-    solved = iter(())
-    if flat:
-        rays = idx[np.repeat(np.arange(len(idx)), [len(cands) for cands in scored])]
-        solved = iter(_epipolar_candidates(flat, M[rays], N[rays]))
-    out = []
-    for sample, cands in zip(idx, scored):
-        cands = _ranked([next(solved) for _ in cands])
-        if not any(abs(c.q.w) >= 0.1 for c in cands):
-            try:
-                cands = estimate_pose(map(Correspondence, M[sample], N[sample]), method)
-            except DegeneracyError:
-                cands = []
-        out.append(cands)
-    return out
+            return _NO_CANDIDATES
+        parts = [_block_candidates(M, N, sample[None], method) for sample in idx]
+        return tuple(map(np.concatenate, zip(*[(p[0] + s, *p[1:]) for s, p in enumerate(parts)])))
+    U, live, _ = _rotation_stack(A, method)
+    Q = np.zeros(live.shape + (4,))
+    Q[live] = U
+    order, residual, valid = score_candidates(A, Q, live)
+    sample = np.nonzero(valid)[0]
+    q = Q[sample, order[valid]]
+    R = _rotation_matrices(q)
+    t, chirality_ok = _epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
+    rank = np.lexsort((residual[valid], ~chirality_ok, sample))
+    cands = sample[rank], q[rank], R[rank], t[rank]
+    solved = np.isin(np.arange(len(idx)), sample[np.abs(q[:, 0]) >= 0.1])
+    if solved.all():
+        return cands
+    parts = [tuple(a[solved[cands[0]]] for a in cands)]
+    for s in np.flatnonzero(~solved).tolist():
+        try:
+            pose = estimate_pose(map(Correspondence, M[idx[s]], N[idx[s]]), method)
+        except DegeneracyError:
+            continue
+        qs = np.array([[c.q.w, c.q.x, c.q.y, c.q.z] for c in pose])
+        parts.append((np.full(len(pose), s), qs, _rotation_matrices(qs),
+                      np.array([c.t for c in pose])))
+    sample, q, R, t = map(np.concatenate, zip(*parts))
+    order = np.argsort(sample, kind="stable")
+    return sample[order], q[order], R[order], t[order]
 
 
-def _hypotheses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float, minimal: int):
-    """Per candidate list, the polished hypotheses (R, t, angular errors,
-    inlier mask) of its candidates with a nonzero translation, in order,
-    leaving out those whose consensus falls below `minimal` inliers
-    before or after polish.
+def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: int):
+    """The polished hypotheses of a block's candidates (_block_candidates)
+    with a nonzero translation, in order, leaving out those whose consensus
+    falls below `minimal` inliers before or after polish: arrays of their
+    samples, R, t, angular errors and inlier masks.
 
     A candidate is polished on its provisional inliers and re-masked with
     the same test, once more if the mask changed and still holds
-    `minimal` points. Every candidate of every list goes through one
-    stacked _consensus call, and each polish round is one stacked
-    _polish_pose call and one _consensus call over the candidates it
-    covers."""
-    poses = [[(quat_to_rotation(c.q), np.asarray(c.t, dtype=float)) for c in cands
-              if c.t is not None and float(np.linalg.norm(c.t)) != 0.0]
-             for cands in cand_lists]
-    flat = [p for ps in poses for p in ps]
-    if not flat:
-        return poses
-    R = np.array([R for R, _ in flat])
-    t = np.array([t for _, t in flat])
+    `minimal` points. Every candidate goes through one stacked _consensus
+    call, and each polish round is one stacked _polish_pose call and one
+    _consensus call over the candidates it covers."""
+    sample, _, R, t = cands
+    moving = _row_norms(t) != 0.0
+    sample, R, t = sample[moving], R[moving], t[moving]
     errs, masks = _consensus(R, t, M, N, threshold)
     kept = masks.sum(axis=1) >= minimal
     todo = np.flatnonzero(kept)
@@ -713,9 +745,7 @@ def _hypotheses(cand_lists, M: np.ndarray, N: np.ndarray, threshold: float, mini
         errs[todo], masks[todo] = new_errs, new_masks
         todo = todo[moved & (new_masks.sum(axis=1) >= minimal)]
     kept &= masks.sum(axis=1) >= minimal
-    hyps = iter([(R[i], t[i], errs[i], masks[i]) if keep else None
-                 for i, keep in enumerate(kept.tolist())])
-    return [[h for h in (next(hyps) for _ in ps) if h is not None] for ps in poses]
+    return sample[kept], R[kept], t[kept], errs[kept], masks[kept]
 
 
 def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
@@ -736,18 +766,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     once a large consensus is found. Only the quaternion methods sample;
     "eightpt" raises ValueError.
 
-    Samples are drawn and solved in blocks: one coefficient build, one
-    stacked rotation solve, one epipolar translation call
-    (_epipolar_candidates: a hypothesis needs its translation only for
-    consensus) and one consensus call per block, then at most two
-    lockstep polish calls over every hypothesis of the block; a sample
-    the block cannot solve takes estimate_pose's candidates there
-    (_block_candidates). The samples are then walked in order as
-    one-at-a-time sampling would: the same draws, stop and winner, and
-    each hypothesis polished as it would be alone. A block holds one
-    sample more than were walked before it, and no more than the current
-    stop allows, so no more samples are solved and polished past the
-    stop than were walked before the last block."""
+    Samples are drawn and solved in blocks, as arrays (_block_candidates):
+    one coefficient build, rotation solve, scoring call, epipolar
+    translation call (consensus needs no more) and consensus call per
+    block, then at most two lockstep polish calls over its hypotheses. The
+    samples are then walked in order as one-at-a-time sampling would: the
+    same draws, stop and winner, and each hypothesis polished as it would
+    be alone. A block holds one sample more than were walked before it,
+    and no more than the current stop allows."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -769,16 +795,18 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     while it < needed:
         idx = np.array([rng.choice(n, size=minimal, replace=False)
                         for _ in range(min(it + 1, needed - it))])
-        block = _hypotheses(_block_candidates(M, N, idx, method), M, N, threshold, minimal)
-        for sample, hypotheses in zip(idx, block):
+        owner, Rs, ts, errs, masks = _hypotheses(_block_candidates(M, N, idx, method), M, N,
+                                                 threshold, minimal)
+        bounds = np.searchsorted(owner, np.arange(len(idx) + 1)).tolist()
+        for s, sample in enumerate(idx):
             if it >= needed:
                 break
             it += 1
-            for R, t, errs, mask in hypotheses:
-                count = int(mask.sum())
-                key = (count, -float(errs[mask].mean()))
+            for h in range(bounds[s], bounds[s + 1]):
+                count = int(masks[h].sum())
+                key = (count, -float(errs[h][masks[h]].mean()))
                 if best is None or key > best[0]:
-                    best = (key, R, t, mask, sample)
+                    best = (key, Rs[h], ts[h], masks[h], sample)
                     inlier_ratio = count / n
                     if inlier_ratio >= 1.0:
                         needed = it

@@ -194,6 +194,22 @@ def test_eval_missing_ground_truth(tmp_path):
     assert run(["eval", est, tmp_path / "nope.txt"]) == 1
 
 
+@pytest.mark.parametrize("estimates,message", [
+    ([1, 2], "must be a JSON object, not list"),
+    ({"candidates": [{"translation": [0, 0, 1]}]}, 'candidate 0 needs a "quaternion"'),
+    ({"candidates": [{"quaternion": [1, 0, 0, 0]}, {"quaternion": [1, 0, 0]}]},
+     'candidate 1 needs a "quaternion" of 4 numbers, got [1, 0, 0]'),
+])
+def test_eval_rejects_malformed_estimates(tmp_path, capsys, estimates, message):
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps(estimates))
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1 0 0 0  0 0 1\n")
+    assert run(["eval", est, gt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 # --- pixel-vs-normalized consistency ----------------------------------------
 
 def test_pixel_and_normalized_inputs_agree(tmp_path):

@@ -1,0 +1,16 @@
+"""tests/digest_outputs.py, on a few inputs of each group."""
+
+import digest_outputs
+
+
+def test_digests_repeat_with_one_line_per_group():
+    kw = dict(seeds=(1,), minimal=2, ransac=1, c08=1)
+    lines = digest_outputs.digests(**kw)
+    assert digest_outputs.digests(**kw) == lines
+    groups = [f"{w} seed=1 {kind}" for w in ("general", "coplanar")
+              for kind in ("quest6", "quest7", "eightpt", "ransac")] + ["c08 quest6", "c08 quest7"]
+    assert [line.rsplit(" ", 2)[0] for line in lines] == groups
+    for line in lines:
+        count, digest = line.split()[-2:]
+        assert count == ("n=1" if "ransac" in line or "c08" in line else "n=2")
+        assert len(digest) == 64 and int(digest, 16) >= 0

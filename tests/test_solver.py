@@ -2,6 +2,7 @@ import ast
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -73,8 +74,13 @@ def test_six_point_selector_row_split():
 @given(unit_quaternions(), st.floats(-3, 3).filter(lambda s: abs(s) > 1e-3))
 def test_quaternion_recovery_from_cubic_monomials(q, scale):
     v = scale * core.monomial_vector(q, degree=3)
-    (got,) = solver._quat_from_cubic_vector(v[:, None])
+    (got,) = _quats(solver._quat_from_cubic_vector(v[None, :, None], np.ones((1, 1), bool))[0])
     assert core.rot_error(got, q) < 1e-7
+
+
+def _quats(U):
+    # the rows of a quaternion array as Quaternions
+    return [Quaternion(*q) for q in U.tolist()]
 
 
 def test_pinv_is_numpy_pinv_with_its_singular_values():
@@ -165,14 +171,15 @@ def test_whole_matrix_extraction_matches_per_vector_reference():
     mixed = 0
     Bs = [_eigen_test_matrix(rng, trial % 3) for trial in range(200)]
     # one stacked eigen solve gives each matrix the bits of its own call
-    stacked = solver._near_real_eigenvectors(np.stack(Bs))
+    stacked, stacked_kept = solver._near_real_eigenvectors(np.stack(Bs))
     for trial, B in enumerate(Bs):
         ref = _reference_near_real_eigenvectors(B)
-        (V,) = solver._near_real_eigenvectors(B[None])
+        (A,), (kept,) = solver._near_real_eigenvectors(B[None])
+        V = A[:, kept]
         assert np.array_equal(V, np.column_stack(ref))
-        assert np.array_equal(stacked[trial], V)
+        assert np.array_equal(stacked[trial], A) and np.array_equal(stacked_kept[trial], kept)
         ref_qs = [q for q in map(_reference_quat_from_cubic_vector, ref) if q is not None]
-        assert solver._quat_from_cubic_vector(V) == ref_qs
+        assert _quats(solver._quat_from_cubic_vector(A[None], kept[None])[0]) == ref_qs
         # all 20 kept (real), some kept (mixed), or none kept (all returned)
         assert V.shape[1] == 20 if trial % 3 != 1 else 2 <= V.shape[1] <= 20
         mixed += trial % 3 == 1 and V.shape[1] < 20
@@ -185,8 +192,97 @@ def test_whole_matrix_extraction_matches_per_vector_reference():
         j = rng.integers(W.shape[1])
         W[:, j] = 1e-13 * V[:, j]
         ref_qs = [q for q in map(_reference_quat_from_cubic_vector, W.T) if q is not None]
-        assert solver._quat_from_cubic_vector(W) == ref_qs
+        got = solver._quat_from_cubic_vector(W[None], np.ones((1, W.shape[1]), bool))
+        assert _quats(got[0]) == ref_qs
     assert mixed > 0
+
+
+def _per_sample(U, live):
+    # the rows of an extraction's quaternions that belong to each sample
+    return np.split(U, np.cumsum(live.sum(axis=1))[:-1])
+
+
+def _rotation_about(q, axis, angle):
+    # q turned by `angle` about `axis`, as a unit quaternion array
+    h = 0.5 * angle
+    return (Quaternion(math.cos(h), *(math.sin(h) * np.asarray(axis))) * q).as_array()
+
+
+def test_stacked_layers_give_each_sample_its_stack_of_one_bits():
+    rng = np.random.default_rng(808)
+
+    def similar(D):
+        P = rng.normal(size=D.shape)
+        return P @ D @ np.linalg.inv(P)
+
+    def turn():
+        a = rng.normal()
+        return np.array([[a, -1.5], [1.5, a]])
+
+    # eig and extraction: quest6 matrices with all-real spectra, a mix of
+    # real vectors and complex pairs, and only complex pairs (fewer than
+    # two near-real eigenvectors, so all are kept); quest7's 4x4 matrices
+    # the same three ways
+    zero = np.zeros((2, 2))
+    for Bs in (np.stack([_eigen_test_matrix(rng, c) for c in (0, 1, 2, 1, 0)]),
+               np.stack([similar(np.diag(rng.normal(size=4))),
+                         similar(np.block([[turn(), zero], [zero, np.diag(rng.normal(size=2))]])),
+                         similar(np.block([[turn(), zero], [zero, turn()]])),
+                         similar(np.diag(rng.normal(size=4)))])):
+        real = ~np.any(np.linalg.eigvals(Bs).imag, axis=1)
+        assert real.any() and not real.all()
+        V, kept = solver._near_real_eigenvectors(Bs)
+        assert kept[2].all() and not kept[1].all()
+        U, live = solver._quat_from_cubic_vector(V, kept)
+        for i, rows in enumerate(_per_sample(U, live)):
+            (V1,), (kept1,) = solver._near_real_eigenvectors(Bs[i:i + 1])
+            assert np.array_equal(V[i], V1) and np.array_equal(kept[i], kept1)
+            U1, live1 = solver._quat_from_cubic_vector(V1[None], kept1[None])
+            assert np.array_equal(rows, U1) and np.array_equal(live[i], live1[0])
+    # quest7 columns are the quaternions themselves: components whose
+    # Python square (libm pow) is not numpy's x * x keep the bits of
+    # Quaternion(...).normalized().canonical()
+    xs = [x for x in rng.uniform(-1, 1, 20000).tolist() if x**2 != x * x]
+    cols = np.array([xs[i:i + 4] for i in range(0, len(xs) - 3, 4)] + [[0.0, -0.5, 0.5, 0.0]])
+    U, live = solver._quat_from_cubic_vector(cols.T[None], np.ones((1, len(cols)), bool))
+    assert _quats(U) == [Quaternion(*c).normalized().canonical() for c in cols.tolist()]
+    # rank tests: a block of general, coplanar (quest7 fails), still
+    # (both fail) and half-turn samples through the whole rotation solve
+    scenes = [scene(1), scene(2, geometry="coplanar"), scene(3, fixed_translation=(0, 0, 0)),
+              scene(4, fixed_rotation=(0.0, 0.0, 0.0, 1.0))]
+    for method, n in (("quest6", 6), ("quest7", 7)):
+        A = np.stack([coeffs.build_A(list(sc.correspondences)[:n]) for sc in scenes])
+        U, live, failed = solver._rotation_stack(A, method)
+        assert any(failed) and not all(failed)
+        for i, rows in enumerate(_per_sample(U, live)):
+            U1, live1, (failed1,) = solver._rotation_stack(A[i:i + 1], method)
+            assert np.array_equal(rows, U1) and np.array_equal(live[i], live1[0])
+            assert repr(failed[i]) == repr(failed1)
+    # scoring: near-duplicates (b of a; c of b but not of a, a chain whose
+    # c the earliest-first rule keeps), masked-out slots and an empty sample
+    A = np.stack([coeffs.build_A(list(scene(s).correspondences)[:6]) for s in range(4)])
+    Q = rng.normal(size=(4, 20, 4))
+    Q /= np.linalg.norm(Q, axis=2, keepdims=True)
+    a = Q[1, 3]
+    Q[1, 5] = _rotation_about(Quaternion(*a), (0.0, 0.0, 1.0), 6e-5)
+    Q[1, 9] = _rotation_about(Quaternion(*a), (0.0, 0.0, 1.0), 1.2e-4)
+    Q[2, 7] = _rotation_about(Quaternion(*Q[2, 2]), (1.0, 0.0, 0.0), 1e-6)
+    live = rng.random((4, 20)) < 0.7
+    live[1, [3, 5, 9]] = live[2, [2, 7]] = True
+    live[3] = False
+    order, residuals, valid = solver.score_candidates(A, Q, live)
+    for i in range(4):
+        o1, r1, v1 = solver.score_candidates(A[i:i + 1], Q[i:i + 1], live[i:i + 1])
+        assert np.array_equal(order[i], o1[0]) and np.array_equal(residuals[i], r1[0])
+        assert np.array_equal(valid[i], v1[0])
+        if i < 3:
+            qs = [Quaternion(*q) for q in Q[i][live[i]].tolist()]
+            got = solver.score_candidates(A[i], qs)
+            assert [c.q for c in got] == _quats(Q[i][order[i][valid[i]]])
+            assert [c.algebraic_residual for c in got] == residuals[i][valid[i]].tolist()
+    assert not valid[3].any()
+    chain = solver.score_candidates(A[1], [Quaternion(*Q[1, j]) for j in (3, 5, 9)])
+    assert {c.q for c in chain} == {Quaternion(*Q[1, 3]), Quaternion(*Q[1, 9])}
 
 
 # --- rotation solvers -------------------------------------------------------
@@ -754,20 +850,29 @@ def _sample_rays(sample, count=1):
     return np.repeat(M[None], count, axis=0), np.repeat(N[None], count, axis=0)
 
 
+def _epipolar_candidate(cand, sample):
+    # the candidate with the epipolar translation and chirality of a stack
+    # of one on the sample's rays
+    (t,), (ok,) = solver._epipolar_translations(cand.q.as_array()[None],
+                                                 quat_to_rotation(cand.q)[None],
+                                                 *_sample_rays(sample))
+    return replace(cand, t=t, chirality_ok=bool(ok))
+
+
 def _reference_candidates(sample, method):
     # one sample's candidates by the block path's rule, one sample at a
-    # time: its rotations, scored, with epipolar translations on its own
-    # rays, ranked; or estimate_pose's candidates when its coefficient
-    # build, rank test or scoring raises, or when no candidate has
-    # |w| >= 0.1
+    # time: its rotations, scored, each with its epipolar translation on
+    # the sample's rays, ranked; or estimate_pose's candidates when its
+    # coefficient build, rank test or scoring raises, or when no candidate
+    # has |w| >= 0.1
     rotations = solver.quest6_rotations if method == "quest6" else solver.quest7_rotations
     try:
         A = coeffs.build_A(sample)
         cands = solver.score_candidates(A, rotations(A))
     except DegeneracyError:
         cands = []
-    if cands:
-        cands = solver._ranked(solver._epipolar_candidates(cands, *_sample_rays(sample, len(cands))))
+    cands = sorted((_epipolar_candidate(c, sample) for c in cands),
+                   key=lambda c: (not c.chirality_ok, c.algebraic_residual))
     if any(abs(c.q.w) >= 0.1 for c in cands):
         return cands
     return solver.estimate_pose(sample, method)
@@ -1150,6 +1255,9 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
     rng = np.random.default_rng(11)
+    layers = ("_near_real_eigenvectors", "_quat_from_cubic_vector", "score_candidates",
+              "_epipolar_translations", "recover_translation_depths", "estimate_pose",
+              "quat_to_rotation")
     for method in ("quest6", "quest7"):
         minimal = solver.MINIMAL_POINTS[method]
         idx = np.array([rng.choice(12, size=minimal, replace=False) + 12 * (r % 4)
@@ -1157,7 +1265,7 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
         # each call's name and the name of the traced call it runs inside
         calls = Counter()
         stack = []
-        for name in ("_epipolar_candidates", "recover_translation_depths", "estimate_pose"):
+        for name in layers:
             def traced(*args, fn=getattr(solver, name), name=name):
                 calls.update([(name, stack[-1] if stack else None)])
                 stack.append(name)
@@ -1168,10 +1276,13 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
             monkeypatch.setattr(solver, name, traced)
         block = solver._block_candidates(M, N, idx, method)
         monkeypatch.undo()
+        owner, q, R, t = block
+        assert np.array_equal(owner, np.sort(owner))
         empty = rescued = 0
-        for r, (sample, got) in enumerate(zip(idx, block)):
+        for r, sample in enumerate(idx):
             pts = [points[i] for i in sample]
-            if not got:
+            mine = owner == r
+            if not mine.any():
                 # the block left the sample to estimate_pose, which raised
                 with pytest.raises(DegeneracyError):
                     _reference_candidates(pts, method)
@@ -1183,20 +1294,21 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
                 rescued += 1
             else:
                 want = _reference_candidates(pts, method)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.q == b.q and a.algebraic_residual == b.algebraic_residual
-                for field in ("t", "depths_u", "depths_v"):
-                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
-                assert (a.chirality_ok, a.scale_note, a.t_depth_ratio, a.ambiguous_depths) == (
-                    b.chirality_ok, b.scale_note, b.t_depth_ratio, b.ambiguous_depths)
+            assert np.array_equal(q[mine], [[c.q.w, c.q.x, c.q.y, c.q.z] for c in want])
+            assert np.array_equal(R[mine], [quat_to_rotation(c.q) for c in want])
+            assert np.array_equal(t[mine], [c.t for c in want])
         assert empty == (8 if method == "quest7" else 4)
         assert rescued == 4
-        # one translation call for the block; full translation only inside
-        # the estimate_pose calls that rescued a sample
-        assert calls == {("_epipolar_candidates", None): 1,
-                         ("estimate_pose", None): empty + rescued,
-                         ("recover_translation_depths", "estimate_pose"): rescued}
+        # one call of each layer for the block; full translation, and the
+        # rotation matrices of Quaternions, only inside the estimate_pose
+        # calls that rescued a sample
+        for name in layers[:4]:
+            assert calls[(name, None)] == 1, name
+        assert calls[("estimate_pose", None)] == empty + rescued
+        assert {parent for name, parent in calls if name == "recover_translation_depths"} == {
+            "estimate_pose"}
+        assert {parent for name, parent in calls if name == "quat_to_rotation"} <= {
+            "estimate_pose", "recover_translation_depths"}
 
 
 def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
@@ -1205,13 +1317,16 @@ def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
     # the epipolar rows of the same points
     for seed in range(40):
         pts = list(scene(seed).correspondences)
+        M, N = _sample_rays(pts)
         for method in ("quest6", "quest7"):
             best = solver.estimate_pose(pts, method)[0]
-            (got,) = solver._epipolar_candidates([best], *_sample_rays(pts))
-            assert best.scale_note == got.scale_note == "unit-translation"
-            assert np.abs(got.t - best.t).max() < 1e-9
-            assert got.chirality_ok == best.chirality_ok
-            assert np.abs(got.depths_u / best.depths_u - 1.0).max() < 1e-6
+            R = quat_to_rotation(best.q)
+            (t,), (ok,) = solver._epipolar_translations(best.q.as_array()[None], R[None], M, N)
+            assert best.scale_note == "unit-translation"
+            assert np.abs(t - best.t).max() < 1e-9
+            assert ok == best.chirality_ok
+            u, _, _ = core.triangulate_uv(R, t, M[0], N[0])
+            assert np.abs(u / best.depths_u - 1.0).max() < 1e-6
 
 
 def test_epipolar_translation_falls_back_without_parallax():
@@ -1223,20 +1338,19 @@ def test_epipolar_translation_falls_back_without_parallax():
     moving = scene(4)
     pts = list(still.correspondences)
     half = pts[:4] + list(moving.correspondences)[4:]  # four points without parallax
-    cands = [core.PoseCandidate(q=q, algebraic_residual=0.0)
-             for q in (still.pose.q, still.pose.q, moving.pose.q)]
+    qs = (still.pose.q, still.pose.q, moving.pose.q)
     rays = [_sample_rays(p) for p in (pts, half, moving.correspondences)]
     M = np.concatenate([m for m, _ in rays])
     N = np.concatenate([n for _, n in rays])
-    got = solver._epipolar_candidates(cands, M, N)
-    for cand, sample in zip(got[:2], (pts, half)):
+    t, ok = solver._epipolar_translations(np.array([q.as_array() for q in qs]),
+                                          np.array([quat_to_rotation(q) for q in qs]), M, N)
+    for c, sample in enumerate((pts, half)):
         (want,) = translate(still.pose.q, sample)
-        for field in ("t", "depths_u", "depths_v"):
-            assert np.array_equal(getattr(cand, field), getattr(want, field)), field
-        assert (cand.scale_note, cand.chirality_ok) == (want.scale_note, want.chirality_ok)
-    assert got[0].scale_note == "unit-mean-depth" and np.linalg.norm(got[0].t) < 1e-8
-    assert got[2].scale_note == "unit-translation"
-    assert core.trans_error(got[2].t, moving.pose.t) < 1e-9
+        assert np.array_equal(t[c], want.t)
+        assert ok[c] == want.chirality_ok
+    assert translate(still.pose.q, pts)[0].scale_note == "unit-mean-depth"
+    assert np.linalg.norm(t[0]) < 1e-8
+    assert core.trans_error(t[2], moving.pose.t) < 1e-9
 
 
 # (true positives, false positives, false negatives) of quest6 RANSAC on
