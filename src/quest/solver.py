@@ -612,7 +612,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     cost = np.einsum("pi,pi->p", f, f)
     lam = np.full(len(R), 1e-4)
     live = np.ones(len(R), dtype=bool)
-    for i in range(_POLISH_ITERS):
+    for _ in range(_POLISH_ITERS):
         H = np.einsum("pji,pki->pjk", J, J) + lam[:, None, None] * np.eye(6)
         step, live = _lm_steps(H, -np.einsum("pji,pi->pj", J, f), live)
         if not live.any():
@@ -620,10 +620,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
         R_new = _rotation_exp(step[:, :3]) @ R
         t_new = t + step[:, 3:]
         t_new = t_new / _row_norms(t_new)[:, None]
-        if i + 1 < _POLISH_ITERS:
-            f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W)
-        else:  # the last round's Jacobian would go unused
-            f_new, J_new = np.where(W, _angular_errors(R_new, t_new, M, N)[0], 0.0), J
+        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W)
         cost_new = np.einsum("pi,pi->p", f_new, f_new)
         better = live & (cost_new < cost)
         R = np.where(better[:, None, None], R_new, R)

@@ -6,17 +6,16 @@ the library can be checked for bit-identical results with one diff.
     diff old.txt new.txt
 
 The groups are the benchmark's inputs (perfbench/workload.py build_inputs,
-imported as it stands) per workload and seed: estimate_pose on the first
---minimal minimal inputs under quest6, quest7 and eightpt, and
-ransac_pose on the first --ransac RANSAC inputs; then ransac_pose under
-quest6 and quest7 on the --c08 outlier sets of acceptance criterion 8.
+imported as it stands) per workload and seeds 1 and 7: estimate_pose on
+the first 1,500 minimal inputs under quest6, quest7 and eightpt, and
+ransac_pose on the first 100 RANSAC inputs; then ransac_pose under
+quest6 and quest7 on the 20 outlier sets of acceptance criterion 8.
 Each output is hashed as the float.hex of every candidate field (and the
 inlier mask), or as the error type and message when the call raised.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -92,16 +91,8 @@ def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100
     return lines
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workloads", default=",".join(workload.WORKLOADS))
-    ap.add_argument("--seeds", default="1,7")
-    ap.add_argument("--minimal", type=int, default=1500)
-    ap.add_argument("--ransac", type=int, default=100)
-    ap.add_argument("--c08", type=int, default=20)
-    args = ap.parse_args(argv)
-    for line in digests(args.workloads.split(","), [int(s) for s in args.seeds.split(",")],
-                        args.minimal, args.ransac, args.c08):
+def main():
+    for line in digests():
         print(line, flush=True)
 
 

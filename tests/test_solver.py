@@ -1305,6 +1305,7 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
         for name in layers[:4]:
             assert calls[(name, None)] == 1, name
         assert calls[("estimate_pose", None)] == empty + rescued
+        assert calls[("recover_translation_depths", "estimate_pose")] == rescued
         assert {parent for name, parent in calls if name == "recover_translation_depths"} == {
             "estimate_pose"}
         assert {parent for name, parent in calls if name == "quat_to_rotation"} <= {
@@ -1348,7 +1349,6 @@ def test_epipolar_translation_falls_back_without_parallax():
         (want,) = translate(still.pose.q, sample)
         assert np.array_equal(t[c], want.t)
         assert ok[c] == want.chirality_ok
-    assert translate(still.pose.q, pts)[0].scale_note == "unit-mean-depth"
     assert np.linalg.norm(t[0]) < 1e-8
     assert core.trans_error(t[2], moving.pose.t) < 1e-9
 
