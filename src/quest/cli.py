@@ -249,6 +249,8 @@ def _scene_config_from_args(args) -> SceneConfig:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _default_seed(args.seed)
     cfg = _scene_config_from_args(args)
     cam = SyntheticCamera()
@@ -279,7 +281,8 @@ def cmd_eval(args) -> int:
     best_idx, best_err = None, math.inf
     for i, cand in enumerate(estimates.get("candidates", [])):
         quat = cand.get("quaternion") if isinstance(cand, dict) else None
-        if not isinstance(quat, list) or len(quat) != 4:
+        if not (isinstance(quat, list) and len(quat) == 4 and all(
+                type(v) in (int, float) and math.isfinite(v) for v in quat)):
             raise ValueError(f"candidate {i} needs a \"quaternion\" of 4 numbers, got {quat!r}")
         q = Quaternion(*quat).normalized()
         re_ = rot_error(q, q_star)

@@ -105,27 +105,36 @@ def _division_maps():
     return quot, work[:, rem]
 
 
-def _columns(dense: np.ndarray):
-    """A linear map in sparse column form for _apply: source index and
-    weight of each nonzero by output column, and where each column starts
-    (no column of these maps is zero, as reduceat needs)."""
-    col, src = np.nonzero(dense.T)
-    return src, dense[src, col], np.searchsorted(col, np.arange(dense.shape[1]))
+def _gather_map(dense: np.ndarray):
+    """Tables for _apply_map of a linear map (rows x columns): source row and
+    weight of term l of each column that has one, level l after level l - 1
+    (columns by falling term count), the levels' offsets and the unsort."""
+    count = np.count_nonzero(dense, axis=0)
+    cols = np.argsort(-count, kind="stable")
+    col, src = np.nonzero(dense[:, cols].T)
+    term = np.arange(len(col)) - np.searchsorted(col, col)  # each nonzero's place in its column
+    order = np.lexsort((col, term))
+    starts = np.searchsorted(term[order], np.arange(count.max() + 1)).tolist()
+    return src[order], dense[src[order], cols[col[order]]][:, None], starts, np.argsort(cols)
 
 
-def _apply(x: np.ndarray, cmap) -> np.ndarray:
-    """x @ dense for cmap = _columns(dense). Each output sums its few terms
-    in a fixed order, so a row never depends on the other rows of x (BLAS
-    reorders sums with the row count) and coefficient_row is bit-exact."""
-    src, weight, starts = cmap
-    terms = x[:, src]
+def _apply_map(x: np.ndarray, gmap) -> np.ndarray:
+    """(x.T @ dense).T for gmap = _gather_map(dense) and x (rows x batch).
+    An output adds its terms as reduceat does, a0 + (a1 + a2 + ...), so a
+    column never depends on the others, as it would in BLAS's sums."""
+    src, weight, starts, unsort = gmap
+    terms = x[src]
     terms *= weight
-    return np.add.reduceat(terms, starts, axis=1)
+    head, tail = terms[: starts[1]], terms[starts[1] : starts[2]]
+    for s, e in zip(starts[2:-1], starts[3:]):
+        tail[: e - s] += terms[s:e]
+    head[: len(tail)] += tail
+    return head[unsort]
 
 
 _MUL22 = _product_map(2, 2)
-_MUL42 = _columns(_product_map(4, 2))
-_DIVIDE = _columns(np.hstack(_division_maps()))  # 35 quotient then 49 remainder columns
+_MUL42 = _gather_map(_product_map(4, 2))
+_DIVIDE = _gather_map(np.hstack(_division_maps()))  # 35 quotient then 49 remainder columns
 
 # Factor p of a point is the quadratic (R m)_u * n_v - (R m)_v * n_u for
 # the row pair (u, v) = (_PAIR_U[p], _PAIR_V[p]).
@@ -169,10 +178,9 @@ def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Corresponden
     return PolyMatrix(rows)
 
 
-# Triples per pass of the row kernel. Its temporaries take ~8 KB per
-# triple, so a RANSAC block of many samples is built in passes of bounded
-# memory; a row does not depend on the others in its pass.
-_TRIPLES_PER_PASS = 256
+# Triples per pass of the row kernel: at ~8 KB of temporaries per triple a
+# pass stays in cache. A row does not depend on the others in its pass.
+_TRIPLES_PER_PASS = 64
 
 
 def _rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
@@ -201,13 +209,14 @@ def _triple_rows(factors: np.ndarray, triples: np.ndarray) -> np.ndarray:
     kk = factors[triples[:, 2:], fk]
     t = len(triples)
     # stacked products make one BLAS call per triple, so rows stay batch-independent
-    x = (ki[..., :, None] * kj[..., None, :]).reshape(t, len(_LAPLACE), -1) @ _MUL22
-    x = (x.transpose(0, 2, 1) @ kk).reshape(t, -1)  # six degree-4 x degree-2 products, summed
-    det6 = _apply(x, _MUL42)
-    divided = _apply(det6, _DIVIDE)
-    quot = divided[:, : len(_DEG4)]
-    rem = np.abs(divided[:, len(_DEG4) :]).max(axis=1)
-    scale = np.abs(det6).max(axis=1)
+    # (einsum may give +0.0 for a -0.0 product; the matmul's sums start at +0.0 anyway)
+    x = np.einsum("tli,tlj->tlij", ki, kj).reshape(t, len(_LAPLACE), -1) @ _MUL22
+    x = x.transpose(0, 2, 1) @ kk  # six degree-4 x degree-2 products, summed
+    det6 = _apply_map(np.ascontiguousarray(x.reshape(t, -1).T), _MUL42)  # batch-last
+    divided = _apply_map(det6, _DIVIDE)
+    quot = np.ascontiguousarray(divided[: len(_DEG4)].T)  # a view's norm sums in another order
+    rem = np.abs(divided[len(_DEG4) :]).max(axis=0)
+    scale = np.abs(det6).max(axis=0)
     bad_rem = rem > 1e-6 * scale
     bad = bad_rem | (np.abs(quot).max(axis=1) < 1e-12)
     if bad.any():

@@ -63,6 +63,7 @@ from .core import (
     quat_from_rotation,
     quat_to_rotation,
     triangulate_uv,
+    _triangulate,
 )
 from .errors import (
     CriticalSurfaceError,
@@ -190,8 +191,8 @@ def _quat_from_cubic_vector(V: np.ndarray, kept: np.ndarray):
     signs come from the mixed monomials anchored at the largest cube entry
     (numerically larger when a component is small), falling back to the
     cube entry's own sign. Columns that vanish are skipped. The norm squares
-    with Python's ** (libm pow, not always numpy's x*x), for the bits of
-    Quaternion(...).normalized().canonical()."""
+    with libm pow as Python's ** does (np.float_power, not numpy's x*x) and
+    sums in Quaternion.norm's order, for Quaternion.normalized's bits."""
     cols = V.transpose(0, 2, 1)[kept]
     if V.shape[1] == 20:
         scale = np.abs(cols).max(axis=1)[:, None]
@@ -207,7 +208,8 @@ def _quat_from_cubic_vector(V: np.ndarray, kept: np.ndarray):
         # a vanishing column gets zero components, which the norm test drops
         cols = np.where((sign_source != 0.0) & (scale >= 1e-12),
                         np.copysign(mags, sign_source), 0.0)
-    norms = np.array([math.sqrt(w**2 + x**2 + y**2 + z**2) for w, x, y, z in cols.tolist()])
+    sq = np.float_power(cols, 2.0)
+    norms = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
     good = norms >= 1e-12
     U = cols[good] / norms[good, None]
     live = np.zeros(kept.shape, dtype=bool)
@@ -503,19 +505,25 @@ def estimate_pose(points, method: str = "quest6"):
     raise first_error
 
 
-def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
+def _ray_norms(N: np.ndarray):
+    """n . n and |n| of the rays N (k, 3), as triangulate_uv and norm give them."""
+    return np.einsum("...ij,...ij->...i", N, N), np.linalg.norm(N, axis=1)
+
+
+def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, norms=None):
     """Angle (radians) between each second-view ray and its reprojection,
     with the triangulated depths u, v. R and t may carry a leading pose
     axis (see triangulate_uv); the outputs then have shape (..., k).
 
     A pair without depths (u = v = 0: rays parallel under R, or t = 0)
     gets error pi, so consensus counts it as an outlier by both of its
-    tests."""
-    u, v, reproj = triangulate_uv(R, t, M, N)
+    tests. `norms`, when given, is _ray_norms(N)."""
+    nn, n_len = _ray_norms(N) if norms is None else norms
+    u, v, reproj = _triangulate(M @ np.swapaxes(R, -1, -2), t, N, nn)
     num = np.einsum("...ij,ij->...i", reproj, N)
-    den = np.linalg.norm(reproj, axis=-1) * np.linalg.norm(N, axis=1)
+    den = np.sqrt(np.add.reduce(reproj * reproj, -1)) * n_len  # np.linalg.norm's formula
     den = np.where(den == 0.0, 1e-300, den)
-    errs = np.arccos(np.clip(num / den, -1.0, 1.0))
+    errs = np.arccos(np.minimum(np.maximum(num / den, -1.0), 1.0))  # np.clip, unwrapped
     return np.where((u == 0.0) & (v == 0.0), np.pi, errs), u, v
 
 
@@ -528,6 +536,7 @@ def _consensus(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, thres
     return errs, (errs < threshold) & (u > 0.0) & (v > 0.0)
 
 
+_EYE3, _EYE6 = np.eye(3), np.eye(6)
 # k @ _SKEW is the cross-product matrix of k (k x v = K @ v), row-major.
 _SKEW = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
                   [0, 0, 1, 0, 0, 0, -1, 0, 0],
@@ -540,8 +549,8 @@ def _rotation_exp(delta: np.ndarray) -> np.ndarray:
     theta = _row_norms(delta)[..., None, None]
     small = theta < 1e-14
     K = (delta / np.where(small, 1.0, theta)[..., 0] @ _SKEW).reshape(delta.shape + (3,))
-    R = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
-    return np.where(small, np.eye(3), R)
+    R = _EYE3 + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    return np.where(small, _EYE3, R)
 
 
 # Forward-difference step of the polish Jacobian, and the three rotation
@@ -557,32 +566,30 @@ _PARALLAX_FLOOR = 1e-8
 
 
 def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
-                         W: np.ndarray):
+                         W: np.ndarray, norms=None):
     """Angular errors f (P, n) of the poses (R, t) and the transpose of
     their forward-difference Jacobian (P, 6, n) over a rotation increment
     and t, both zero on the rays a pose's weights W (P, n) leave out. One
     _angular_errors call evaluates every pose with its six perturbations."""
     P = len(R)
-    Rs = np.concatenate([R[:, None], _DR @ R[:, None], np.repeat(R[:, None], 3, axis=1)], axis=1)
-    ts = np.concatenate([np.repeat(t[:, None], 4, axis=1), t[:, None] + _DT], axis=1)
-    fs, _, _ = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N)
+    Rs, ts = np.empty((P, 7, 3, 3)), np.empty((P, 7, 3))
+    Rs[:, 0], Rs[:, 1:4], Rs[:, 4:] = R, _DR @ R[:, None], R[:, None]
+    ts[:, :4], ts[:, 4:] = t[:, None], t[:, None] + _DT
+    fs, _, _ = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N, norms)
     fs = np.where(W[:, None], fs.reshape(P, 7, -1), 0.0)
-    f = fs[:, 0]
-    return f, (fs[:, 1:] - f[:, None]) / _H
+    return fs[:, 0], (fs[:, 1:] - fs[:, :1]) / _H
 
 
 def _lm_steps(H: np.ndarray, rhs: np.ndarray, live: np.ndarray):
     """Solutions of the systems H (P, 6, 6) x = rhs (P, 6) flagged `live`,
-    from one stacked solve, with zero steps for the rest; and the flags
-    left live. When the stacked solve meets a singular matrix, each system
-    is solved on its own, and a singular one is no longer live."""
-    step = np.zeros_like(rhs)
-    live = live.copy()
-    rows = np.flatnonzero(live)
+    from one stacked solve of all, with zero steps for the rest; and the
+    flags left live. When the stacked solve meets a singular matrix, each
+    live system is solved on its own, and a singular one is no longer live."""
     try:
-        step[rows] = np.linalg.solve(H[rows], rhs[rows, :, None])[..., 0]
+        return np.where(live[:, None], np.linalg.solve(H, rhs[..., None])[..., 0], 0.0), live
     except np.linalg.LinAlgError:
-        for p in rows:
+        step, live = np.zeros_like(rhs), live.copy()
+        for p in np.flatnonzero(live):
             try:
                 step[p] = np.linalg.solve(H[p:p + 1], rhs[p:p + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError:
@@ -607,20 +614,20 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / _row_norms(t)[:, None]
-    W = np.asarray(W, dtype=bool)
-    f, J = _errors_and_jacobian(R, t, M, N, W)
+    norms = _ray_norms(N)
+    f, J = _errors_and_jacobian(R, t, M, N, W, norms)
     cost = np.einsum("pi,pi->p", f, f)
     lam = np.full(len(R), 1e-4)
     live = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_ITERS):
-        H = np.einsum("pji,pki->pjk", J, J) + lam[:, None, None] * np.eye(6)
+        H = np.einsum("pji,pki->pjk", J, J) + lam[:, None, None] * _EYE6
         step, live = _lm_steps(H, -np.einsum("pji,pi->pj", J, f), live)
         if not live.any():
             break
         R_new = _rotation_exp(step[:, :3]) @ R
         t_new = t + step[:, 3:]
         t_new = t_new / _row_norms(t_new)[:, None]
-        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W)
+        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W, norms)
         cost_new = np.einsum("pi,pi->p", f_new, f_new)
         better = live & (cost_new < cost)
         R = np.where(better[:, None, None], R_new, R)

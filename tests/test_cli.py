@@ -199,6 +199,10 @@ def test_eval_missing_ground_truth(tmp_path):
     ({"candidates": [{"translation": [0, 0, 1]}]}, 'candidate 0 needs a "quaternion"'),
     ({"candidates": [{"quaternion": [1, 0, 0, 0]}, {"quaternion": [1, 0, 0]}]},
      'candidate 1 needs a "quaternion" of 4 numbers, got [1, 0, 0]'),
+    ({"candidates": [{"quaternion": [1, "a", 0, 0]}]},
+     """candidate 0 needs a "quaternion" of 4 numbers, got [1, 'a', 0, 0]"""),
+    ({"candidates": [{"quaternion": [float("nan"), 0, 0, 1]}]},
+     'candidate 0 needs a "quaternion" of 4 numbers, got [nan, 0, 0, 1]'),
 ])
 def test_eval_rejects_malformed_estimates(tmp_path, capsys, estimates, message):
     est = tmp_path / "est.json"
@@ -277,6 +281,16 @@ def test_bench_time_summary(tmp_path):
     assert summary[0] == "method,mean_runtime_s,median_runtime_s,n,failures"
     rows = {line.split(",")[0]: line.split(",") for line in summary[1:]}
     assert float(rows["eightpt"][1]) < float(rows["quest6"][1])
+
+
+@pytest.mark.parametrize("kind", ["noise", "time"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_bench_rejects_trials_below_one(tmp_path, capsys, kind, trials):
+    out = tmp_path / "b.csv"
+    assert run(["bench", kind, "--methods", "quest6", "--trials", trials, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+    assert not out.exists() and not (tmp_path / "b_summary.csv").exists()
 
 
 def test_bench_rejects_unknown_method(tmp_path):

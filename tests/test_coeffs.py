@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quest import bench, core, polymat
+from quest import bench, coeffs, core, polymat
 from quest.coeffs import build_A, build_triple_matrix, coefficient_row
 from quest.core import Correspondence, monomial_positions, monomial_vector, monomials_of_degree
 from quest.errors import DegenerateTripleError, InsufficientPointsError
@@ -141,12 +141,49 @@ def test_batched_rows_match_reference_path(n):
 
 def test_coefficient_row_is_the_batched_row(rng):
     # one kernel: a triple's row does not depend on the other rows built
-    # with it, nor on the pass that builds it (13 points take two passes)
+    # with it, nor on the pass that builds it (13 points take five passes)
     for n in (6, 7, 8, 13):
         pts = [random_correspondence(rng) for _ in range(n)]
         A = build_A(pts)
         for r, (i, j, k) in enumerate(combinations(range(n), 3)):
             assert np.array_equal(coefficient_row(pts[i], pts[j], pts[k]), A[r])
+
+
+def _columns(dense):
+    # the sparse maps as the row kernel applied them before it went
+    # batch-last: source index and weight of each nonzero by output column,
+    # and where each column starts
+    col, src = np.nonzero(dense.T)
+    return src, dense[src, col], np.searchsorted(col, np.arange(dense.shape[1]))
+
+
+def _apply(x, cmap):
+    # x @ dense by np.add.reduceat over each column's terms: the reference order
+    src, weight, starts = cmap
+    terms = x[:, src]
+    terms *= weight
+    return np.add.reduceat(terms, starts, axis=1)
+
+
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 300])
+def test_batch_last_maps_match_reduceat_reference(t):
+    # bit for bit, signed zeros included, on inputs of mixed magnitudes (so
+    # the order of each sum shows) with exact +-0.0 entries and whole
+    # batch columns of -0.0 and of +0.0
+    rng = np.random.default_rng(t)
+    for dense, gmap in ((coeffs._product_map(4, 2), coeffs._MUL42),
+                        (np.hstack(coeffs._division_maps()), coeffs._DIVIDE)):
+        terms = np.count_nonzero(dense, axis=0)
+        assert terms.min() == 1 and terms.max() == 8
+        x = rng.normal(size=(t, len(dense))) * 10.0 ** rng.integers(-8, 9, size=(t, len(dense)))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[t // 2] = 0.0
+        x[t - 1] = -0.0
+        want = _apply(x, _columns(dense))
+        got = coeffs._apply_map(np.ascontiguousarray(x.T), gmap)
+        assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
+        assert np.signbit(want[want == 0.0]).any()
 
 
 def test_insufficient_points_rejected():
