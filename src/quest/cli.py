@@ -39,7 +39,7 @@ from .errors import DegeneracyError, CriticalSurfaceError, InsufficientPointsErr
 from .solver import MINIMAL_POINTS, estimate_pose, ransac_pose
 
 
-class FileFormatError(Exception):
+class FileFormatError(ValueError):
     """Malformed input file; carries the offending line number."""
 
     def __init__(self, path, line_no, message):
@@ -48,6 +48,21 @@ class FileFormatError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _row(values, sep=",") -> str:
+    """One output line: floats in full precision (_fmt), anything else by str."""
+    return sep.join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
+
+
+def _write(path, lines):
+    """Writes each of `lines` and a newline to `path`; None means stdout."""
+    text = "".join(f"{line}\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _read_rows(path, fields: str):
@@ -160,23 +175,15 @@ def cmd_estimate(args) -> int:
     else:
         cands = estimate_pose(points, args.method)
         result["candidates"] = [_candidate_dict(c) for c in cands]
-    payload = json.dumps(result, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write(args.output or None, [json.dumps(result, indent=2)])
     return 0
 
 
 def write_records_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,sigma_px,trial,rot_err,trans_err,runtime_s,failed\n")
-        for r in records:
-            fh.write(
-                f"{r.method},{_fmt(r.sigma_px)},{r.trial},{_fmt(r.rot_error)},"
-                f"{_fmt(r.trans_error)},{_fmt(r.runtime_s)},{int(r.failed)}\n"
-            )
+    _write(path, ["method,sigma_px,trial,rot_err,trans_err,runtime_s,failed"] + [
+        _row([r.method, r.sigma_px, r.trial, r.rot_error, r.trans_error, r.runtime_s,
+              int(r.failed)])
+        for r in records])
 
 
 def _summary_path(path: str) -> str:
@@ -184,38 +191,21 @@ def _summary_path(path: str) -> str:
     return f"{root}_summary{ext or '.csv'}"
 
 
-def write_noise_summary(records, path):
+def _noise_summary(records):
     """Per method x sigma: median and quartiles of both errors (failed
     trials excluded from the quantiles, counted separately)."""
-    keys = sorted({(r.method, r.sigma_px) for r in records})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "method,sigma_px,n,failures,rot_median,rot_q25,rot_q75,"
-            "trans_median,trans_q25,trans_q75,mean_runtime_s\n"
-        )
-        for method, sigma in keys:
-            grp = [r for r in records if r.method == method and r.sigma_px == sigma]
-            ok = [r for r in grp if not r.failed]
-            runtime = float(np.mean([r.runtime_s for r in grp]))
-            if ok:
-                rot = np.percentile([r.rot_error for r in ok], [50, 25, 75])
-                trn = np.percentile([r.trans_error for r in ok], [50, 25, 75])
-            else:
-                rot = trn = [math.nan] * 3
-            fh.write(
-                f"{method},{_fmt(sigma)},{len(grp)},{len(grp) - len(ok)},"
-                f"{_fmt(rot[0])},{_fmt(rot[1])},{_fmt(rot[2])},"
-                f"{_fmt(trn[0])},{_fmt(trn[1])},{_fmt(trn[2])},{_fmt(runtime)}\n"
-            )
-
-
-def write_time_summary(stats, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,mean_runtime_s,median_runtime_s,n,failures\n")
-        for method, st in stats.items():
-            fh.write(
-                f"{method},{_fmt(st.mean_s)},{_fmt(st.median_s)},{st.n},{st.n_failed}\n"
-            )
+    yield ("method,sigma_px,n,failures,rot_median,rot_q25,rot_q75,"
+           "trans_median,trans_q25,trans_q75,mean_runtime_s")
+    for method, sigma in sorted({(r.method, r.sigma_px) for r in records}):
+        grp = [r for r in records if r.method == method and r.sigma_px == sigma]
+        ok = [r for r in grp if not r.failed]
+        if ok:
+            rot = np.percentile([r.rot_error for r in ok], [50, 25, 75])
+            trn = np.percentile([r.trans_error for r in ok], [50, 25, 75])
+        else:
+            rot = trn = [math.nan] * 3
+        yield _row([method, sigma, len(grp), len(grp) - len(ok), *rot, *trn,
+                    float(np.mean([r.runtime_s for r in grp]))])
 
 
 # SceneConfig fields that a bench flag owns; --config may not set them.
@@ -251,24 +241,35 @@ def _scene_config_from_args(args) -> SceneConfig:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    seed = _default_seed(args.seed)
-    cfg = _scene_config_from_args(args)
-    cam = SyntheticCamera()
     methods = args.methods.split(",")
     for m in methods:
         if m not in MINIMAL_POINTS:
             raise ValueError(f"unknown method {m!r}")
+        if args.points < MINIMAL_POINTS[m]:
+            raise ValueError(f"--points {args.points} is below {m}'s minimum of {MINIMAL_POINTS[m]}")
+    seed = _default_seed(args.seed)
+    cfg = _scene_config_from_args(args)
+    cam = SyntheticCamera()
     if args.kind == "noise":
         sigmas = [float(s) for s in args.sigmas.split(",")]
         records = bench_mod.run_noise_benchmark(methods, sigmas, args.trials, cfg, cam, seed)
-        write_records_csv(records, args.output)
-        write_noise_summary(records, _summary_path(args.output))
+        summary = _noise_summary(records)
     else:
         records, stats = bench_mod.run_time_benchmark(methods, args.trials, cfg, cam, seed)
-        write_records_csv(records, args.output)
-        write_time_summary(stats, _summary_path(args.output))
+        summary = ["method,mean_runtime_s,median_runtime_s,n,failures"] + [
+            _row([m, st.mean_s, st.median_s, st.n, st.n_failed]) for m, st in stats.items()]
+    write_records_csv(records, args.output)
+    _write(_summary_path(args.output), summary)
     print(f"wrote {args.output} and {_summary_path(args.output)}", file=sys.stderr)
     return 0
+
+
+def _numbers(values, n: int) -> bool:
+    """Whether a JSON value is a list of n finite numbers, bools excluded.
+    The bound also rejects an int beyond the float range, on which
+    math.isfinite would raise OverflowError."""
+    return isinstance(values, list) and len(values) == n and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
 
 
 def cmd_eval(args) -> int:
@@ -281,30 +282,27 @@ def cmd_eval(args) -> int:
     best_idx, best_err = None, math.inf
     for i, cand in enumerate(estimates.get("candidates", [])):
         quat = cand.get("quaternion") if isinstance(cand, dict) else None
-        if not (isinstance(quat, list) and len(quat) == 4 and all(
-                type(v) in (int, float) and math.isfinite(v) for v in quat)):
+        if not _numbers(quat, 4):
             raise ValueError(f"candidate {i} needs a \"quaternion\" of 4 numbers, got {quat!r}")
+        t = cand.get("translation")
+        if not (t is None or _numbers(t, 3)):
+            raise ValueError(f"candidate {i} needs a \"translation\" of 3 numbers or null, got {t!r}")
         q = Quaternion(*quat).normalized()
         re_ = rot_error(q, q_star)
         te = None
-        if cand.get("translation") is not None and np.linalg.norm(t_star) > 0.0:
-            t = np.array(cand["translation"])
-            if np.linalg.norm(t) > 0.0:
-                te = trans_error(t, t_star)
+        if t is not None and np.linalg.norm(t_star) > 0.0 and np.linalg.norm(t) > 0.0:
+            te = trans_error(np.array(t), t_star)
         out["candidates"].append({"rot_error": re_, "trans_error": te})
         if re_ < best_err:
             best_idx, best_err = i, re_
     out["best_index"] = best_idx
-    payload = json.dumps(out, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write(args.output or None, [json.dumps(out, indent=2)])
     return 0
 
 
 def cmd_simulate(args) -> int:
+    if not (math.isfinite(args.sigma) and args.sigma >= 0.0):
+        raise ValueError(f"--sigma must be finite and at least 0, got {args.sigma}")
     seed = _default_seed(args.seed)
     cfg = SceneConfig(n_points=args.points, geometry=args.geometry, rng_seed=seed)
     cam = SyntheticCamera()
@@ -315,16 +313,11 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     corr_path = os.path.join(args.out_dir, "correspondences.txt")
     pose_path = os.path.join(args.out_dir, "pose.txt")
-    with open(corr_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# synthetic scene: geometry={args.geometry} points={args.points} "
-                 f"seed={seed} sigma_px={_fmt(args.sigma)}\n")
-        fh.write("# normalized\n")
-        for c in corr:
-            fh.write(f"{_fmt(c.m[0])} {_fmt(c.m[1])} {_fmt(c.n[0])} {_fmt(c.n[1])}\n")
+    _write(corr_path, [f"# synthetic scene: geometry={args.geometry} points={args.points} "
+                       f"seed={seed} sigma_px={_fmt(args.sigma)}", "# normalized"]
+           + [_row([c.m[0], c.m[1], c.n[0], c.n[1]], " ") for c in corr])
     p = scene.pose
-    with open(pose_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# w x y z tx ty tz\n")
-        fh.write(" ".join(_fmt(v) for v in [p.q.w, p.q.x, p.q.y, p.q.z, *p.t]) + "\n")
+    _write(pose_path, ["# w x y z tx ty tz", _row([p.q.w, p.q.x, p.q.y, p.q.z, *p.t], " ")])
     print(f"wrote {corr_path} and {pose_path}", file=sys.stderr)
     return 0
 
@@ -380,25 +373,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except InsufficientPointsError as e:
         print(f"error: insufficient points: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except CriticalSurfaceError as e:
-        print(f"error: CriticalSurfaceError: {e}", file=sys.stderr)
-        print("hint: quest6 handles coplanar points; retry with --method quest6", file=sys.stderr)
-        return 2
-    except DegeneracyError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
     except QuestError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        if isinstance(e, CriticalSurfaceError):
+            print("hint: quest6 handles coplanar points; retry with --method quest6", file=sys.stderr)
+        return 2 if isinstance(e, DegeneracyError) else 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

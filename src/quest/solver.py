@@ -489,9 +489,7 @@ def estimate_pose(points, method: str = "quest6"):
             continue
         try:
             gauged_qs = rotations(build_A(gauged[:minimal]))
-        except DegeneracyError as e:
-            if first_error is None:
-                first_error = e
+        except DegeneracyError:
             continue
         # the w-degeneracy test lives in the gauged frame
         if not gauged_qs or all(abs(q.w) < 0.1 for q in gauged_qs):

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quest import cli, core, solver
+from quest import bench, cli, core, solver
 from quest.core import Quaternion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,6 +81,26 @@ def test_pixel_input_requires_calibration(tmp_path):
     assert run(["estimate", p]) == 1
 
 
+@pytest.mark.parametrize("kind,text,message", [
+    ("corr", "# normalized\n0.1 0.2 abc 0.4\n", ":2: could not convert string to float: 'abc'"),
+    ("calib", "# fx fy cx cy skew\n", ":0: empty calibration file"),
+    ("calib", "0 500 320 240 0\n", ":1: focal lengths must be positive"),
+    ("pose", "\n", ":0: empty pose file"),
+    ("pose", "2 0 0 0 0 0 1\n", ":1: quaternion norm 2.000000 too far from 1"),
+])
+def test_file_format_errors_name_file_and_line(tmp_path, capsys, kind, text, message):
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_text(text)
+    corr = tmp_path / "c.txt"
+    corr.write_text("100 100 101 101\n" * 6)
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps({"candidates": []}))
+    argv = {"corr": ["estimate", bad], "calib": ["estimate", corr, "--calib", bad],
+            "pose": ["eval", est, bad]}[kind]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}{message}\n")
+
+
 def test_method_specific_minimum(tmp_path, capsys):
     rows, _ = cli.read_correspondence_file(FIXTURES / "general" / "correspondences.txt")
     p = tmp_path / "six.txt"
@@ -141,6 +164,33 @@ def test_fixture_eightpt(tmp_path):
     assert np.linalg.norm(est["candidates"][0]["translation"]) == pytest.approx(1.0)
 
 
+def test_fixture_coplanar_eightpt_exits_2_without_hint(capsys):
+    # a DegeneracyError other than the critical surface: exit 2, no quest6 hint
+    assert run(["estimate", FIXTURES / "coplanar" / "correspondences.txt",
+                "--method", "eightpt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: DegenerateConfigurationError: ")
+    assert err.count("\n") == 1
+
+
+def run_module(*argv):
+    """Runs `python -m quest.cli` in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "quest.cli", *map(str, argv)],
+                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_module_entry_point_exit_codes():
+    ok = run_module("estimate", FIXTURES / "general" / "correspondences.txt")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert json.loads(ok.stdout)["candidates"][0]["chirality_ok"] is True
+    bad = run_module("estimate", FIXTURES / "coplanar" / "correspondences.txt",
+                     "--method", "quest7")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: CriticalSurfaceError: ")
+    assert bad.stderr.endswith("\nhint: quest6 handles coplanar points; retry with --method quest6\n")
+
+
 # --- simulate / estimate / eval round trip -----------------------------------
 
 def test_simulate_estimate_eval_round_trip(tmp_path):
@@ -155,6 +205,42 @@ def test_simulate_estimate_eval_round_trip(tmp_path):
     best = metrics["candidates"][metrics["best_index"]]
     assert best["rot_error"] < 1e-6
     assert best["trans_error"] < 1e-6
+
+
+def test_simulate_with_noise_matches_library(tmp_path):
+    fix = tmp_path / "fix"
+    assert run(["simulate", fix, "--seed", 7, "--points", 12, "--sigma", 0.5]) == 0
+    lines = (fix / "correspondences.txt").read_text().splitlines()
+    assert lines[0] == "# synthetic scene: geometry=general points=12 seed=7 sigma_px=0.5"
+    sc = bench.generate_scene(bench.SceneConfig(n_points=12, rng_seed=7))
+    noisy = bench.add_pixel_noise(sc.correspondences, 0.5, bench.SyntheticCamera(), 8)
+    rows, normalized = cli.read_correspondence_file(fix / "correspondences.txt")
+    assert normalized
+    assert rows == [[c.m[0], c.m[1], c.n[0], c.n[1]] for c in noisy]
+    assert rows != [[c.m[0], c.m[1], c.n[0], c.n[1]] for c in sc.correspondences]
+    q, t = cli.read_pose_file(fix / "pose.txt")
+    assert core.rot_error(q, sc.pose.q) == 0.0 and np.array_equal(t, sc.pose.t)
+
+
+def test_estimate_and_eval_print_json_to_stdout(tmp_path, capsys):
+    corr = FIXTURES / "general" / "correspondences.txt"
+    est = tmp_path / "est.json"
+    assert run(["estimate", corr, "--output", est]) == 0
+    assert run(["estimate", corr]) == 0
+    assert capsys.readouterr() == (est.read_text(), "")
+    ev = tmp_path / "ev.json"
+    assert run(["eval", est, FIXTURES / "general" / "pose.txt", "--output", ev]) == 0
+    assert run(["eval", est, FIXTURES / "general" / "pose.txt"]) == 0
+    assert capsys.readouterr() == (ev.read_text(), "")
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_simulate_rejects_sigma_not_finite_and_nonnegative(tmp_path, capsys, sigma):
+    fix = tmp_path / "fix"
+    assert run(["simulate", fix, "--sigma", sigma]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --sigma must be finite and at least 0, got {float(sigma)}\n")
+    assert not fix.exists()
 
 
 def test_eval_metrics_bit_identical_to_library(tmp_path):
@@ -203,6 +289,17 @@ def test_eval_missing_ground_truth(tmp_path):
      """candidate 0 needs a "quaternion" of 4 numbers, got [1, 'a', 0, 0]"""),
     ({"candidates": [{"quaternion": [float("nan"), 0, 0, 1]}]},
      'candidate 0 needs a "quaternion" of 4 numbers, got [nan, 0, 0, 1]'),
+    ({"candidates": [{"quaternion": [1, 0, 0, 0], "translation": 5}]},
+     'candidate 0 needs a "translation" of 3 numbers or null, got 5'),
+    ({"candidates": [{"quaternion": [1, 0, 0, 0], "translation": [float("nan"), 0, 0]}]},
+     'candidate 0 needs a "translation" of 3 numbers or null, got [nan, 0, 0]'),
+    ({"candidates": [{"quaternion": [1, 0, 0, 0], "translation": ["a", 0, 0]}]},
+     """candidate 0 needs a "translation" of 3 numbers or null, got ['a', 0, 0]"""),
+    ({"candidates": [{"quaternion": [1, 0, 0, 0]},
+                     {"quaternion": [1, 0, 0, 0], "translation": [1, 0]}]},
+     'candidate 1 needs a "translation" of 3 numbers or null, got [1, 0]'),
+    ({"candidates": [{"quaternion": [10 ** 400, 0, 0, 0]}]},
+     'candidate 0 needs a "quaternion" of 4 numbers, got [1000000000'),
 ])
 def test_eval_rejects_malformed_estimates(tmp_path, capsys, estimates, message):
     est = tmp_path / "est.json"
@@ -283,6 +380,45 @@ def test_bench_time_summary(tmp_path):
     assert float(rows["eightpt"][1]) < float(rows["quest6"][1])
 
 
+def test_bench_noise_all_failed_group_summarizes_as_nan(tmp_path):
+    out = tmp_path / "n.csv"
+    assert run(["bench", "noise", "--methods", "quest7", "--geometry", "coplanar",
+                "--sigmas", "0", "--trials", 2, "--seed", 1, "--output", out]) == 0
+    assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == ["1", "1"]
+    summary = (tmp_path / "n_summary.csv").read_text().splitlines()
+    cols = summary[1].split(",")
+    assert len(summary) == 2 and cols[:4] == ["quest7", "0", "2", "2"]
+    assert cols[4:10] == ["nan"] * 6 and float(cols[10]) > 0.0
+
+
+def test_bench_config_translation_box_reaches_the_scenes(tmp_path):
+    box = [[0.5, 0.5], [-0.25, -0.25], [0.0, 0.0]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"translation_box": box}))
+    out = tmp_path / "n.csv"
+    assert run(["bench", "noise", "--methods", "quest6", "--sigmas", "0,1", "--trials", 2,
+                "--config", cfg, "--seed", 5, "--output", out]) == 0
+    records = bench.run_noise_benchmark(
+        ["quest6"], [0.0, 1.0], 2,
+        bench.SceneConfig(translation_box=((0.5, 0.5), (-0.25, -0.25), (0.0, 0.0))),
+        bench.SyntheticCamera(), 5)
+    expected = tmp_path / "expected.csv"
+    cli.write_records_csv(records, expected)
+    assert read_csv_without_runtime(out) == read_csv_without_runtime(expected)
+
+
+def test_bench_quest_error_outside_degeneracy_exits_1(tmp_path, capsys):
+    # a box too thin to hold the depth constraints: InfeasibleConfigError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"box_z": [0.05, 0.09]}))
+    out = tmp_path / "n.csv"
+    assert run(["bench", "noise", "--methods", "quest6", "--sigmas", "0", "--trials", 1,
+                "--config", cfg, "--output", out]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("error: InfeasibleConfigError: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["noise", "time"])
 @pytest.mark.parametrize("trials", [0, -3])
 def test_bench_rejects_trials_below_one(tmp_path, capsys, kind, trials):
@@ -290,6 +426,15 @@ def test_bench_rejects_trials_below_one(tmp_path, capsys, kind, trials):
     assert run(["bench", kind, "--methods", "quest6", "--trials", trials, "--output", out]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --trials must be at least 1, got {trials}\n"
+    assert not out.exists() and not (tmp_path / "b_summary.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["noise", "time"])
+def test_bench_rejects_points_below_a_method_minimum(tmp_path, capsys, kind):
+    out = tmp_path / "b.csv"
+    assert run(["bench", kind, "--methods", "quest6,eightpt", "--points", 7, "--trials", 3,
+                "--sigmas", "0,1", "--output", out]) == 1
+    assert capsys.readouterr() == ("", "error: --points 7 is below eightpt's minimum of 8\n")
     assert not out.exists() and not (tmp_path / "b_summary.csv").exists()
 
 

@@ -743,6 +743,56 @@ def test_rank_collapse_raises_before_any_gauge_frame(monkeypatch):
     assert info.value.measured_rank == 20
 
 
+def test_apply_gauge_rejects_a_ray_parallel_to_the_image_plane():
+    g = solver._GAUGE_QUATERNIONS[0]
+    v = quat_to_rotation(g).T @ np.array([1.0, 0.0, 0.0])
+    pts = list(scene(0).correspondences)
+    pts[3] = core.Correspondence(pts[3].m, v / v[2])
+    assert solver._apply_gauge(pts[:3], g) is not None
+    assert solver._apply_gauge(pts, g) is None
+
+
+def test_gauge_frames_are_skipped_until_one_solves(monkeypatch):
+    # half turn: quest6's first frame loses rank. The next frame is
+    # unusable, the one after (an identity "gauge") loses rank as well,
+    # and the last frame solves
+    g0 = solver._GAUGE_QUATERNIONS[0]
+    monkeypatch.setattr(solver, "_GAUGE_QUATERNIONS", (g0, Quaternion(1.0, 0.0, 0.0, 0.0), g0))
+    apply_gauge, calls = solver._apply_gauge, []
+
+    def gauge(points, g):
+        calls.append(g)
+        return None if len(calls) == 1 else apply_gauge(points, g)
+
+    monkeypatch.setattr(solver, "_apply_gauge", gauge)
+    sc = scene(5, fixed_rotation=(0.0, 0.0, 0.0, 1.0))
+    cands = solver.estimate_pose(list(sc.correspondences), "quest6")
+    assert len(calls) == 3
+    assert core.rot_error(cands[0].q, sc.pose.q) < 1e-6
+
+
+def test_first_frame_candidates_return_when_every_gauge_frame_fails(monkeypatch):
+    # every rotation with |w| >= 0.1 is dropped, so the first frame keeps
+    # only w-degenerate candidates and no gauge frame has a usable one
+    rotations = solver.quest6_rotations
+    monkeypatch.setattr(solver, "quest6_rotations",
+                        lambda A: [q for q in rotations(A) if abs(q.w) < 0.1])
+    w = 0.05
+    sc = scene(5, fixed_rotation=(w, 0.0, 0.0, math.sqrt(1.0 - w * w)))
+    pts = list(sc.correspondences)
+    cands = solver.estimate_pose(pts, "quest6")
+    A = coeffs.build_A(pts[:6])
+    first = solver._finish_candidates(A, solver.quest6_rotations(A), pts)
+    assert [c.q for c in cands] == [c.q for c in first]
+    assert all(abs(c.q.w) < 0.1 for c in cands)
+    assert core.rot_error(cands[0].q, sc.pose.q) < 1e-4
+
+
+def test_ransac_pose_insufficient_points():
+    with pytest.raises(InsufficientPointsError, match="need at least 7 points"):
+        solver.ransac_pose(list(scene(0, n=6).correspondences), "quest7")
+
+
 def test_estimate_pose_insufficient_points():
     sc = scene(0, n=6)
     with pytest.raises(InsufficientPointsError):
