@@ -140,6 +140,26 @@ def load_correspondences(corr_path, calib_path=None):
     ]
 
 
+def _load_json(path):
+    """A JSON file's value; a syntax error is a FileFormatError naming the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FileFormatError(path, e.lineno, f"{e.msg} (column {e.colno})") from e
+
+
+def _sigma(flag: str, value) -> float:
+    """A pixel sigma given to `flag`: a finite number, at least 0."""
+    try:
+        sigma = float(value)
+    except ValueError:
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"{flag} must be finite and at least 0, got {value!r}")
+    return sigma
+
+
 def _candidate_dict(c):
     return {
         "quaternion": [c.q.w, c.q.x, c.q.y, c.q.z],
@@ -215,8 +235,7 @@ _FLAG_KEYS = {"n_points": "--points", "geometry": "--geometry", "rng_seed": "--s
 def _scene_config_from_args(args) -> SceneConfig:
     cfg = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _load_json(args.config)
         if not isinstance(cfg, dict):
             raise ValueError(f"the config must be a JSON object, not {type(cfg).__name__}")
         unknown = sorted(set(cfg) - {f.name for f in fields(SceneConfig)})
@@ -251,7 +270,7 @@ def cmd_bench(args) -> int:
     cfg = _scene_config_from_args(args)
     cam = SyntheticCamera()
     if args.kind == "noise":
-        sigmas = [float(s) for s in args.sigmas.split(",")]
+        sigmas = [_sigma("--sigmas", s) for s in args.sigmas.split(",")]
         records = bench_mod.run_noise_benchmark(methods, sigmas, args.trials, cfg, cam, seed)
         summary = _noise_summary(records)
     else:
@@ -273,8 +292,7 @@ def _numbers(values, n: int) -> bool:
 
 
 def cmd_eval(args) -> int:
-    with open(args.estimates, "r", encoding="utf-8") as fh:
-        estimates = json.load(fh)
+    estimates = _load_json(args.estimates)
     if not isinstance(estimates, dict):
         raise ValueError(f"the estimates must be a JSON object, not {type(estimates).__name__}")
     q_star, t_star = read_pose_file(args.ground_truth)
@@ -301,8 +319,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not (math.isfinite(args.sigma) and args.sigma >= 0.0):
-        raise ValueError(f"--sigma must be finite and at least 0, got {args.sigma}")
+    _sigma("--sigma", args.sigma)
     seed = _default_seed(args.seed)
     cfg = SceneConfig(n_points=args.points, geometry=args.geometry, rng_seed=seed)
     cam = SyntheticCamera()

@@ -47,6 +47,7 @@ MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -774,8 +775,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     block, then at most two lockstep polish calls over its hypotheses. The
     samples are then walked in order as one-at-a-time sampling would: the
     same draws, stop and winner, and each hypothesis polished as it would
-    be alone. A block holds one sample more than were walked before it,
-    and no more than the current stop allows."""
+    be alone. No run whose consensus falls short of all n matches stops
+    before the stop for a consensus of n - 1, its floor. The first block
+    holds one sample, so a run whose first sample explains every match
+    solves just that one; each later block holds the larger of twice the
+    samples walked before it and what is left of the floor, and no more
+    than the current stop allows. Past the stop a run solves at most twice
+    the samples it walked before its last block, unless a sample of the
+    block that reaches the floor explains every match."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -784,6 +791,10 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
         raise InsufficientPointsError(f"need at least {minimal} points")
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     rng = np.random.default_rng(seed)
@@ -791,12 +802,19 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     M = np.array([c.m for c in points])
     N = np.array([c.n for c in points])
 
+    def stop(count):
+        # samples after which an all-inlier sample at this consensus has
+        # been missed with probability below 1e-6 (Fischler & Bolles 1981)
+        denom = math.log1p(-min((count / n)**minimal, 1.0 - 1e-12))
+        return min(max_iters, math.ceil(math.log(1e-6) / denom))
+
+    floor = stop(n - 1)
     best = None  # ((count, -mean_err), R, t, mask, sample)
     needed = max_iters
     it = 0
     while it < needed:
-        idx = np.array([rng.choice(n, size=minimal, replace=False)
-                        for _ in range(min(it + 1, needed - it))])
+        size = min(needed - it, max(2 * it, floor - it)) if it else 1
+        idx = np.array([rng.choice(n, size=minimal, replace=False) for _ in range(size)])
         owner, Rs, ts, errs, masks = _hypotheses(_block_candidates(M, N, idx, method), M, N,
                                                  threshold, minimal)
         bounds = np.searchsorted(owner, np.arange(len(idx) + 1)).tolist()
@@ -809,12 +827,7 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
                 key = (count, -float(errs[h][masks[h]].mean()))
                 if best is None or key > best[0]:
                     best = (key, Rs[h], ts[h], masks[h], sample)
-                    inlier_ratio = count / n
-                    if inlier_ratio >= 1.0:
-                        needed = it
-                    else:
-                        denom = math.log1p(-min(inlier_ratio**minimal, 1.0 - 1e-12))
-                        needed = min(max_iters, math.ceil(math.log(1e-6) / denom))
+                    needed = it if count == n else stop(count)
     if best is None:
         raise RobustFailureError("no pose candidate reached a minimal inlier set")
     _, R, t, mask, sample = best

@@ -311,6 +311,18 @@ def test_eval_rejects_malformed_estimates(tmp_path, capsys, estimates, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("", "1: Expecting value (column 1)"),
+    ('{"candidates": [],\n "x": }', "2: Expecting value (column 7)")])
+def test_eval_json_syntax_error_names_file_and_line(tmp_path, capsys, text, where):
+    est = tmp_path / "est.json"
+    est.write_text(text)
+    out = tmp_path / "ev.json"
+    assert run(["eval", est, FIXTURES / "general" / "pose.txt", "--output", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {est}:{where}\n")
+    assert not out.exists()
+
+
 # --- pixel-vs-normalized consistency ----------------------------------------
 
 def test_pixel_and_normalized_inputs_agree(tmp_path):
@@ -488,6 +500,30 @@ def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "1: Expecting value (column 1)"),
+    ('{"box_z": [4, 8],\n}', "2: Expecting property name enclosed in double quotes (column 1)")])
+def test_bench_config_json_syntax_error_names_file_and_line(tmp_path, capsys, text, where):
+    out = tmp_path / "n.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["bench", "noise", "--methods", "quest6", "--sigmas", "0", "--trials", 1,
+                "--config", cfg, "--output", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:{where}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigmas,item", [("nan", "nan"), ("inf", "inf"), ("-1", "-1"),
+                                         ("0,,1", ""), ("0,x", "x")])
+def test_bench_noise_rejects_bad_sigmas(tmp_path, capsys, sigmas, item):
+    out = tmp_path / "n.csv"
+    assert run(["bench", "noise", "--methods", "quest6", "--sigmas", sigmas, "--trials", 1,
+                "--output", out]) == 1
+    err = f"error: --sigmas must be finite and at least 0, got {item!r}\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists() and not (tmp_path / "n_summary.csv").exists()
 
 
 def test_bench_geometry_mix_is_not_a_choice(tmp_path):

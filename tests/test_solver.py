@@ -1,10 +1,13 @@
 import ast
+import importlib.util
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -999,6 +1002,28 @@ def _reference_ransac(points, method, threshold=0.005, max_iters=200, seed=0):
     return cand, mask, it
 
 
+def _record_blocks(monkeypatch):
+    """The list to which ransac_pose's drawn blocks are appended from now
+    on, one index array per block."""
+    drawn = []
+    nested = []
+    block = solver._block_candidates
+
+    def recording_block(M, N, idx, method):
+        # a block whose coefficient build raised solves each of its
+        # samples again as a block of its own; those are not new draws
+        if not nested:
+            drawn.append(idx)
+        nested.append(idx)
+        try:
+            return block(M, N, idx, method)
+        finally:
+            nested.pop()
+
+    monkeypatch.setattr(solver, "_block_candidates", recording_block)
+    return drawn
+
+
 def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     """ransac_pose against _reference_ransac, bit for bit. Every pose the
     reference polishes is polished, and any other polished pose belongs to
@@ -1017,22 +1042,7 @@ def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     ref, ref_mask, iterations = _reference_ransac(points, method, seed=seed)
     ref_polished = Counter(polished)
     polished.clear()
-    drawn = []
-    nested = []
-    block = solver._block_candidates
-
-    def recording_block(M, N, idx, method):
-        # a block whose coefficient build raised solves each of its
-        # samples again as a block of its own; those are not new draws
-        if not nested:
-            drawn.append(idx)
-        nested.append(idx)
-        try:
-            return block(M, N, idx, method)
-        finally:
-            nested.pop()
-
-    monkeypatch.setattr(solver, "_block_candidates", recording_block)
+    drawn = _record_blocks(monkeypatch)
     calls = []
     if count is not None:
         fn = getattr(solver, count)
@@ -1109,16 +1119,61 @@ def test_ransac_block_matches_reference_on_coplanar_scene(method, monkeypatch):
     assert (False in fallbacks) == (method == "quest7")
 
 
+def _ransac_floor(n, minimal, max_iters=200):
+    # the adaptive stop for a consensus of n - 1: no run short of a full
+    # consensus stops earlier
+    return min(max_iters, math.ceil(math.log(1e-6) / math.log1p(-((n - 1) / n)**minimal)))
+
+
 def test_ransac_block_matches_reference_when_stop_lands_mid_block(monkeypatch):
-    _, iterations, drawn = _assert_matches_reference(make_outlier_set(seed=7)[0], "quest6", 7,
-                                                     monkeypatch)
-    # the last block's samples past the stop are solved but never walked;
-    # a block holds at most one sample more than were drawn before it, so
-    # no more samples are solved past the stop than were walked
+    points = make_outlier_set(seed=7)[0]
+    _, iterations, drawn = _assert_matches_reference(points, "quest6", 7, monkeypatch)
+    # the last block's samples past the stop are solved but never walked.
+    # One sample first, then the rest of the floor in one block; after that
+    # a block holds at most twice the samples drawn before it, so at most
+    # twice those walked before the last block are solved past the stop
+    floor = _ransac_floor(len(points), 6)
     sizes = [len(idx) for idx in drawn]
-    assert sizes[0] == 1 and len(sizes) > 2
-    assert all(size <= sum(sizes[:j]) + 1 for j, size in enumerate(sizes))
-    assert iterations < sum(sizes) <= 2 * iterations
+    assert sizes[0] == 1 and sizes[1] == floor - 1 and len(sizes) > 2
+    assert all(size <= max(2 * sum(sizes[:j]), floor - sum(sizes[:j]))
+               for j, size in enumerate(sizes) if j >= 2)
+    assert 0 < sum(sizes) - iterations <= 2 * sum(sizes[:-1])
+
+
+def _setup_scene_points(monkeypatch):
+    # the benchmark's set-up scene (perfbench/run.py setup_input): 8 exact
+    # points of a general scene
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_scenes", Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py")
+    scenes = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, scenes)  # its dataclasses look it up
+    spec.loader.exec_module(scenes)
+    s = scenes.make_scene(np.random.default_rng(12345), 8, "general", 0.0)
+    return [core.Correspondence(m, n) for m, n in zip(s.m, s.n)]
+
+
+@pytest.mark.parametrize("setup_scene", [False, True], ids=["outlier_free_30", "setup_8"])
+def test_ransac_stops_after_one_block_when_the_first_sample_explains_every_match(
+        setup_scene, monkeypatch):
+    if setup_scene:
+        points = _setup_scene_points(monkeypatch)
+    else:
+        points = list(scene(77, n=30).correspondences)
+    drawn = _record_blocks(monkeypatch)
+    _, mask = solver.ransac_pose(points, "quest6", threshold=0.005, max_iters=200, seed=0)
+    assert mask.all()
+    assert [len(idx) for idx in drawn] == [1]
+
+
+def test_ransac_c08_runs_take_at_most_five_blocks(monkeypatch):
+    # one sample, then the floor in one block, then blocks of twice the
+    # samples walked: 1 + 8 + 18 + 54 reaches the c08 runs' stops
+    drawn = _record_blocks(monkeypatch)
+    for run in range(20):
+        start = len(drawn)
+        solver.ransac_pose(make_outlier_set(seed=run)[0], "quest6", threshold=0.005,
+                           max_iters=200, seed=run)
+        assert len(drawn) - start <= 5, (run, [len(idx) for idx in drawn[start:]])
 
 
 def test_ransac_rejects_max_iters_below_one():
@@ -1126,6 +1181,17 @@ def test_ransac_rejects_max_iters_below_one():
     for max_iters in (0, -3):
         with pytest.raises(ValueError, match="max_iters"):
             solver.ransac_pose(points, "quest6", max_iters=max_iters, seed=0)
+
+
+def test_ransac_max_iters_must_be_an_integer():
+    points, _, _ = make_outlier_set(seed=2)
+    for max_iters in (2.5, 200.0, "200", None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            solver.ransac_pose(points, "quest6", max_iters=max_iters, seed=0)
+    # anything operator.index takes is an integer
+    a = solver.ransac_pose(points, "quest6", max_iters=np.int64(200), seed=0)
+    b = solver.ransac_pose(points, "quest6", max_iters=200, seed=0)
+    assert a[0].q == b[0].q and np.array_equal(a[1], b[1])
 
 
 def _reference_angular_errors(R, t, M, N):
