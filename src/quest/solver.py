@@ -37,8 +37,12 @@ samples at once, whose candidates stay arrays from the eigen solve to
 the hypotheses. RANSAC needs a hypothesis's translation only to score
 consensus, so a block's candidates take theirs from the epipolar
 constraint on their own sample's rays, one stacked k x 3 SVD for the
-whole block, and its hypotheses are polished in lockstep; the winner is
-refit with the full rigid-motion system.
+whole block, and its hypotheses are polished in lockstep on the sine of
+each ray's angle to its epipolar plane, which needs no triangulation;
+a hypothesis that this polish leaves below a minimal inlier set (no
+parallax hides t from that residual) is polished again on the angular
+error consensus scores. The winner is refit with the full rigid-motion
+system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -564,17 +568,39 @@ _POLISH_ITERS = 8
 _PARALLAX_FLOOR = 1e-8
 
 
+def _epipolar_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
+                     n_len: np.ndarray) -> np.ndarray:
+    """Sine of the angle between each second-view ray n_i and its epipolar
+    plane under the poses (R, t) (..., 3, 3), (..., 3): shape (..., k),
+    n_i . (E m_i) / (|E m_i| |n_i|) with E = [t]x R, and 0 where E m_i = 0.
+    n_len holds |n_i|. No triangulation: one stacked E, one M @ E^T and
+    two einsums for every pose. The sine is signed, scale-free in t, and
+    blind to depth signs and to t wherever n_i is parallel to R m_i."""
+    E = (t @ _SKEW).reshape(t.shape[:-1] + (3, 3)) @ R
+    lines = M @ np.swapaxes(E, -1, -2)  # E m_i, indexed (..., point, xyz)
+    num = np.einsum("...ij,ij->...i", lines, N)
+    den = np.sqrt(np.einsum("...ij,...ij->...i", lines, lines)) * n_len
+    return num / np.where(den == 0.0, 1.0, den)
+
+
 def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
-                         W: np.ndarray, norms=None):
-    """Angular errors f (P, n) of the poses (R, t) and the transpose of
-    their forward-difference Jacobian (P, 6, n) over a rotation increment
-    and t, both zero on the rays a pose's weights W (P, n) leave out. One
-    _angular_errors call evaluates every pose with its six perturbations."""
+                         W: np.ndarray, norms=None, angular: bool = False):
+    """Residuals f (P, n) of the poses (R, t) and the transpose of their
+    forward-difference Jacobian (P, 6, n) over a rotation increment and t,
+    both zero on the rays a pose's weights W (P, n) leave out. The
+    residual is the epipolar sine (_epipolar_errors), or with `angular`
+    the angular error (_angular_errors); one call of it evaluates every
+    pose with its six perturbations. `norms`, when given, is
+    _ray_norms(N)."""
     P = len(R)
     Rs, ts = np.empty((P, 7, 3, 3)), np.empty((P, 7, 3))
     Rs[:, 0], Rs[:, 1:4], Rs[:, 4:] = R, _DR @ R[:, None], R[:, None]
     ts[:, :4], ts[:, 4:] = t[:, None], t[:, None] + _DT
-    fs, _, _ = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N, norms)
+    norms = _ray_norms(N) if norms is None else norms
+    if angular:
+        fs, _, _ = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N, norms)
+    else:
+        fs = _epipolar_errors(Rs, ts, M, N, norms[1])
     fs = np.where(W[:, None], fs.reshape(P, 7, -1), 0.0)
     return fs[:, 0], (fs[:, 1:] - fs[:, :1]) / _H
 
@@ -596,12 +622,18 @@ def _lm_steps(H: np.ndarray, rhs: np.ndarray, live: np.ndarray):
     return step, live
 
 
-def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray):
-    """Levenberg-Marquardt on the angular reprojection errors of the rays
-    M, N over the rotation and the translation direction (the translation
-    scale does not affect the angles, so t stays on the unit sphere), for
-    a stack of poses R0 (P, 3, 3), t0 (P, 3) in lockstep. W (P, n) holds
-    each pose's 0/1 ray weights: a pose fits only the rays it weights.
+def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray,
+                 angular: bool = False):
+    """Levenberg-Marquardt over the rotation and the translation direction
+    (no residual sees the translation scale, so t stays on the unit
+    sphere) for a stack of poses R0 (P, 3, 3), t0 (P, 3) in lockstep, on
+    the rays M, N. W (P, n) holds each pose's 0/1 ray weights: a pose
+    fits only the rays it weights. The residual is the sine of each ray's
+    angle to its epipolar plane (_epipolar_errors), which needs no
+    triangulation; with `angular` it is the angular reprojection error
+    that consensus scores (_angular_errors). The epipolar residual cannot
+    see t on a ray with n parallel to R m, so a pose without parallax
+    needs the angular one.
 
     Each pose keeps its own damping and its own accept/reject decisions,
     and a pose whose damped system turns singular stops where it is. A
@@ -614,7 +646,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     t = np.asarray(t0, dtype=float)
     t = t / _row_norms(t)[:, None]
     norms = _ray_norms(N)
-    f, J = _errors_and_jacobian(R, t, M, N, W, norms)
+    f, J = _errors_and_jacobian(R, t, M, N, W, norms, angular)
     cost = np.einsum("pi,pi->p", f, f)
     lam = np.full(len(R), 1e-4)
     live = np.ones(len(R), dtype=bool)
@@ -626,7 +658,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
         R_new = _rotation_exp(step[:, :3]) @ R
         t_new = t + step[:, 3:]
         t_new = t_new / _row_norms(t_new)[:, None]
-        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W, norms)
+        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W, norms, angular)
         cost_new = np.einsum("pi,pi->p", f_new, f_new)
         better = live & (cost_new < cost)
         R = np.where(better[:, None, None], R_new, R)
@@ -728,11 +760,14 @@ def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: 
     falls below `minimal` inliers before or after polish: arrays of their
     samples, R, t, angular errors and inlier masks.
 
-    A candidate is polished on its provisional inliers and re-masked with
-    the same test, once more if the mask changed and still holds
-    `minimal` points. Every candidate goes through one stacked _consensus
-    call, and each polish round is one stacked _polish_pose call and one
-    _consensus call over the candidates it covers."""
+    A candidate is polished on its provisional inliers with the epipolar
+    residual and re-masked with the same test, once more if the mask
+    changed and still holds `minimal` points. A pass whose re-mask falls
+    below `minimal` is redone from the pose before it with the angular
+    residual, which sees t on rays without parallax, and re-masked. Every
+    candidate goes through one stacked _consensus call; each pass is one
+    stacked _polish_pose call and one _consensus call over the candidates
+    it covers, plus one of each for the candidates it redoes."""
     sample, _, R, t = cands
     moving = _row_norms(t) != 0.0
     sample, R, t = sample[moving], R[moving], t[moving]
@@ -742,9 +777,15 @@ def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: 
     for _ in range(2):
         if not len(todo):
             break
-        R[todo], t[todo] = _polish_pose(R[todo], t[todo], M, N, masks[todo])
+        R0, t0, W = R[todo], t[todo], masks[todo]
+        R[todo], t[todo] = _polish_pose(R0, t0, M, N, W)
         new_errs, new_masks = _consensus(R[todo], t[todo], M, N, threshold)
-        moved = (new_masks != masks[todo]).any(axis=1)
+        lost = new_masks.sum(axis=1) < minimal
+        if lost.any():
+            redo = todo[lost]
+            R[redo], t[redo] = _polish_pose(R0[lost], t0[lost], M, N, W[lost], angular=True)
+            new_errs[lost], new_masks[lost] = _consensus(R[redo], t[redo], M, N, threshold)
+        moved = (new_masks != W).any(axis=1)
         errs[todo], masks[todo] = new_errs, new_masks
         todo = todo[moved & (new_masks.sum(axis=1) >= minimal)]
     kept &= masks.sum(axis=1) >= minimal
@@ -759,30 +800,37 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     counts as inliers the correspondences whose angular reprojection error
     is below `threshold` (radians) and that triangulate in front of both
     cameras (positive depth in each view). Each candidate that clears a
-    minimal inlier set is locally polished on its provisional inliers (LM
-    on the same angular metric, re-masked with the same test after each
-    round), which lets the true-pose basin reach its full consensus
-    instead of being limited by minimal-sample noise. The candidate with
-    the most inliers wins (ties: lower mean angular error over its
-    inliers); translation and depths are refit on the winning inliers.
-    Deterministic for a fixed seed; the iteration count shrinks adaptively
-    once a large consensus is found. Only the quaternion methods sample;
-    "eightpt" raises ValueError.
+    minimal inlier set is locally polished on its provisional inliers and
+    re-masked with the same test after each pass, which lets the true-pose
+    basin reach its full consensus instead of being limited by
+    minimal-sample noise. The polish is LM on a triangulation-free
+    residual, the sine of each ray's angle to its epipolar plane under
+    E = [t]x R; that residual cannot see t on rays without parallax, so a
+    pass whose re-mask falls below a minimal inlier set is redone from
+    its start by LM on the angular metric consensus scores (in the spirit
+    of LO-RANSAC's local optimisation, Chum, Matas & Kittler 2003). The
+    candidate with the most inliers wins (ties: lower mean angular error
+    over its inliers); translation and depths are refit on the winning
+    inliers. Deterministic for a fixed seed; the iteration count shrinks
+    adaptively once a large consensus is found. Only the quaternion
+    methods sample; "eightpt" raises ValueError.
 
     Samples are drawn and solved in blocks, as arrays (_block_candidates):
     one coefficient build, rotation solve, scoring call, epipolar
     translation call (consensus needs no more) and consensus call per
-    block, then at most two lockstep polish calls over its hypotheses. The
-    samples are then walked in order as one-at-a-time sampling would: the
-    same draws, stop and winner, and each hypothesis polished as it would
-    be alone. No run whose consensus falls short of all n matches stops
-    before the stop for a consensus of n - 1, its floor. The first block
-    holds one sample, so a run whose first sample explains every match
-    solves just that one; each later block holds the larger of twice the
-    samples walked before it and what is left of the floor, and no more
-    than the current stop allows. Past the stop a run solves at most twice
-    the samples it walked before its last block, unless a sample of the
-    block that reaches the floor explains every match."""
+    block, then at most two lockstep polish passes over its hypotheses,
+    each one epipolar polish call plus one angular call for the
+    hypotheses it redoes. The samples are then walked in order as
+    one-at-a-time sampling would: the same draws, stop and winner, and
+    each hypothesis polished as it would be alone. No run whose consensus
+    falls short of all n matches stops before the stop for a consensus of
+    n - 1, its floor. The first block holds one sample, so a run whose
+    first sample explains every match solves just that one; each later
+    block holds the larger of twice the samples walked before it and what
+    is left of the floor, and no more than the current stop allows. Past
+    the stop a run solves at most twice the samples it walked before its
+    last block, unless a sample of the block that reaches the floor
+    explains every match."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -803,8 +851,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     N = np.array([c.n for c in points])
 
     def stop(count):
-        # samples after which an all-inlier sample at this consensus has
-        # been missed with probability below 1e-6 (Fischler & Bolles 1981)
+        # samples after which an all-inlier sample at this consensus would
+        # be missed with probability below 1e-6 (Fischler & Bolles 1981)
+        # if its chance were (count / n)**minimal, the chance with
+        # replacement. Samples are drawn without replacement, where the
+        # chance is the smaller prod((count - i) / (n - i)), so the miss
+        # chance at this stop is higher: for n = 30 and quest6, 7e-6 at a
+        # consensus of 24 (stop 46) and 6e-4 at 15 (stop 878 before
+        # max_iters caps it); 5e-7 at the floor, 29 (stop 9)
         denom = math.log1p(-min((count / n)**minimal, 1.0 - 1e-12))
         return min(max_iters, math.ceil(math.log(1e-6) / denom))
 
