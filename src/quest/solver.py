@@ -29,8 +29,9 @@ residual ||A @ x(q)|| with chirality (all depths positive) used to demote
 mirrored solutions.
 
 A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
-shape. estimate_pose builds it once per frame: the original frame's A
-scores the candidates of every frame. The elimination, B-fill, eigen
+shape. estimate_pose builds one per frame, a gauge frame's from rotated
+ray arrays; the original A scores every frame's candidates, and the kept
+ones are translated in one call. The elimination, B-fill, eigen
 solve, extraction and scoring take a leading sample axis: estimate_pose
 runs them on a stack of one, and ransac_pose on a block of minimal
 samples at once, whose candidates stay arrays from the eigen solve to
@@ -377,7 +378,7 @@ def recover_translation_depths(cands, points):
     k = len(M)
     if k < 2:
         raise InsufficientPointsError("need at least 2 points to recover translation")
-    R = np.array([quat_to_rotation(c.q) for c in cands])
+    R = np.array([quat_to_rotation(c.q) for c in cands]).reshape(-1, 3, 3)  # [] gives no rows
     C = np.zeros((len(cands), 3 * k, 2 * k + 3))
     blocks = C.reshape(len(cands), k, 3, 2 * k + 3)  # point i's three rows
     i = np.arange(k)
@@ -424,24 +425,13 @@ _GAUGE_QUATERNIONS = (
 )
 
 
-def _apply_gauge(points, g: Quaternion):
-    """Rotate the second view by g and re-normalize, or None when a rotated
-    ray becomes parallel to the image plane."""
-    Rg = quat_to_rotation(g)
-    out = []
-    for c in points:
-        n2 = Rg @ c.n
-        if abs(n2[2]) < 1e-9:
-            return None
-        out.append(Correspondence(c.m, n2 / n2[2]))
-    return out
-
-
-def _finish_candidates(A, qs, points):
-    """Score rotations on A, recover translation/depths on all points, and
-    rank them by residual, chirality failures below every passing one."""
-    cands = recover_translation_depths(score_candidates(A, qs), points)
-    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
+def _apply_gauge(N: np.ndarray, g: Quaternion):
+    """The rays N (k, 3) rotated by g, each rounded as R @ n rounds it, and
+    re-normalized; None when one becomes parallel to the image plane."""
+    rotated = (quat_to_rotation(g) @ N[..., None])[..., 0]
+    if (np.abs(rotated[:, 2]) < 1e-9).any():
+        return None
+    return rotated / rotated[:, 2:]
 
 
 def estimate_pose(points, method: str = "quest6"):
@@ -450,14 +440,13 @@ def estimate_pose(points, method: str = "quest6"):
     Rotation uses the minimal subset with lowest indices; translation,
     depths and chirality use all points. Candidates failing chirality are
     demoted below every passing one but kept, since pixel noise can flip
-    the test on the true solution. If the solve collapses or every
-    candidate has |w| < 0.1 (the eigenvalue parameterization degenerates
-    at w = 0), the second view is rotated by a fixed gauge rotation and
-    the rotation solve is repeated there; the recovered rotations are
-    composed back into the original frame before scoring, translation,
-    chirality, and ranking. Each frame builds its coefficient matrix once:
-    the original frame's A scores every candidate, and a degenerate triple
-    in it raises DegenerateTripleError before any gauge frame.
+    the test on the true solution. If the solve collapses or no scored
+    candidate has |w| >= 0.1 (the eigenvalue parameterization degenerates
+    at w = 0), gauge frames rotate the minimal subset's second-view rays
+    by fixed rotations until one yields a candidate with |w| >= 0.1; its
+    rotations are composed back and scored on the original frame's A (a
+    degenerate triple there raises before any gauge frame). The surviving
+    candidates get translation, depths and chirality in one call.
 
     method "eightpt" is the essential-matrix baseline on all points: one
     candidate, decompose_essential(eight_point(points), points)."""
@@ -474,38 +463,34 @@ def estimate_pose(points, method: str = "quest6"):
 
     rotations = quest6_rotations if method == "quest6" else quest7_rotations
     A = build_A(points[:minimal])
-    first_error = None
-    cands = []
     try:
-        cands = _finish_candidates(A, rotations(A), points)
+        cands = score_candidates(A, rotations(A))
     except DegeneracyError as e:
         # A gauge frame keeps rank(A), and rank(A2) >= rank(A) - 4 (A2 drops
         # the four x1 columns): a lower elimination rank reaches 31 in no frame.
         if isinstance(e, CriticalSurfaceError) and e.measured_rank + len(QUEST7_SPLIT[0]) < 31:
             raise
-        first_error = e
+        cands, first_error = [], e
 
-    if any(abs(c.q.w) >= 0.1 for c in cands):
-        return cands
-
-    for g in _GAUGE_QUATERNIONS:
-        gauged = _apply_gauge(points, g)
-        if gauged is None:
-            continue
-        try:
-            gauged_qs = rotations(build_A(gauged[:minimal]))
-        except DegeneracyError:
-            continue
-        # the w-degeneracy test lives in the gauged frame
-        if not gauged_qs or all(abs(q.w) < 0.1 for q in gauged_qs):
-            continue
-        g_inv = g.conjugate()
-        return _finish_candidates(A, [_canonical_unit(g_inv * q) for q in gauged_qs], points)
-
-    if cands:
-        return cands
-    # empty candidates mean the first frame raised
-    raise first_error
+    if not any(abs(c.q.w) >= 0.1 for c in cands):
+        M = np.array([c.m for c in points[:minimal]])
+        N = np.array([c.n for c in points[:minimal]])
+        for g in _GAUGE_QUATERNIONS:
+            gauged = _apply_gauge(N, g)
+            if gauged is None:
+                continue
+            try:
+                gauged_qs = rotations(_rows(M, gauged, _triples(minimal)))
+            except DegeneracyError:
+                continue
+            # the w-degeneracy test lives in the gauged frame
+            if any(abs(q.w) >= 0.1 for q in gauged_qs):
+                cands = score_candidates(A, [_canonical_unit(g.conjugate() * q) for q in gauged_qs])
+                break
+    if not cands:  # the first frame raised and no gauge frame solved
+        raise first_error
+    cands = recover_translation_depths(cands, points)
+    return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
 
 
 def _ray_norms(N: np.ndarray):

@@ -9,7 +9,13 @@ The groups are the benchmark's inputs (perfbench/workload.py build_inputs,
 imported as it stands) per workload and seeds 1 and 7: estimate_pose on
 the first 1,500 minimal inputs under quest6, quest7 and eightpt, and
 ransac_pose on the first 100 RANSAC inputs; then ransac_pose under
-quest6 and quest7 on the 20 outlier sets of acceptance criterion 8.
+quest6 and quest7 on the 20 outlier sets of acceptance criterion 8; then
+the half-turn groups, scenes turned by (w, 0, 0, sqrt(1 - w^2)) for each
+w of HALF_TURN_W, where estimate_pose takes its gauge frames: per w,
+method and pixel noise 0 or 1, estimate_pose on make_outlier_set(seed=s,
+n=k + 4, outlier_fraction=0) for s = 0..59, on all points and on the
+first k (the method's minimal count); and per w and method, ransac_pose
+on make_outlier_set(seed=s) for s = 0..11.
 Each output is hashed as the float.hex of every candidate field (and the
 inlier mask), or as the error type and message when the call raised.
 """
@@ -17,10 +23,12 @@ inlier mask), or as the error type and message when the call raised.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
 from conftest import make_outlier_set
+from ransac_accuracy import HALF_TURN_W
 
 import quest
 from quest.errors import QuestError
@@ -67,7 +75,8 @@ def _digest(calls):
     return n, h.hexdigest()
 
 
-def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100, c08=20):
+def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100, c08=20,
+            half_turn=60, half_turn_ransac=12):
     """Lines "<group> n=<outputs> <sha256>", one per group."""
     lines = []
     solver = quest.solver
@@ -88,6 +97,20 @@ def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100
             make_outlier_set(seed=s)[0], m, threshold=0.005, max_iters=200, seed=s)
             for s in range(c08))
         lines.append(f"c08 {method} n={n} {d}")
+    for w in HALF_TURN_W:
+        turn = (w, 0.0, 0.0, math.sqrt(1.0 - w * w))
+        for method in ("quest6", "quest7"):
+            k = solver.MINIMAL_POINTS[method]
+            for sigma in (0.0, 1.0):
+                sets = [make_outlier_set(seed=s, n=k + 4, outlier_fraction=0.0, sigma_px=sigma,
+                                         fixed_rotation=turn)[0] for s in range(half_turn)]
+                n, d = _digest(lambda p=p, m=method: solver.estimate_pose(p, m)
+                               for pts in sets for p in (pts, pts[:k]))
+                lines.append(f"half-turn w={w:.2f} {method} sigma={sigma:g} n={n} {d}")
+            n, d = _digest(lambda s=s, m=method: solver.ransac_pose(
+                make_outlier_set(seed=s, fixed_rotation=turn)[0], m, threshold=0.005,
+                max_iters=200, seed=s) for s in range(half_turn_ransac))
+            lines.append(f"half-turn w={w:.2f} {method} ransac n={n} {d}")
     return lines
 
 

@@ -17,7 +17,13 @@ line. It prints:
   max rotation error, and the sets that raised;
 - the half-turn sweep: quest6 on make_outlier_set(seed=s,
   fixed_rotation=(w, 0, 0, sqrt(1 - w^2))), s = 0..11, per w the runs
-  whose rotation error is at least 0.01 pi, and the worst.
+  whose rotation error is at least 0.01 pi, and the worst;
+- pure rotation: quest6 on make_outlier_set(seed=s, sigma_px=sigma,
+  fixed_translation=(0, 0, 0)), sigma in {0, 1}, s = 0..3, per run the
+  inlier mask's true positives, false positives and false negatives
+  against the true mask, and the rotation error. A camera that only
+  rotates leaves the inliers without parallax, which no section above
+  tests.
 
 Rotation errors are in units of pi, as rot_error gives them. A run takes
 about two minutes.
@@ -36,6 +42,7 @@ SEEDS = (1, 3, 7)
 C08_SETS = 20
 HALF_TURN_W = (0.0, 0.03, 0.07, 0.10)
 HALF_TURN_SEEDS = 12
+PURE_ROTATION_SEEDS = 4
 ROT_BOUND = 0.01
 
 
@@ -118,6 +125,28 @@ def half_turn_lines(quest, make_outlier_set, ws=HALF_TURN_W, seeds: int = HALF_T
     return lines
 
 
+def pure_rotation_lines(quest, make_outlier_set, seeds: int = PURE_ROTATION_SEEDS):
+    """Per pixel noise 0 and 1 and per seed, quest6 RANSAC on a camera that
+    only rotates: tp, fp and fn of its inlier mask and its rotation error,
+    or the error type it raised."""
+    lines = []
+    for sigma in (0.0, 1.0):
+        for s in range(seeds):
+            points, truth, pose = make_outlier_set(seed=s, sigma_px=sigma,
+                                                   fixed_translation=(0.0, 0.0, 0.0))
+            head = f"pure-rotation sigma={sigma:g} seed={s}"
+            try:
+                cand, mask = quest.solver.ransac_pose(points, "quest6", threshold=0.005,
+                                                      max_iters=200, seed=s)
+            except quest.errors.QuestError as e:
+                lines.append(f"{head} raised={type(e).__name__}")
+                continue
+            lines.append(f"{head} tp={int((mask & truth).sum())} fp={int((mask & ~truth).sum())} "
+                         f"fn={int((~mask & truth).sum())} "
+                         f"rot_err={quest.core.rot_error(cand.q, pose.q):.2e}")
+    return lines
+
+
 def main(argv):
     if len(argv) > 1:
         sys.exit(__doc__)
@@ -131,6 +160,8 @@ def main(argv):
     for method in ("quest6", "quest7"):
         print(c08_line(quest, make_outlier_set, method), flush=True)
     for line in half_turn_lines(quest, make_outlier_set):
+        print(line, flush=True)
+    for line in pure_rotation_lines(quest, make_outlier_set):
         print(line, flush=True)
 
 

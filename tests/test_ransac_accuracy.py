@@ -22,6 +22,11 @@ def test_each_section_prints_its_figures():
     misses = [int(re.search(r"misses=(\d)/", line).group(1)) for line in lines]
     assert misses[2] == misses[0] + misses[1] and lines[2].endswith("/2")
 
+    lines = ransac_accuracy.pure_rotation_lines(quest, make_outlier_set, seeds=1)
+    for line, sigma in zip(lines, ("0", "1"), strict=True):
+        assert re.fullmatch(rf"pure-rotation sigma={sigma} seed=0 tp=\d+ fp=\d+ fn=\d+ "
+                            r"rot_err=\d\.\d\de[-+]\d\d", line), line
+
 
 def test_more_than_one_checkout_is_refused():
     with pytest.raises(SystemExit):

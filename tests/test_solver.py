@@ -707,16 +707,22 @@ def test_gauge_retry_solves_general_scene_after_critical_surface_error():
 
 
 def test_gauge_rescue_builds_one_matrix_per_frame(monkeypatch):
-    # the first frame's A (where quest7 raises) and the rescuing gauge
-    # frame's A; the gauge candidates are scored on the first frame's A
+    # the first frame's A (build_A, where quest7 raises) and the rescuing
+    # gauge frame's A (_rows on the rotated rays); the gauge candidates are
+    # scored on the first frame's A
     calls = []
-    build_A = solver.build_A
+    build_A, rows = solver.build_A, solver._rows
 
     def counted(points):
         calls.append(len(points))
         return build_A(points)
 
+    def counted_rows(M, N, triples):
+        calls.append(len(M))
+        return rows(M, N, triples)
+
     monkeypatch.setattr(solver, "build_A", counted)
+    monkeypatch.setattr(solver, "_rows", counted_rows)
     solver.estimate_pose(list(scene(91, n=7).correspondences), "quest7")
     assert calls == [7, 7]
 
@@ -749,10 +755,11 @@ def test_rank_collapse_raises_before_any_gauge_frame(monkeypatch):
 def test_apply_gauge_rejects_a_ray_parallel_to_the_image_plane():
     g = solver._GAUGE_QUATERNIONS[0]
     v = quat_to_rotation(g).T @ np.array([1.0, 0.0, 0.0])
-    pts = list(scene(0).correspondences)
-    pts[3] = core.Correspondence(pts[3].m, v / v[2])
-    assert solver._apply_gauge(pts[:3], g) is not None
-    assert solver._apply_gauge(pts, g) is None
+    N = np.array([c.n for c in scene(0).correspondences])
+    N[3] = v / v[2]
+    gauged = solver._apply_gauge(N[:3], g)
+    assert gauged is not None and np.array_equal(gauged[:, 2], np.ones(3))
+    assert solver._apply_gauge(N, g) is None
 
 
 def test_gauge_frames_are_skipped_until_one_solves(monkeypatch):
@@ -785,10 +792,47 @@ def test_first_frame_candidates_return_when_every_gauge_frame_fails(monkeypatch)
     pts = list(sc.correspondences)
     cands = solver.estimate_pose(pts, "quest6")
     A = coeffs.build_A(pts[:6])
-    first = solver._finish_candidates(A, solver.quest6_rotations(A), pts)
+    first = sorted(solver.recover_translation_depths(
+        solver.score_candidates(A, solver.quest6_rotations(A)), pts),
+        key=lambda c: (not c.chirality_ok, c.algebraic_residual))
     assert [c.q for c in cands] == [c.q for c in first]
     assert all(abs(c.q.w) < 0.1 for c in cands)
     assert core.rot_error(cands[0].q, sc.pose.q) < 1e-4
+
+
+def test_gauge_frames_test_only_the_minimal_rays():
+    # point 7 turns parallel to the image plane in every gauge frame, but
+    # the rotation solve uses points 0-5 only, so it blocks no frame
+    sc = scene(5, fixed_rotation=(0.0, 0.0, 0.0, 1.0))
+    pts = list(sc.correspondences)
+    v = quat_to_rotation(solver._GAUGE_QUATERNIONS[0]).T @ np.array([1.0, 0.0, 0.0])
+    pts[7] = core.Correspondence(pts[7].m, v / v[2])
+    for g in solver._GAUGE_QUATERNIONS:
+        assert abs((quat_to_rotation(g) @ pts[7].n)[2]) < 1e-9
+    cands = solver.estimate_pose(pts, "quest6")
+    assert core.rot_error(cands[0].q, sc.pose.q) < 1e-9
+
+
+def test_gauge_rescue_translates_once(monkeypatch):
+    # near a half turn quest7's first frame returns candidates, all with
+    # |w| < 0.1; a gauge frame rescues the solve, and only the rescued
+    # candidates get a translation
+    w = 0.03
+    pts, _, pose = make_outlier_set(seed=47, n=11, outlier_fraction=0.0, sigma_px=0.0,
+                                    fixed_rotation=(w, 0.0, 0.0, math.sqrt(1.0 - w * w)))
+    A = coeffs.build_A(pts[:7])
+    assert all(abs(c.q.w) < 0.1 for c in solver.score_candidates(A, solver.quest7_rotations(A)))
+    translate, calls = solver.recover_translation_depths, []
+    monkeypatch.setattr(solver, "recover_translation_depths",
+                        lambda cands, points: calls.append(len(cands)) or translate(cands, points))
+    cands = solver.estimate_pose(pts, "quest7")
+    assert len(calls) == 1 and calls[0] == len(cands)
+    assert core.rot_error(cands[0].q, pose.q) < 1e-8
+    assert core.trans_error(cands[0].t, pose.t) < 1e-6
+
+
+def test_recover_translation_depths_of_no_candidates_is_empty():
+    assert solver.recover_translation_depths([], scene(0).correspondences) == []
 
 
 def test_ransac_pose_insufficient_points():
