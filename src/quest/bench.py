@@ -90,7 +90,9 @@ class SyntheticScene:
 @dataclass(frozen=True)
 class BenchRecord:
     """One (method, noise level, trial) outcome. Failed trials carry NaN
-    errors; successful ones have both errors in [0, 1]."""
+    errors; successful ones have both errors in [0, 1], except that the
+    translation error is NaN when the true translation is zero (its
+    direction is undefined)."""
 
     method: str
     sigma_px: float
@@ -227,7 +229,7 @@ def _run_trial(method: str, sigma: float, trial: int, points, pose: Pose) -> Ben
     runtime = time.perf_counter() - t0
     best = min(cands, key=lambda c: rot_error(c.q, pose.q))
     try:
-        te = trans_error(best.t, pose.t)
+        te = trans_error(best.t, pose.t) if np.linalg.norm(pose.t) > 0.0 else math.nan
     except ValueError:
         return BenchRecord(method, sigma, trial, math.nan, math.nan, runtime, len(cands), True)
     return BenchRecord(method, sigma, trial, rot_error(best.q, pose.q), te, runtime,

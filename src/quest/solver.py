@@ -16,9 +16,8 @@ QUEST7_SPLIT):
   quaternion components, with eigenvalue x / w.
 
 Every step works on whole arrays and keeps the bits of a per-vector loop.
-quest6 takes its rank test and pseudo-inverse from one SVD of A2; quest7
-tests rank on singular values alone, so a critical surface fails before
-any pseudo-inverse. B is filled from index tables built at import.
+Both methods take their rank test and pseudo-inverse from one SVD of A2,
+and fill B from index tables built at import.
 Eigenvector alignment, selection, quaternion extraction and scoring act
 on a stack of eigenvector matrices at once, with a mask of each
 matrix's candidates, and translation treats all candidates as one stack.
@@ -229,16 +228,16 @@ def _canonical_unit(q: Quaternion) -> Quaternion:
     return q.normalized().canonical()
 
 
-def _critical_surface(svals: np.ndarray):
-    """quest7's rank test on the singular values of one elimination block:
-    None when the block keeps rank, else the CriticalSurfaceError to raise."""
-    # conservative solvability cut: anything the pseudo-inverse would
-    # regularize away is treated as unsolved here, so the caller can retry
-    # under a gauge rotation; the reported rank uses the noise floor,
-    # which is the honest count of nonzero singular values
+def _rank_error(svals: np.ndarray, method: str):
+    """The DegeneracyError of an elimination block whose singular values
+    svals (descending) fail the rank rule of _rotation_stack."""
+    if method == "quest6":
+        return DegenerateConfigurationError(
+            "6-point elimination block lost rank; the correspondences do not "
+            "constrain the rotation (near-180-degree motion or degenerate points)")
+    # the pseudo-inverse's cutoff decides (a gauge frame may still solve);
+    # the reported rank is the count of singular values above the noise floor
     decide_rank = int(np.count_nonzero(svals > _PINV_RCOND * svals[0]))
-    if decide_rank >= 31:
-        return None
     rank = int(np.count_nonzero(svals > _RANK_FLOOR * svals[0]))
     gap = svals[decide_rank - 1] / svals[decide_rank] if svals[decide_rank] > 0.0 else math.inf
     return CriticalSurfaceError(
@@ -253,36 +252,34 @@ def _rotation_stack(A: np.ndarray, method: str):
     _quat_from_cubic_vector gives them, and per matrix None or the
     DegeneracyError its rank test raises (it gets no candidates).
 
-    The eliminations, B-fills, eigen solves and extractions run as stacked
-    calls over the whole stack. quest7's rank test reads singular values
-    only, so a stack in which every matrix fails computes no
-    pseudo-inverse."""
+    Both methods share one elimination: one stacked SVD of the x2 block
+    gives the pseudo-inverse and the rank test (the smallest singular value
+    above the pseudo-inverse's cutoff), and only the B-fill differs. The
+    B-fills, eigen solves and extractions run as stacked calls over the
+    whole stack; a stack in which every matrix fails stops before them."""
+    x1, x2 = QUEST6_SPLIT if method == "quest6" else QUEST7_SPLIT
+    pinv, svals = _pinv(A[:, :, x2])
+    ok = svals[:, -1] > _PINV_RCOND * svals[:, 0]
+    failed = [None if k else _rank_error(s, method) for k, s in zip(ok.tolist(), svals)]
+    if not ok.any():
+        return np.zeros((0, 4)), np.zeros((len(A), len(x1)), dtype=bool), failed
+    X1 = -pinv @ A[:, :, x1]
     if method == "quest6":
-        x1, x2 = QUEST6_SPLIT
-        pinv, svals = _pinv(A[:, :, x2])
-        failed = [None if ok else DegenerateConfigurationError(
-            "6-point elimination block lost rank; the correspondences do not "
-            "constrain the rotation (near-180-degree motion or degenerate points)")
-            for ok in (svals[:, -1] > _PINV_RCOND * svals[:, 0]).tolist()]
         B = np.zeros((len(A), 20, 20))
         B[:, _SELECTOR_ROWS, _SELECTOR_COLS] = 1.0
-        B[:, _BBAR_ROWS] = (-pinv @ A[:, :, x1])[:, _BBAR_SOURCE]
+        B[:, _BBAR_ROWS] = X1[:, _BBAR_SOURCE]
     else:
-        x1, x2 = QUEST7_SPLIT
-        A2 = A[:, :, x2]
-        failed = [_critical_surface(s) for s in np.linalg.svd(A2, compute_uv=False)]
-        if all(failed):
-            return np.zeros((0, 4)), np.zeros((len(A), 4), dtype=bool), failed
-        pinv, _ = _pinv(A2)
-        B = (-pinv @ A[:, :, x1])[:, _QUEST7_ROWS]
+        B = X1[:, _QUEST7_ROWS]
     V, kept = _near_real_eigenvectors(B)
-    if any(failed):
-        kept &= np.array([e is None for e in failed])[:, None]
-    return (*_quat_from_cubic_vector(V, kept), failed)
+    return (*_quat_from_cubic_vector(V, kept & ok[:, None]), failed)
 
 
 def _rotations(A: np.ndarray, method: str):
     """Rotation candidates of one coefficient matrix: a stack of one."""
+    n = MINIMAL_POINTS[method]
+    rows = math.comb(n, 3)
+    if A.shape != (rows, 35):
+        raise ValueError(f"{method} requires the {rows}x35 matrix built from exactly {n} points")
     U, _, (error,) = _rotation_stack(A[None], method)
     if error is not None:
         raise error
@@ -304,17 +301,13 @@ def quest7_rotations(A: np.ndarray):
     Raises CriticalSurfaceError when the 31-column elimination block loses
     rank, which is the structural signature of points on a critical
     surface (it collapses to rank 20 for coplanar scenes); the 6-point
-    solver still works there. The rank test reads singular values only,
-    so that failure costs no pseudo-inverse."""
-    if A.shape != (35, 35):
-        raise ValueError("quest7 requires the 35x35 matrix built from exactly 7 points")
+    solver still works there. The rank test reads the singular values of
+    the same SVD that gives the pseudo-inverse, as in quest6."""
     return _rotations(A, "quest7")
 
 
 def quest6_rotations(A: np.ndarray):
     """Rotation candidates (at most 20) from a 6-point coefficient matrix."""
-    if A.shape != (20, 35):
-        raise ValueError("quest6 requires the 20x35 matrix built from exactly 6 points")
     return _rotations(A, "quest6")
 
 
@@ -822,9 +815,11 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     minimal = MINIMAL_POINTS[method]
     if len(points) < minimal:
         raise InsufficientPointsError(f"need at least {minimal} points")
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if isinstance(threshold, (bool, np.bool_)) or not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     try:
+        if isinstance(max_iters, (bool, np.bool_)):
+            raise TypeError
         max_iters = operator.index(max_iters)
     except TypeError:
         raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None

@@ -141,6 +141,19 @@ def test_noiseless_quest6_benchmark_is_exact():
     assert np.mean(errs) < 1e-6
 
 
+def test_zero_translation_trials_keep_their_rotation_error():
+    # a pure rotation has no translation direction to score, but the
+    # rotation is still estimated and scored
+    records = bench.run_noise_benchmark(
+        ["quest6", "eightpt"], [1.0], 5, SceneConfig(fixed_translation=(0.0, 0.0, 0.0)),
+        SyntheticCamera(), seed=0
+    )
+    assert len(records) == 10
+    for r in records:
+        assert not r.failed and r.n_candidates > 0
+        assert 0.0 <= r.rot_error < 0.01 and math.isnan(r.trans_error)
+
+
 def test_noiseless_coplanar_eightpt_fails_structurally():
     records = bench.run_noise_benchmark(
         ["eightpt"], [0.0], 30, SceneConfig(geometry="coplanar"), SyntheticCamera(), seed=13

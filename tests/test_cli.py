@@ -545,9 +545,10 @@ def test_ransac_max_iters_below_one_rejected(tmp_path, capsys):
 
 
 def test_ransac_nan_threshold_rejected(capsys):
-    assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
-                "--ransac", "--threshold", "nan"]) == 1
-    assert "threshold" in capsys.readouterr().err
+    for threshold in ("nan", "inf"):
+        assert run(["estimate", FIXTURES / "general" / "correspondences.txt",
+                    "--ransac", "--threshold", threshold]) == 1
+        assert "threshold" in capsys.readouterr().err
 
 
 def test_method_choices_are_the_method_table():

@@ -19,6 +19,7 @@ from quest.core import Quaternion, monomial_vector, quat_to_rotation
 from quest.errors import (
     CriticalSurfaceError,
     DegeneracyError,
+    DegenerateConfigurationError,
     DegenerateTripleError,
     InsufficientPointsError,
     NoSolutionError,
@@ -325,18 +326,36 @@ def test_quest7_coplanar_raises_critical_surface():
     assert exc.value.gap >= 1e3
 
 
-def test_quest7_critical_surface_fails_before_pinv(monkeypatch):
-    # the cheap failure path: singular values alone decide, in the first
-    # frame and in every gauge frame
-    def no_pinv(mat):
-        raise AssertionError("quest7 computed a pseudo-inverse on a critical surface")
+def test_rotation_stack_runs_one_svd_and_stops_when_every_matrix_fails(monkeypatch):
+    # both methods take the rank test and the pseudo-inverse from one SVD,
+    # whether the stack solves or lies on a critical surface
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(kw) or svd(*a, **kw))
+    coplanar = bench.generate_scene(bench.SceneConfig(n_points=7, geometry="coplanar", rng_seed=3))
+    blocks = [
+        ("quest6", [scene(s, n=6).correspondences for s in range(3)]),
+        ("quest7", [scene(0, n=7).correspondences]),
+        ("quest7", [coplanar.correspondences]),
+    ]
+    for method, samples in blocks:
+        A = np.stack([coeffs.build_A(list(c)) for c in samples])
+        calls.clear()
+        solver._rotation_stack(A, method)
+        assert len(calls) == 1, method
+    # a stack in which every matrix fails its rank test stops before the
+    # eigen solve
+    def no_eig(B):
+        raise AssertionError("eigen solve on a stack with no solvable matrix")
 
-    monkeypatch.setattr(solver, "_pinv", no_pinv)
-    sc = bench.generate_scene(bench.SceneConfig(n_points=7, geometry="coplanar", rng_seed=3))
+    monkeypatch.setattr(solver, "_near_real_eigenvectors", no_eig)
+    still = [scene(s, n=6, fixed_translation=(0, 0, 0)).correspondences for s in (3, 4)]
+    U, live, failed = solver._rotation_stack(np.stack([coeffs.build_A(list(c)) for c in still]),
+                                             "quest6")
+    assert all(isinstance(e, DegenerateConfigurationError) for e in failed)
+    assert U.shape == (0, 4) and live.shape == (2, 20) and not live.any()
     with pytest.raises(CriticalSurfaceError):
-        solver.quest7_rotations(coeffs.build_A(sc.correspondences))
-    with pytest.raises(CriticalSurfaceError):
-        solver.estimate_pose(list(sc.correspondences), "quest7")
+        solver.quest7_rotations(coeffs.build_A(coplanar.correspondences))
 
 
 # --- exact rank of the 7-point constraint space ----------------------------
@@ -492,9 +511,9 @@ def test_zero_motion_quest7_degenerates():
 def test_rotation_solvers_reject_wrong_point_count():
     sc = scene(0, n=8)
     A = coeffs.build_A(sc.correspondences)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quest6 requires the 20x35 matrix built from exactly 6"):
         solver.quest6_rotations(A)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quest7 requires the 35x35 matrix built from exactly 7"):
         solver.quest7_rotations(A)
 
 
@@ -1239,7 +1258,7 @@ def test_ransac_rejects_max_iters_below_one():
 
 def test_ransac_max_iters_must_be_an_integer():
     points, _, _ = make_outlier_set(seed=2)
-    for max_iters in (2.5, 200.0, "200", None):
+    for max_iters in (2.5, 200.0, "200", None, True, np.True_):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             solver.ransac_pose(points, "quest6", max_iters=max_iters, seed=0)
     # anything operator.index takes is an integer
@@ -1629,8 +1648,9 @@ def test_ransac_rejects_bad_threshold():
 
 def test_ransac_rejects_nan_threshold():
     points, _, _ = make_outlier_set(seed=2)
-    with pytest.raises(ValueError, match="threshold"):
-        solver.ransac_pose(points, "quest6", threshold=math.nan, seed=0)
+    for threshold in (math.nan, math.inf, True, np.True_):
+        with pytest.raises(ValueError, match="threshold"):
+            solver.ransac_pose(points, "quest6", threshold=threshold, seed=0)
 
 
 def test_eightpt_dispatch_is_the_baseline():
