@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PoseCandidate, quat_from_rotation, triangulate_uv
+from .core import PoseCandidate, _rays, quat_from_rotation, triangulate_uv
 from .errors import ChiralityFailureError, DegenerateConfigurationError, InsufficientPointsError
 
 
@@ -42,8 +42,7 @@ def eight_point(points) -> np.ndarray:
     points = list(points)
     if len(points) < 8:
         raise InsufficientPointsError(f"need at least 8 correspondences, got {len(points)}")
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
+    M, N = _rays(points)
     T1 = _hartley_normalization(M[:, :2])
     T2 = _hartley_normalization(N[:, :2])
     Mh = M @ T1.T
@@ -85,8 +84,7 @@ def decompose_essential(E: np.ndarray, points) -> PoseCandidate:
         Vt = -Vt
     W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     t_unit = U[:, 2]
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
+    M, N = _rays(points)
     # hypotheses (R1, t), (R1, -t), (R2, t), (R2, -t), scored in one call;
     # argmax keeps the first of equal votes
     R1, R2 = U @ W @ Vt, U @ W.T @ Vt

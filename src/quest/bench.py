@@ -15,17 +15,46 @@ are independent and order-insensitive.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Correspondence, Pose, Quaternion, quat_to_rotation, rot_error, trans_error
+from .core import (Correspondence, Pose, Quaternion, _rays, quat_to_rotation, rot_error,
+                   trans_error)
 from .errors import InfeasibleConfigError, QuestError
 from .solver import MINIMAL_POINTS, estimate_pose
 
 _MIN_DEPTH = 0.1
 _MAX_REJECTIONS = 1000
+
+
+def _floats(value, *shape):
+    """value as tuples of floats nested to `shape` (say 3, 2 for three
+    pairs), or None unless it holds finite real numbers other than bools in
+    that shape. The bound also rejects an int beyond the float range."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        return None
+    if len(items) != shape[0]:
+        return None
+    if len(shape) > 1:
+        items = tuple(_floats(v, *shape[1:]) for v in items)
+        return None if None in items else items
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+               and abs(v) <= sys.float_info.max for v in items):
+        return None
+    return tuple(float(v) for v in items)
+
+
+# SceneConfig's numeric fields: shape (for _floats) and what it must be.
+_SHAPES = (("box_x", (2,), "a (lo, hi) pair of"), ("box_y", (2,), "a (lo, hi) pair of"),
+           ("box_z", (2,), "a (lo, hi) pair of"),
+           ("translation_box", (3, 2), "three (lo, hi) pairs of"),
+           ("fixed_rotation", (4,), "None or 4"), ("fixed_translation", (3,), "None or 3"))
 
 
 @dataclass(frozen=True)
@@ -36,7 +65,9 @@ class SceneConfig:
     distance range along the optical axis and must stay positive);
     translation_box bounds the camera translation. fixed_rotation /
     fixed_translation override the random pose when set, e.g. to build
-    zero-motion or zero-translation scenes."""
+    zero-motion or zero-translation scenes. Each box is a pair of finite
+    numbers and translation_box three of them; a fixed rotation holds 4
+    and a fixed translation 3. All are stored as tuples of floats."""
 
     n_points: int = 8
     geometry: str = "general"
@@ -51,9 +82,14 @@ class SceneConfig:
     def __post_init__(self):
         if self.geometry not in ("general", "coplanar"):
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        boxes = (self.box_x, self.box_y, self.box_z, *self.translation_box)
-        if len(self.translation_box) != 3 or any(len(box) != 2 for box in boxes):
-            raise ValueError("each box must be a (lo, hi) pair, and translation_box three of them")
+        for name, shape, what in _SHAPES:
+            value = getattr(self, name)
+            if value is None and what.startswith("None"):
+                continue
+            floats = _floats(value, *shape)
+            if floats is None:
+                raise ValueError(f"{name} must be {what} finite numbers, got {value!r}")
+            object.__setattr__(self, name, floats)
         if self.box_z[0] <= 0.0:
             raise ValueError("scene box must lie strictly in front of the camera")
         if self.n_points < 1:
@@ -197,16 +233,14 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
 def add_pixel_noise(correspondences, sigma: float, cam: SyntheticCamera, seed: int):
     """Add i.i.d. zero-mean Gaussian pixel noise to all image coordinates in
     both views. sigma = 0 returns the input unchanged (exactly)."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and nonnegative")
     correspondences = list(correspondences)
     if sigma == 0.0:
         return correspondences
     rng = np.random.default_rng(seed)
-    M = np.array([c.m for c in correspondences])
-    N = np.array([c.n for c in correspondences])
     out = []
-    for arr in (M, N):
+    for arr in _rays(correspondences):
         px = arr[:, 0] * cam.fx + cam.cx + rng.normal(0.0, sigma, len(arr))
         py = arr[:, 1] * cam.fy + cam.cy + rng.normal(0.0, sigma, len(arr))
         out.append(np.column_stack([(px - cam.cx) / cam.fx, (py - cam.cy) / cam.fy, np.ones(len(arr))]))

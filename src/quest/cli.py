@@ -33,7 +33,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import SceneConfig, SyntheticCamera, add_pixel_noise, generate_scene
+from .bench import SceneConfig, SyntheticCamera, _floats, add_pixel_noise, generate_scene
 from .core import Correspondence, Quaternion, normalize_pixels, rot_error, trans_error
 from .errors import DegeneracyError, CriticalSurfaceError, InsufficientPointsError, QuestError
 from .solver import MINIMAL_POINTS, estimate_pose, ransac_pose
@@ -178,7 +178,10 @@ def _default_seed(value):
     if value is not None:
         return value
     env = os.environ.get("QUEST_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"QUEST_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_estimate(args) -> int:
@@ -249,11 +252,6 @@ def _scene_config_from_args(args) -> SceneConfig:
             raise ValueError(f"the config may not set {key!r}; use {flag}")
     cfg["n_points"] = args.points
     cfg["geometry"] = args.geometry or "general"
-    for key in ("box_x", "box_y", "box_z"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
-    if "translation_box" in cfg:
-        cfg["translation_box"] = tuple(tuple(p) for p in cfg["translation_box"])
     return SceneConfig(**cfg)
 
 
@@ -283,14 +281,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _numbers(values, n: int) -> bool:
-    """Whether a JSON value is a list of n finite numbers, bools excluded.
-    The bound also rejects an int beyond the float range, on which
-    math.isfinite would raise OverflowError."""
-    return isinstance(values, list) and len(values) == n and all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
-
-
 def cmd_eval(args) -> int:
     estimates = _load_json(args.estimates)
     if not isinstance(estimates, dict):
@@ -298,12 +288,16 @@ def cmd_eval(args) -> int:
     q_star, t_star = read_pose_file(args.ground_truth)
     out = {"candidates": [], "ground_truth": args.ground_truth}
     best_idx, best_err = None, math.inf
-    for i, cand in enumerate(estimates.get("candidates", [])):
+    cands = estimates.get("candidates", [])
+    if not isinstance(cands, list):
+        raise ValueError(
+            f"the estimates' \"candidates\" must be a list, not {type(cands).__name__}")
+    for i, cand in enumerate(cands):
         quat = cand.get("quaternion") if isinstance(cand, dict) else None
-        if not _numbers(quat, 4):
+        if _floats(quat, 4) is None:
             raise ValueError(f"candidate {i} needs a \"quaternion\" of 4 numbers, got {quat!r}")
         t = cand.get("translation")
-        if not (t is None or _numbers(t, 3)):
+        if t is not None and _floats(t, 3) is None:
             raise ValueError(f"candidate {i} needs a \"translation\" of 3 numbers or null, got {t!r}")
         q = Quaternion(*quat).normalized()
         re_ = rot_error(q, q_star)
@@ -324,9 +318,7 @@ def cmd_simulate(args) -> int:
     cfg = SceneConfig(n_points=args.points, geometry=args.geometry, rng_seed=seed)
     cam = SyntheticCamera()
     scene = generate_scene(cfg)
-    corr = scene.correspondences
-    if args.sigma > 0.0:
-        corr = add_pixel_noise(corr, args.sigma, cam, seed + 1)
+    corr = add_pixel_noise(scene.correspondences, args.sigma, cam, seed + 1)
     os.makedirs(args.out_dir, exist_ok=True)
     corr_path = os.path.join(args.out_dir, "correspondences.txt")
     pose_path = os.path.join(args.out_dir, "pose.txt")

@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Correspondence, monomial_positions, monomials_of_degree
+from .core import Correspondence, _rays, monomial_positions, monomials_of_degree
 from .errors import DegenerateTripleError, InsufficientPointsError
 from .polymat import Poly4, PolyMatrix, ZERO, poly_add, poly_scale
 
@@ -233,7 +233,7 @@ def _triple_rows(factors: np.ndarray, triples: np.ndarray) -> np.ndarray:
 def coefficient_row(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> np.ndarray:
     """One unit-norm constraint row (35 monomial coefficients) for a triple:
     the row build_A makes for it, from the same kernel."""
-    return _rows(np.array([ci.m, cj.m, ck.m]), np.array([ci.n, cj.n, ck.n]), np.array([(0, 1, 2)]))[0]
+    return _rows(*_rays([ci, cj, ck]), np.array([(0, 1, 2)]))[0]
 
 
 @lru_cache(maxsize=8)
@@ -252,6 +252,4 @@ def build_A(points) -> np.ndarray:
     n = len(points)
     if n < 6:
         raise InsufficientPointsError(f"need at least 6 correspondences, got {n}")
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
-    return _rows(M, N, _triples(n))
+    return _rows(*_rays(points), _triples(n))

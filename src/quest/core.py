@@ -146,6 +146,11 @@ class PoseCandidate:
     ambiguous_depths: bool = False
 
 
+def _rays(points):
+    """The first- and second-view rays (k, 3) of the list of matches `points`."""
+    return np.array([c.m for c in points]), np.array([c.n for c in points])
+
+
 def triangulate_uv(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Least-squares (u, v) per point for u * R @ m - v * n = -t.
 
@@ -225,14 +230,15 @@ def quat_to_rotation(q: Quaternion) -> np.ndarray:
     quat_to_rotation(q) == quat_to_rotation(-q)."""
     if abs(q.norm() - 1.0) > 1e-9:
         raise ValueError(f"quaternion norm {q.norm()!r} is not 1 within 1e-9")
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
-        ]
-    )
+    return np.array(_rotation_entries(q.w, q.x, q.y, q.z)).reshape(3, 3)
+
+
+def _rotation_entries(w, x, y, z) -> tuple:
+    """The nine entries, row-major, of the rotation matrix of the unit
+    quaternion (w, x, y, z): of one on floats, of a stack on arrays."""
+    return (w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z)
 
 
 def quat_from_rotation(R) -> Quaternion:

@@ -68,6 +68,8 @@ from .core import (
     quat_from_rotation,
     quat_to_rotation,
     triangulate_uv,
+    _rays,
+    _rotation_entries,
     _triangulate,
 )
 from .errors import (
@@ -288,11 +290,8 @@ def _rotations(A: np.ndarray, method: str):
 
 def _rotation_matrices(Q: np.ndarray) -> np.ndarray:
     """quat_to_rotation of each unit quaternion in Q (..., 4), bit for bit."""
-    w, x, y, z = np.moveaxis(Q, -1, 0)
-    return np.stack([w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
-                     2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
-                     2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
-                    axis=-1).reshape(Q.shape[:-1] + (3, 3))
+    entries = _rotation_entries(*np.moveaxis(Q, -1, 0))
+    return np.stack(entries, axis=-1).reshape(Q.shape[:-1] + (3, 3))
 
 
 def quest7_rotations(A: np.ndarray):
@@ -365,9 +364,7 @@ def recover_translation_depths(cands, points):
     zero). All candidates' systems are solved as one stack on the list of
     matches `points`, and each candidate gets the bits it would get alone."""
     # rays indexed (point, 1, xyz), broadcast over the candidates
-    points = list(points)
-    M = np.array([c.m for c in points]).reshape(-1, 1, 3)
-    N = np.array([c.n for c in points]).reshape(-1, 1, 3)
+    M, N = (rays.reshape(-1, 1, 3) for rays in _rays(list(points)))
     k = len(M)
     if k < 2:
         raise InsufficientPointsError("need at least 2 points to recover translation")
@@ -466,8 +463,7 @@ def estimate_pose(points, method: str = "quest6"):
         cands, first_error = [], e
 
     if not any(abs(c.q.w) >= 0.1 for c in cands):
-        M = np.array([c.m for c in points[:minimal]])
-        N = np.array([c.n for c in points[:minimal]])
+        M, N = _rays(points[:minimal])
         for g in _GAUGE_QUATERNIONS:
             gauged = _apply_gauge(N, g)
             if gauged is None:
@@ -733,10 +729,11 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
 
 
 def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: int):
-    """The polished hypotheses of a block's candidates (_block_candidates)
-    with a nonzero translation, in order, leaving out those whose consensus
-    falls below `minimal` inliers before or after polish: arrays of their
-    samples, R, t, angular errors and inlier masks.
+    """The polished hypotheses of a block's candidates (_block_candidates),
+    in order, leaving out those whose consensus falls below `minimal`
+    inliers before or after polish: arrays of their samples, R, t, angular
+    errors and inlier masks. Consensus drops a candidate with t = 0: it
+    triangulates u = v = 0 at every match, so no match is an inlier.
 
     A candidate is polished on its provisional inliers with the epipolar
     residual and re-masked with the same test, once more if the mask
@@ -746,9 +743,7 @@ def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: 
     candidate goes through one stacked _consensus call; each pass is one
     stacked _polish_pose call and one _consensus call over the candidates
     it covers, plus one of each for the candidates it redoes."""
-    sample, _, R, t = cands
-    moving = _row_norms(t) != 0.0
-    sample, R, t = sample[moving], R[moving], t[moving]
+    sample, R, t = cands[0], cands[2].copy(), cands[3].copy()  # polished in place
     errs, masks = _consensus(R, t, M, N, threshold)
     kept = masks.sum(axis=1) >= minimal
     todo = np.flatnonzero(kept)
@@ -827,8 +822,7 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     rng = np.random.default_rng(seed)
     n = len(points)
-    M = np.array([c.m for c in points])
-    N = np.array([c.n for c in points])
+    M, N = _rays(points)
 
     def stop(count):
         # samples after which an all-inlier sample at this consensus would

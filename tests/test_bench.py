@@ -69,6 +69,30 @@ def test_config_validation():
         SyntheticCamera(fx=-1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("box_x", 5), ("box_y", (0.0, math.nan)), ("box_z", ("a", "b")), ("box_x", (True, 1.0)),
+    ("box_x", (0.0, 1.0, 2.0)), ("translation_box", ((0, 1), (0, 1), 5)),
+    ("translation_box", ((0, 1), (0, 1))), ("translation_box", 5), ("fixed_rotation", 5),
+    ("fixed_rotation", (1, 0, 0)), ("fixed_translation", (0, 0, math.inf)),
+    ("fixed_translation", (0, 0, 10 ** 400)), ("fixed_translation", "abc")])
+def test_config_rejects_wrongly_shaped_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        SceneConfig(**{field: value})
+
+
+def test_config_stores_tuples_of_floats():
+    cfg = SceneConfig(box_x=[-1, 1], box_y=np.array([-2, 2]),
+                      translation_box=[[0, 1], (0, 1), np.array([0.0, 1.0])],
+                      fixed_rotation=np.array([1, 0, 0, 0]), fixed_translation=[0, 0, 1])
+    assert cfg.box_x == (-1.0, 1.0) and cfg.box_y == (-2.0, 2.0) and cfg.box_z == (4.0, 8.0)
+    assert cfg.translation_box == ((0.0, 1.0),) * 3
+    assert cfg.fixed_rotation == (1.0, 0.0, 0.0, 0.0) and cfg.fixed_translation == (0.0, 0.0, 1.0)
+    for value in (cfg.box_x, cfg.box_y, *cfg.translation_box, cfg.fixed_rotation,
+                  cfg.fixed_translation):
+        assert type(value) is tuple and all(type(v) is float for v in value)
+    assert SceneConfig().fixed_rotation is None
+
+
 # --- pixel noise ------------------------------------------------------------
 
 def test_zero_sigma_is_exact_identity():
@@ -109,6 +133,13 @@ def test_negative_sigma_rejected():
     sc = bench.generate_scene(SceneConfig(rng_seed=3))
     with pytest.raises(ValueError):
         bench.add_pixel_noise(sc.correspondences, -1.0, SyntheticCamera(), seed=0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_sigma_not_finite_rejected(sigma):
+    sc = bench.generate_scene(SceneConfig(rng_seed=3))
+    with pytest.raises(ValueError, match="^sigma must be finite and nonnegative$"):
+        bench.add_pixel_noise(sc.correspondences, sigma, SyntheticCamera(), seed=0)
 
 
 # --- benchmark runs ---------------------------------------------------------

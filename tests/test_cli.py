@@ -300,6 +300,10 @@ def test_eval_missing_ground_truth(tmp_path):
      'candidate 1 needs a "translation" of 3 numbers or null, got [1, 0]'),
     ({"candidates": [{"quaternion": [10 ** 400, 0, 0, 0]}]},
      'candidate 0 needs a "quaternion" of 4 numbers, got [1000000000'),
+    ({"candidates": 5}, 'the estimates\' "candidates" must be a list, not int'),
+    ({"candidates": "ab"}, 'the estimates\' "candidates" must be a list, not str'),
+    ({"candidates": {"quaternion": [1, 0, 0, 0]}},
+     'the estimates\' "candidates" must be a list, not dict'),
 ])
 def test_eval_rejects_malformed_estimates(tmp_path, capsys, estimates, message):
     est = tmp_path / "est.json"
@@ -364,6 +368,14 @@ def test_ransac_flag_and_env_seed(tmp_path, monkeypatch):
     assert run(["estimate", fix / "correspondences.txt", "--ransac",
                 "--seed", 34, "--output", out3]) == 0
     assert json.loads(out3.read_text())["seed"] == 34
+
+
+def test_quest_seed_that_is_not_an_integer_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QUEST_SEED", "abc")
+    fix = tmp_path / "fix"
+    assert run(["simulate", fix]) == 1
+    assert capsys.readouterr() == ("", "error: QUEST_SEED must be an integer, got 'abc'\n")
+    assert not fix.exists()
 
 
 # --- bench ------------------------------------------------------------------
@@ -488,9 +500,16 @@ def test_bench_rejects_config_keys_owned_by_flags(tmp_path, capsys, key, value, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config,message", [([1, 2], "must be a JSON object"),
-                                            ({"foo": 1}, "unknown keys 'foo'"),
-                                            ({"box_z": [4.0]}, "(lo, hi) pair")])
+@pytest.mark.parametrize("config,message", [
+    ([1, 2], "must be a JSON object"),
+    ({"foo": 1}, "unknown keys 'foo'"),
+    ({"box_z": [4.0]}, "(lo, hi) pair"),
+    ({"box_x": 5}, "box_x must be a (lo, hi) pair of finite numbers, got 5"),
+    ({"translation_box": [[0, 1], [0, 1], 5]},
+     "translation_box must be three (lo, hi) pairs of finite numbers, got [[0, 1], [0, 1], 5]"),
+    ({"fixed_rotation": 5}, "fixed_rotation must be None or 4 finite numbers, got 5"),
+    ({"box_z": ["a", "b"]}, "box_z must be a (lo, hi) pair of finite numbers, got ['a', 'b']"),
+])
 def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
     out = tmp_path / "n.csv"
     cfg = tmp_path / "cfg.json"

@@ -1669,3 +1669,40 @@ def test_ransac_rejects_eightpt():
     points, _, _ = make_outlier_set(seed=2)
     with pytest.raises(ValueError, match="quest6/quest7"):
         solver.ransac_pose(points, "eightpt", seed=0)
+
+
+@pytest.mark.parametrize("threshold", [0.005, 4.0])
+def test_consensus_drops_a_zero_translation_hypothesis(threshold):
+    # a candidate with t = 0 triangulates u = v = 0 at every match, so
+    # consensus finds no inlier for it even when the angle test passes
+    # every match (4.0 > pi): _hypotheses needs no filter of its own, and
+    # the other candidates keep what they get without it
+    points = make_outlier_set(seed=2)[0]
+    M = np.array([c.m for c in points])
+    N = np.array([c.n for c in points])
+    idx = np.random.default_rng(3).choice(len(points), size=(4, 6), replace=False)
+    cands = solver._block_candidates(M, N, idx, "quest6")
+    # the first candidate once more, with t = 0, as a sample of its own
+    extra = (np.array([len(idx)]), cands[1][:1], cands[2][:1], np.zeros((1, 3)))
+    still = tuple(np.concatenate(pair) for pair in zip(cands, extra))
+    with np.errstate(all="raise"):
+        got = solver._hypotheses(still, M, N, threshold, 6)
+    want = solver._hypotheses(cands, M, N, threshold, 6)
+    assert len(want[0]) and len(idx) not in got[0]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_rotation_matrices_of_a_stack_match_quat_to_rotation_bit_for_bit():
+    rng = np.random.default_rng(9)
+    random = rng.normal(size=(2, 3, 4))
+    random /= np.linalg.norm(random, axis=-1, keepdims=True)
+    h = math.sqrt(0.5)
+    zeros = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
+                      [[h, 0.0, h, 0.0], [0.5, -0.5, 0.5, -0.5], [0.0, 0.6, 0.0, 0.8]]])
+    for Q in (random, zeros):
+        Rs = solver._rotation_matrices(Q)
+        assert Rs.shape == (2, 3, 3, 3)
+        for i, j in np.ndindex(2, 3):
+            want = quat_to_rotation(Quaternion(*Q[i, j].tolist()))
+            assert Rs[i, j].tobytes() == want.tobytes()
