@@ -65,9 +65,10 @@ class SceneConfig:
     distance range along the optical axis and must stay positive);
     translation_box bounds the camera translation. fixed_rotation /
     fixed_translation override the random pose when set, e.g. to build
-    zero-motion or zero-translation scenes. Each box is a pair of finite
-    numbers and translation_box three of them; a fixed rotation holds 4
-    and a fixed translation 3. All are stored as tuples of floats."""
+    zero-motion or zero-translation scenes. Each box is a (lo, hi) pair of
+    finite numbers with lo <= hi and translation_box three of them; a fixed
+    rotation holds 4 and a fixed translation 3. All are stored as tuples of
+    floats."""
 
     n_points: int = 8
     geometry: str = "general"
@@ -90,6 +91,10 @@ class SceneConfig:
             if floats is None:
                 raise ValueError(f"{name} must be {what} finite numbers, got {value!r}")
             object.__setattr__(self, name, floats)
+        for name in ("box_x", "box_y", "box_z", "translation_box"):
+            pairs = np.reshape(getattr(self, name), (-1, 2))
+            if (pairs[:, 0] > pairs[:, 1]).any():
+                raise ValueError(f"{name} must have lo <= hi in each pair, got {getattr(self, name)!r}")
         if self.box_z[0] <= 0.0:
             raise ValueError("scene box must lie strictly in front of the camera")
         if self.n_points < 1:

@@ -175,13 +175,17 @@ def _candidate_dict(c):
 
 
 def _default_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("QUEST_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValueError(f"QUEST_SEED must be an integer, got {env!r}") from None
+    """The --seed value, else QUEST_SEED's, else 0; a negative one names its source."""
+    source = "--seed"
+    if value is None:
+        source, env = "QUEST_SEED", os.environ.get("QUEST_SEED")
+        try:
+            value = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"QUEST_SEED must be an integer, got {env!r}") from None
+    if value < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {value}")
+    return value
 
 
 def cmd_estimate(args) -> int:

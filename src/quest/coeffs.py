@@ -30,9 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Correspondence, _rays, monomial_positions, monomials_of_degree
+from .core import Correspondence, _rays, _rotation_entries, monomial_positions, monomials_of_degree
 from .errors import DegenerateTripleError, InsufficientPointsError
-from .polymat import Poly4, PolyMatrix, ZERO, poly_add, poly_scale
+from .polymat import Poly4, PolyMatrix, ZERO
 
 _DEG2 = monomials_of_degree(2)
 _DEG4 = monomials_of_degree(4)
@@ -41,28 +41,12 @@ _POS2 = monomial_positions(2)
 _POS4 = monomial_positions(4)
 _POS6 = monomial_positions(6)
 
-# Symbolic rotation matrix: each entry a homogeneous quadratic in
-# (w, x, y, z). For a unit quaternion it equals the rotation matrix; for a
-# general quaternion it carries an extra factor w^2 + x^2 + y^2 + z^2.
-_R_TERMS = [
-    [
-        {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1},
-        {(0, 1, 1, 0): 2, (1, 0, 0, 1): -2},
-        {(0, 1, 0, 1): 2, (1, 0, 1, 0): 2},
-    ],
-    [
-        {(0, 1, 1, 0): 2, (1, 0, 0, 1): 2},
-        {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1},
-        {(0, 0, 1, 1): 2, (1, 1, 0, 0): -2},
-    ],
-    [
-        {(0, 1, 0, 1): 2, (1, 0, 1, 0): -2},
-        {(0, 0, 1, 1): 2, (1, 1, 0, 0): 2},
-        {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): 1},
-    ],
-]
-
-R_POLY = PolyMatrix([[Poly4(t) for t in row] for row in _R_TERMS])
+# Symbolic rotation matrix: the numeric formula core._rotation_entries run
+# on the variables (w, x, y, z), so each entry is a homogeneous quadratic.
+# For a unit quaternion it equals the rotation matrix; for a general
+# quaternion it carries an extra factor w^2 + x^2 + y^2 + z^2.
+_R_ENTRIES = _rotation_entries(*map(Poly4.variable, range(4)))
+R_POLY = PolyMatrix([_R_ENTRIES[r:r + 3] for r in (0, 3, 6)])
 
 # R_POLY as one dense matrix over the degree-2 monomials: row t maps the
 # ray entry m_t to the three rows of R m, (3, 3 rows x 10 monomials).
@@ -157,24 +141,13 @@ def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Corresponden
     constants; even columns are quadratics."""
 
     def rm(m):
-        return [
-            poly_add(
-                poly_add(poly_scale(R_POLY[r, 0], m[0]), poly_scale(R_POLY[r, 1], m[1])),
-                poly_scale(R_POLY[r, 2], m[2]),
-            )
-            for r in range(3)
-        ]
+        return [R_POLY[r, 0] * m[0] + R_POLY[r, 1] * m[1] + R_POLY[r, 2] * m[2] for r in range(3)]
 
     rmi, rmj, rmk = rm(ci.m), rm(cj.m), rm(ck.m)
-    rows = []
-    for r in range(3):
-        rows.append(
-            [rmi[r], Poly4.constant(-ci.n[r]), poly_scale(rmj[r], -1.0), Poly4.constant(cj.n[r]), ZERO, ZERO]
-        )
-    for r in range(3):
-        rows.append(
-            [rmi[r], Poly4.constant(-ci.n[r]), ZERO, ZERO, poly_scale(rmk[r], -1.0), Poly4.constant(ck.n[r])]
-        )
+    rows = [[rmi[r], Poly4.constant(-ci.n[r]), -1.0 * rmj[r], Poly4.constant(cj.n[r]), ZERO, ZERO]
+            for r in range(3)]
+    rows += [[rmi[r], Poly4.constant(-ci.n[r]), ZERO, ZERO, -1.0 * rmk[r], Poly4.constant(ck.n[r])]
+             for r in range(3)]
     return PolyMatrix(rows)
 
 

@@ -103,6 +103,17 @@ def poly_mul(p: Poly4, q: Poly4) -> Poly4:
     return Poly4(out)
 
 
+def _times(p: Poly4, s) -> Poly4:
+    """p * s for a Poly4 or a number s."""
+    return poly_mul(p, s) if isinstance(s, Poly4) else poly_scale(p, s)
+
+
+# Operators, so formulas written for numbers (core._rotation_entries) also
+# run on polynomials.
+Poly4.__add__, Poly4.__sub__ = poly_add, poly_sub
+Poly4.__mul__ = Poly4.__rmul__ = _times
+
+
 def poly_eval(p: Poly4, v) -> float:
     w, x, y, z = (float(c) for c in v)
     total = 0.0

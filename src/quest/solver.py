@@ -37,12 +37,13 @@ samples at once, whose candidates stay arrays from the eigen solve to
 the hypotheses. RANSAC needs a hypothesis's translation only to score
 consensus, so a block's candidates take theirs from the epipolar
 constraint on their own sample's rays, one stacked k x 3 SVD for the
-whole block, and its hypotheses are polished in lockstep on the sine of
-each ray's angle to its epipolar plane, which needs no triangulation;
-a hypothesis that this polish leaves below a minimal inlier set (no
-parallax hides t from that residual) is polished again on the angular
-error consensus scores. The winner is refit with the full rigid-motion
-system.
+whole block. They stay in each sample's scoring order, unranked, since
+the winner is picked by inlier count and mean error alone. The
+hypotheses are polished in lockstep on the sine of each ray's angle to
+its epipolar plane, which needs no triangulation; a hypothesis that this
+polish leaves below a minimal inlier set (no parallax hides t from that
+residual) is polished again on the angular error consensus scores. The
+winner is refit with the full rigid-motion system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -63,7 +64,6 @@ from .core import (
     PoseCandidate,
     Quaternion,
     monomial_positions,
-    monomial_vector,
     monomials_of_degree,
     quat_from_rotation,
     quat_to_rotation,
@@ -405,9 +405,14 @@ def recover_translation_depths(cands, points):
     ]
 
 
+# A frame has solved once a candidate has |w| >= _MIN_W: the eigenvalue
+# parameterization (eigenvalues x^3 / w^3 or x / w) degenerates at w = 0,
+# a 180-degree relative rotation, so candidates near it are unreliable.
+_MIN_W = 0.1
+
 # Fixed gauge rotations used to move the solve away from the x/w
-# singularity at w ~ 0 (a 180-degree relative rotation). Tried in order;
-# axes are spread out so at least one composition has |w| well above 0.
+# singularity at w ~ 0. Tried in order; axes are spread out so at least
+# one composition has |w| well above 0.
 _GAUGE_QUATERNIONS = (
     Quaternion(0.5, 0.5, 0.5, 0.5),
     Quaternion(0.5, -0.5, 0.5, -0.5),
@@ -431,12 +436,12 @@ def estimate_pose(points, method: str = "quest6"):
     depths and chirality use all points. Candidates failing chirality are
     demoted below every passing one but kept, since pixel noise can flip
     the test on the true solution. If the solve collapses or no scored
-    candidate has |w| >= 0.1 (the eigenvalue parameterization degenerates
-    at w = 0), gauge frames rotate the minimal subset's second-view rays
-    by fixed rotations until one yields a candidate with |w| >= 0.1; its
-    rotations are composed back and scored on the original frame's A (a
-    degenerate triple there raises before any gauge frame). The surviving
-    candidates get translation, depths and chirality in one call.
+    candidate has |w| >= _MIN_W, gauge frames rotate the minimal subset's
+    second-view rays by fixed rotations until one yields a candidate with
+    |w| >= _MIN_W; its rotations are composed back and scored on the
+    original frame's A (a degenerate triple there raises before any gauge
+    frame). The surviving candidates get translation, depths and
+    chirality in one call.
 
     method "eightpt" is the essential-matrix baseline on all points: one
     candidate, decompose_essential(eight_point(points), points)."""
@@ -462,7 +467,7 @@ def estimate_pose(points, method: str = "quest6"):
             raise
         cands, first_error = [], e
 
-    if not any(abs(c.q.w) >= 0.1 for c in cands):
+    if not any(abs(c.q.w) >= _MIN_W for c in cands):
         M, N = _rays(points[:minimal])
         for g in _GAUGE_QUATERNIONS:
             gauged = _apply_gauge(N, g)
@@ -473,7 +478,7 @@ def estimate_pose(points, method: str = "quest6"):
             except DegeneracyError:
                 continue
             # the w-degeneracy test lives in the gauged frame
-            if any(abs(q.w) >= 0.1 for q in gauged_qs):
+            if any(abs(q.w) >= _MIN_W for q in gauged_qs):
                 cands = score_candidates(A, [_canonical_unit(g.conjugate() * q) for q in gauged_qs])
                 break
     if not cands:  # the first frame raised and no gauge frame solved
@@ -645,15 +650,14 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
 
 
 def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.ndarray):
-    """Hypothesis-grade unit translations (C, 3) and chirality flags (C,)
-    of the rotations R (C, 3, 3) of the quaternions q (C, 4), each on its
-    own sample's first- and second-view rays M, N (C, k, 3).
+    """Hypothesis-grade unit translations (C, 3) of the rotations R
+    (C, 3, 3) of the quaternions q (C, 4), each on its own sample's first-
+    and second-view rays M, N (C, k, 3).
 
     For a fixed rotation R the epipolar constraint t . (R m_i x n_i) = 0
     makes t the null vector of the k x 3 matrix of those rows, each scaled
     to unit length; one stacked SVD solves them all. The sign puts most of
-    the sample's depths (triangulate_uv) in front of the cameras, and
-    chirality means all of them are.
+    the sample's depths (triangulate_uv) in front of the cameras.
 
     A point whose rays R m_i and n_i are parallel to within
     _PARALLAX_FLOOR leaves its row as rounding noise, yet it still pins
@@ -670,15 +674,13 @@ def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.nd
     t = np.linalg.svd(unit, full_matrices=False)[2][:, -1]
     u, v, _ = triangulate_uv(R, t, M, N)
     # more negative depths than positive ones: the sign flips
-    sign = np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)
-    t, u, v = t * sign[:, None], u * sign[:, None], v * sign[:, None]
-    chirality_ok = np.all((u > 0.0) & (v > 0.0), axis=1)
+    t *= np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
     for c in np.flatnonzero(~parallax.all(axis=1)):
         (full,) = recover_translation_depths(
             [PoseCandidate(q=Quaternion(*q[c].tolist()), algebraic_residual=0.0)],
             map(Correspondence, M[c], N[c]))
-        t[c], chirality_ok[c] = full.t, full.chirality_ok
-    return t, chirality_ok
+        t[c] = full.t
+    return t
 
 
 _NO_CANDIDATES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros((0, 3, 3)), np.zeros((0, 3)))
@@ -686,12 +688,12 @@ _NO_CANDIDATES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros((0, 3, 3)),
 
 def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
     """Per minimal sample (a row of idx into the rays M, N), its candidates
-    with hypothesis-grade translations (_epipolar_translations), ranked by
-    chirality, then residual: arrays of their samples (ascending), unit
+    in scoring order with hypothesis-grade translations
+    (_epipolar_translations): arrays of their samples (ascending), unit
     quaternions, rotation matrices and translations. One coefficient build,
-    rotation solve, scoring call, translation call and lexsort serve the
-    block. A sample whose rank test failed, or none of whose candidates has
-    |w| >= 0.1, takes estimate_pose's candidates; one where that raises,
+    rotation solve, scoring call and translation call serve the block. A
+    sample whose rank test failed, or none of whose candidates has
+    |w| >= _MIN_W, takes estimate_pose's candidates; one where that raises,
     or whose own build raised, gets none. When the block's build raises,
     each sample is solved as a block of its own."""
     try:
@@ -704,14 +706,12 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
     U, live, _ = _rotation_stack(A, method)
     Q = np.zeros(live.shape + (4,))
     Q[live] = U
-    order, residual, valid = score_candidates(A, Q, live)
+    order, _, valid = score_candidates(A, Q, live)
     sample = np.nonzero(valid)[0]
     q = Q[sample, order[valid]]
     R = _rotation_matrices(q)
-    t, chirality_ok = _epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
-    rank = np.lexsort((residual[valid], ~chirality_ok, sample))
-    cands = sample[rank], q[rank], R[rank], t[rank]
-    solved = np.isin(np.arange(len(idx)), sample[np.abs(q[:, 0]) >= 0.1])
+    cands = sample, q, R, _epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
+    solved = np.isin(np.arange(len(idx)), sample[np.abs(q[:, 0]) >= _MIN_W])
     if solved.all():
         return cands
     parts = [tuple(a[solved[cands[0]]] for a in cands)]
@@ -868,6 +868,5 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
         A = build_A(inliers[:minimal])
     except DegeneracyError:
         A = build_A([points[i] for i in sample])
-    residual = float(np.linalg.norm(A @ monomial_vector(q)))
-    (cand,) = recover_translation_depths([PoseCandidate(q=q, algebraic_residual=residual)], inliers)
+    (cand,) = recover_translation_depths(score_candidates(A, [q]), inliers)
     return cand, mask

@@ -80,6 +80,19 @@ def test_config_rejects_wrongly_shaped_values(field, value):
         SceneConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("box_x", (3.0, 1.0)), ("box_y", (0.0, -1e-9)), ("box_z", (8.0, 4.0)),
+    ("translation_box", ((0, 1), (2, 1), (0, 1)))])
+def test_config_rejects_reversed_boxes(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must have lo <= hi"):
+        SceneConfig(**{field: value})
+
+
+def test_config_allows_empty_width_boxes():
+    cfg = SceneConfig(box_x=(1, 1), box_z=(5, 5), translation_box=((0, 0), (-1, 1), (2, 2)))
+    assert np.all(bench.generate_scene(cfg).points3d[:, [0, 2]] == (1.0, 5.0))
+
+
 def test_config_stores_tuples_of_floats():
     cfg = SceneConfig(box_x=[-1, 1], box_y=np.array([-2, 2]),
                       translation_box=[[0, 1], (0, 1), np.array([0.0, 1.0])],

@@ -378,6 +378,23 @@ def test_quest_seed_that_is_not_an_integer_is_named(tmp_path, capsys, monkeypatc
     assert not fix.exists()
 
 
+@pytest.mark.parametrize("source", ["--seed", "QUEST_SEED"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "{tmp}/fix"],
+    ["estimate", FIXTURES / "general" / "correspondences.txt", "--ransac", "--output", "{tmp}/o"],
+    ["bench", "noise", "--methods", "quest6", "--sigmas", "0", "--trials", 1, "--output", "{tmp}/o"],
+    ["bench", "time", "--methods", "quest6", "--trials", 1, "--output", "{tmp}/o"]])
+def test_negative_seed_is_refused_naming_its_source(tmp_path, capsys, monkeypatch, source, command):
+    argv = [str(a).format(tmp=tmp_path) for a in command]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("QUEST_SEED", "-1")
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {source} must be a non-negative integer, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- bench ------------------------------------------------------------------
 
 def test_bench_noise_row_count_and_determinism(tmp_path):
@@ -518,6 +535,22 @@ def test_bench_rejects_malformed_config(tmp_path, capsys, config, message):
                 "--config", cfg, "--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["noise", "time"])
+@pytest.mark.parametrize("config,key", [
+    ({"box_x": [3, 1]}, "box_x"), ({"box_z": [8, 4]}, "box_z"),
+    ({"translation_box": [[0, 1], [2, 1], [0, 1]]}, "translation_box")])
+def test_bench_rejects_reversed_config_boxes(tmp_path, capsys, kind, config, key):
+    out = tmp_path / "n.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    extra = ["--sigmas", "0"] if kind == "noise" else []
+    assert run(["bench", kind, "--methods", "quest6", *extra, "--trials", 1,
+                "--config", cfg, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must have lo <= hi") and err.count("\n") == 1
     assert not out.exists()
 
 

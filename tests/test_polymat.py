@@ -15,7 +15,8 @@ from quest.polymat import (
     poly_scale,
     poly_sub,
 )
-from quest.coeffs import build_triple_matrix
+from quest.coeffs import R_POLY, build_triple_matrix
+from quest.core import Quaternion, quat_to_rotation
 from conftest import random_correspondence
 
 W, X, Y, Z = (Poly4.variable(i) for i in range(4))
@@ -44,6 +45,23 @@ def test_difference_of_squares():
 def test_additive_identity():
     p = Poly4({(1, 2, 0, 1): 3.5, (0, 0, 0, 0): -1.0})
     assert poly_add(p, Poly4()).terms == p.terms
+
+
+@given(polys(), polys(), st.floats(-10, 10))
+def test_operators_are_the_named_functions(p, q, s):
+    assert (p + q).terms == poly_add(p, q).terms
+    assert (p - q).terms == poly_sub(p, q).terms
+    assert (p * q).terms == poly_mul(p, q).terms
+    assert (2 * p).terms == (p * 2).terms == poly_scale(p, 2).terms
+    scaled = np.float64(s) * p
+    assert isinstance(scaled, Poly4) and scaled.terms == poly_scale(p, s).terms
+
+
+def test_rotation_polynomials_evaluate_to_the_rotation_matrix(rng):
+    for _ in range(50):
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        assert np.allclose(R_POLY.eval_at(q), quat_to_rotation(Quaternion(*q)), rtol=0.0, atol=1e-14)
 
 
 def test_norm_poly_squared_is_one_on_unit_quaternions(rng):

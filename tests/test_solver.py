@@ -968,18 +968,17 @@ def _sample_rays(sample, count=1):
 
 
 def _epipolar_candidate(cand, sample):
-    # the candidate with the epipolar translation and chirality of a stack
-    # of one on the sample's rays
-    (t,), (ok,) = solver._epipolar_translations(cand.q.as_array()[None],
-                                                 quat_to_rotation(cand.q)[None],
-                                                 *_sample_rays(sample))
-    return replace(cand, t=t, chirality_ok=bool(ok))
+    # the candidate with the epipolar translation of a stack of one on the
+    # sample's rays
+    (t,) = solver._epipolar_translations(cand.q.as_array()[None], quat_to_rotation(cand.q)[None],
+                                         *_sample_rays(sample))
+    return replace(cand, t=t)
 
 
 def _reference_candidates(sample, method):
     # one sample's candidates by the block path's rule, one sample at a
-    # time: its rotations, scored, each with its epipolar translation on
-    # the sample's rays, ranked; or estimate_pose's candidates when its
+    # time: its rotations, in scoring order, each with its epipolar
+    # translation on the sample's rays; or estimate_pose's candidates when its
     # coefficient build, rank test or scoring raises, or when no candidate
     # has |w| >= 0.1
     rotations = solver.quest6_rotations if method == "quest6" else solver.quest7_rotations
@@ -988,8 +987,7 @@ def _reference_candidates(sample, method):
         cands = solver.score_candidates(A, rotations(A))
     except DegeneracyError:
         cands = []
-    cands = sorted((_epipolar_candidate(c, sample) for c in cands),
-                   key=lambda c: (not c.chirality_ok, c.algebraic_residual))
+    cands = [_epipolar_candidate(c, sample) for c in cands]
     if any(abs(c.q.w) >= 0.1 for c in cands):
         return cands
     return solver.estimate_pose(sample, method)
@@ -1527,18 +1525,17 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
 
 def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
     # the top candidate of estimate_pose, whose t comes from the full
-    # rigid-motion system, gets the same unit t, sign and chirality from
-    # the epipolar rows of the same points
+    # rigid-motion system, gets the same unit t and sign from the epipolar
+    # rows of the same points
     for seed in range(40):
         pts = list(scene(seed).correspondences)
         M, N = _sample_rays(pts)
         for method in ("quest6", "quest7"):
             best = solver.estimate_pose(pts, method)[0]
             R = quat_to_rotation(best.q)
-            (t,), (ok,) = solver._epipolar_translations(best.q.as_array()[None], R[None], M, N)
+            (t,) = solver._epipolar_translations(best.q.as_array()[None], R[None], M, N)
             assert best.scale_note == "unit-translation"
             assert np.abs(t - best.t).max() < 1e-9
-            assert ok == best.chirality_ok
             u, _, _ = core.triangulate_uv(R, t, M[0], N[0])
             assert np.abs(u / best.depths_u - 1.0).max() < 1e-6
 
@@ -1556,12 +1553,11 @@ def test_epipolar_translation_falls_back_without_parallax():
     rays = [_sample_rays(p) for p in (pts, half, moving.correspondences)]
     M = np.concatenate([m for m, _ in rays])
     N = np.concatenate([n for _, n in rays])
-    t, ok = solver._epipolar_translations(np.array([q.as_array() for q in qs]),
-                                          np.array([quat_to_rotation(q) for q in qs]), M, N)
+    t = solver._epipolar_translations(np.array([q.as_array() for q in qs]),
+                                      np.array([quat_to_rotation(q) for q in qs]), M, N)
     for c, sample in enumerate((pts, half)):
         (want,) = translate(still.pose.q, sample)
         assert np.array_equal(t[c], want.t)
-        assert ok[c] == want.chirality_ok
     assert np.linalg.norm(t[0]) < 1e-8
     assert core.trans_error(t[2], moving.pose.t) < 1e-9
 
