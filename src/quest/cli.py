@@ -317,6 +317,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     _sigma("--sigma", args.sigma)
     seed = _default_seed(args.seed)
     cfg = SceneConfig(n_points=args.points, geometry=args.geometry, rng_seed=seed)

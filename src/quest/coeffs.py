@@ -5,22 +5,27 @@ columns mix the symbolic rotation applied to first-view points with the
 constant second-view points; the depth vector of the subset is in its null
 space, so its determinant vanishes. The determinant is a homogeneous
 degree-6 polynomial in (w, x, y, z) that always contains the factor
-w^2 + x^2 + y^2 + z^2; dividing it out leaves one degree-4 equation in the
-35 canonical monomials per subset. Stacking one row per subset gives the
-coefficient matrix A with A @ x = 0 for the monomial vector x of the true
-rotation.
+N = w^2 + x^2 + y^2 + z^2; dividing it out leaves one degree-4 equation in
+the 35 canonical monomials per subset. Stacking one row per subset gives
+the coefficient matrix A with A @ x = 0 for the monomial vector x of the
+true rotation.
 
-The row builder never expands a determinant symbolically. Each point
-contributes three quadratic factors (2x2 minors of its two columns), the
-generalized Laplace expansion along the two columns of the first point
-writes the determinant as six signed products of one factor per point,
-and polynomial products and the division by the norm polynomial are
-fixed linear maps over the monomial bases, built once at import. So
-build_A computes all C(n, 3) rows in one batched pass of a few array
-operations and returns them as a plain C(n, 3) x 35 array, one row per
-triple in itertools.combinations order (the triple index table is cached
-per n). `build_triple_matrix` and the generic cofactor expansion in
-`polymat` stay as the test oracle the rows are checked against.
+The row builder writes that quotient in closed form and never forms the
+degree-6 determinant. R is the rotation formula on a general quaternion,
+so R = N times the rotation matrix and R a x R b = N R(a x b). With it the
+determinant of triple (i, j, k) is N (G(i,k) H(k,j) - G(j,k) H(k,i)), where
+
+    G(p, q) = (R m_p) . (n_p x n_q)    and    H(q, p) = (R (m_q x m_p)) . n_p
+
+are quadratics in the quaternion. Each is y . R x for a pair of 3-vectors,
+a fixed map from the nine products x_c y_r to 10 coefficients, and the
+product of two quadratics is a fixed map from their 100 coefficient
+products to 35; both maps are built once at import. So build_A computes
+all C(n, 3) rows in a few passes of array operations and returns them as
+a plain C(n, 3) x 35 array, one row per triple in itertools.combinations
+order (the triple index table is cached per n). `build_triple_matrix` and
+the generic cofactor expansion in `polymat` stay as the test oracle the
+rows are checked against.
 """
 
 from __future__ import annotations
@@ -35,11 +40,7 @@ from .errors import DegenerateTripleError, InsufficientPointsError
 from .polymat import Poly4, PolyMatrix, ZERO
 
 _DEG2 = monomials_of_degree(2)
-_DEG4 = monomials_of_degree(4)
-_DEG6 = monomials_of_degree(6)
 _POS2 = monomial_positions(2)
-_POS4 = monomial_positions(4)
-_POS6 = monomial_positions(6)
 
 # Symbolic rotation matrix: the numeric formula core._rotation_entries run
 # on the variables (w, x, y, z), so each entry is a homogeneous quadratic.
@@ -48,45 +49,22 @@ _POS6 = monomial_positions(6)
 _R_ENTRIES = _rotation_entries(*map(Poly4.variable, range(4)))
 R_POLY = PolyMatrix([_R_ENTRIES[r:r + 3] for r in (0, 3, 6)])
 
-# R_POLY as one dense matrix over the degree-2 monomials: row t maps the
-# ray entry m_t to the three rows of R m, (3, 3 rows x 10 monomials).
+# R_POLY as one dense map over the degree-2 monomials: row 3c + r holds the
+# coefficients of R[r, c], so it takes the products x_c y_r of two 3-vectors
+# to the quadratic y . R x (9 rows x 10 monomials).
 _RP = np.zeros((3, 3, len(_DEG2)))
 for _r in range(3):
     for _c in range(3):
         for _exp, _coeff in R_POLY[_r, _c].terms.items():
             _RP[_c, _r, _POS2[_exp]] = _coeff
-_RP = _RP.reshape(3, -1)
+_RP = _RP.reshape(9, -1)
 
 
-def _product_map(left: int, right: int) -> np.ndarray:
-    """0/1 map from the flattened outer product of a degree-`left` and a
-    degree-`right` coefficient vector to the coefficients of the product."""
-    lhs, rhs = monomials_of_degree(left), monomials_of_degree(right)
-    pos = monomial_positions(left + right)
-    out = np.zeros((len(lhs) * len(rhs), len(pos)))
-    for a, ea in enumerate(lhs):
-        for b, eb in enumerate(rhs):
-            out[a * len(rhs) + b, pos[tuple(np.add(ea, eb))]] = 1.0
-    return out
-
-
-def _division_maps():
-    """Quotient (84x35) and remainder (84x49) maps of the long division of
-    a degree-6 vector by the norm polynomial, made by dividing every unit
-    vector at once (one row of `work` each). In descending-lex order, a
-    monomial w^a x^b y^c z^d with a >= 2 moves into the quotient and
-    subtracts its three cross terms; the monomials with a < 2 remain."""
-    work = np.eye(len(_DEG6))
-    quot = np.zeros((len(_DEG6), len(_DEG4)))
-    rem = []
-    for i, (a, b, c, d) in enumerate(_DEG6):
-        if a < 2:
-            rem.append(i)
-            continue
-        quot[:, _POS4[(a - 2, b, c, d)]] = work[:, i]
-        for sub in ((a - 2, b + 2, c, d), (a - 2, b, c + 2, d), (a - 2, b, c, d + 2)):
-            work[:, _POS6[sub]] -= work[:, i]
-    return quot, work[:, rem]
+def _quadratic_product_map() -> np.ndarray:
+    """0/1 map (100 x 35) from the flattened outer product of two quadratics'
+    coefficient vectors to the coefficients of their product."""
+    pos = monomial_positions(4)
+    return np.array([np.eye(len(pos))[pos[tuple(np.add(ea, eb))]] for ea in _DEG2 for eb in _DEG2])
 
 
 def _gather_map(dense: np.ndarray):
@@ -116,21 +94,17 @@ def _apply_map(x: np.ndarray, gmap) -> np.ndarray:
     return head[unsort]
 
 
-_MUL22 = _product_map(2, 2)
-_MUL42 = _gather_map(_product_map(4, 2))
-_DIVIDE = _gather_map(np.hstack(_division_maps()))  # 35 quotient then 49 remainder columns
+_BILINEAR = _gather_map(_RP)
+_MUL22 = _gather_map(_quadratic_product_map())
 
-# Factor p of a point is the quadratic (R m)_u * n_v - (R m)_v * n_u for
-# the row pair (u, v) = (_PAIR_U[p], _PAIR_V[p]).
-_PAIR_U, _PAIR_V = [0, 0, 1], [1, 2, 2]
-
-# Generalized Laplace expansion along the two columns of point i: rows a
-# (top block) and b (bottom block) for them leave independent 2x2 blocks
-# for points j and k. One row per (a, b), a != b, in lexicographic order:
-# factor of point i (pair (a, b) is factor a + b - 1), of point j (rows
-# other than a: 2 - a), of point k (2 - b), and the Laplace sign
-# (-1)^(a+b+1), negated when point i's pair is taken as (b, a).
-_LAPLACE = np.array([(0, 2, 1, 1), (1, 2, 0, -1), (0, 1, 2, -1), (2, 1, 0, 1), (1, 0, 2, 1), (2, 0, 1, -1)])
+# A triple (i, j, k) needs four quadratics y . R x, in the order G(i,k),
+# G(j,k), H(k,j), H(k,i):
+#     x = m_i,       m_j,       m_k x m_j,  m_k x m_i
+#     y = n_i x n_k, n_j x n_k, n_j,        n_i
+# Pair p takes the cross product a x b of view _VIEW[p] (0 the first view,
+# 1 the second) of the points in slots _A[p] and _B[p] (0 i, 1 j, 2 k),
+# and the ray of the other view of the point in slot _RAY[p].
+_VIEW, _A, _B, _RAY = np.array([1, 1, 0, 0]), [0, 1, 2, 2], [2, 2, 1, 0], [0, 1, 1, 0]
 
 
 def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> PolyMatrix:
@@ -151,53 +125,47 @@ def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Corresponden
     return PolyMatrix(rows)
 
 
-# Triples per pass of the row kernel: at ~8 KB of temporaries per triple a
+# Triples per pass of the row kernel: at ~4 KB of temporaries per triple a
 # pass stays in cache. A row does not depend on the others in its pass.
-_TRIPLES_PER_PASS = 64
+_TRIPLES_PER_PASS = 256
 
 
 def _rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """Unit-norm constraint rows, one per triple, from fixed maps applied to
-    _TRIPLES_PER_PASS rows at once.
+    """Unit-norm constraint rows, one per triple, from the closed form
+    G(i,k) H(k,j) - G(j,k) H(k,i) of the module docstring, built for
+    _TRIPLES_PER_PASS triples at once.
 
     M and N hold the first- and second-view rays of the points (n x 3);
     triples holds the point indices of each row (T x 3). Each row is the
     6x6 determinant divided by the norm polynomial, scaled to unit norm
     and sign-fixed so its first non-negligible coefficient is positive.
     Raises DegenerateTripleError naming the first triple whose row
-    vanishes or whose norm factor fails to divide out (relative remainder
-    above 1e-6)."""
-    rm = (M[:, :, None] * _RP).sum(axis=1).reshape(-1, 3, len(_DEG2))
-    factors = rm[:, _PAIR_U] * N[:, _PAIR_V, None] - rm[:, _PAIR_V] * N[:, _PAIR_U, None]
-    return np.concatenate([_triple_rows(factors, triples[s:s + _TRIPLES_PER_PASS])
+    vanishes."""
+    rays = np.stack([M.T, N.T], axis=1)  # (entry, view, point)
+    return np.concatenate([_triple_rows(rays, triples[s:s + _TRIPLES_PER_PASS])
                            for s in range(0, len(triples), _TRIPLES_PER_PASS)])
 
 
-def _triple_rows(factors: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """The rows of _rows for the triples of one pass, from the quadratic
-    factors of every point."""
-    fi, fj, fk, sign = _LAPLACE.T
-    ki = factors[triples[:, :1], fi] * sign[:, None]
-    kj = factors[triples[:, 1:2], fj]
-    kk = factors[triples[:, 2:], fk]
+def _triple_rows(rays: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """The rows of _rows for the triples of one pass. Batch-last throughout,
+    with elementwise operations and gathers only, so a row never depends on
+    the others in its pass."""
     t = len(triples)
-    # stacked products make one BLAS call per triple, so rows stay batch-independent
-    # (einsum may give +0.0 for a -0.0 product; the matmul's sums start at +0.0 anyway)
-    x = np.einsum("tli,tlj->tlij", ki, kj).reshape(t, len(_LAPLACE), -1) @ _MUL22
-    x = x.transpose(0, 2, 1) @ kk  # six degree-4 x degree-2 products, summed
-    det6 = _apply_map(np.ascontiguousarray(x.reshape(t, -1).T), _MUL42)  # batch-last
-    divided = _apply_map(det6, _DIVIDE)
-    quot = np.ascontiguousarray(divided[: len(_DEG4)].T)  # a view's norm sums in another order
-    rem = np.abs(divided[len(_DEG4) :]).max(axis=0)
-    scale = np.abs(det6).max(axis=0)
-    bad_rem = rem > 1e-6 * scale
-    bad = bad_rem | (np.abs(quot).max(axis=1) < 1e-12)
+    r = rays[:, :, triples.T]  # (entry, view, slot, triple)
+    a, b, ray = r[:, _VIEW, _A], r[:, _VIEW, _B], r[:, 1 - _VIEW, _RAY]  # (entry, pair, triple)
+    cross = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    x = np.concatenate([ray[:, :2], cross[:, 2:]], axis=1)
+    y = np.concatenate([cross[:, :2], ray[:, 2:]], axis=1)
+    xy = (x[:, None] * y[None]).reshape(9, -1)  # x_c y_r in row 3c + r, as in _RP
+    quad = _apply_map(xy, _BILINEAR).reshape(len(_DEG2), 4, t)
+    prod = quad[:, None, 0] * quad[None, :, 2]
+    prod -= quad[:, None, 1] * quad[None, :, 3]
+    quot = np.ascontiguousarray(_apply_map(prod.reshape(-1, t), _MUL22).T)
+    bad = np.abs(quot).max(axis=1) < 1e-12
     if bad.any():
-        r = int(np.argmax(bad))
-        why = "constraint row vanished (repeated or collinear points?)"
-        if bad_rem[r]:
-            why = f"norm-factor division left a relative remainder of {rem[r] / scale[r]:.3e}"
-        raise DegenerateTripleError(f"triple {tuple(triples[r].tolist())}: {why}")
+        triple = tuple(triples[int(np.argmax(bad))].tolist())
+        raise DegenerateTripleError(
+            f"triple {triple}: constraint row vanished (repeated or collinear points?)")
     rows = quot / np.linalg.norm(quot, axis=1, keepdims=True)
     first = np.argmax(np.abs(rows) > 1e-12, axis=1)
     return rows * np.copysign(1.0, rows[np.arange(t), first])[:, None]

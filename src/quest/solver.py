@@ -60,6 +60,7 @@ from . import baseline
 from .coeffs import _rows, _triples, build_A
 from .core import (
     _CANONICAL_EPS,
+    IDENTITY_QUATERNION,
     Correspondence,
     PoseCandidate,
     Quaternion,
@@ -306,8 +307,18 @@ def quest7_rotations(A: np.ndarray):
 
 
 def quest6_rotations(A: np.ndarray):
-    """Rotation candidates (at most 20) from a 6-point coefficient matrix."""
-    return _rotations(A, "quest6")
+    """Rotation candidates (at most 20) from a 6-point coefficient matrix.
+
+    Identical views (zero motion) make every row w times a cubic, so the
+    elimination block of the w-free monomials is zero and loses rank;
+    the identity, whose monomial vector is the first unit vector, then
+    solves every row and is the one candidate."""
+    try:
+        return _rotations(A, "quest6")
+    except DegenerateConfigurationError:
+        if np.linalg.norm(A[:, 0]) > _RANK_FLOOR:
+            raise
+        return [IDENTITY_QUATERNION]
 
 
 def score_candidates(A: np.ndarray, qs, live=None):

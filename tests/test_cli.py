@@ -378,6 +378,14 @@ def test_quest_seed_that_is_not_an_integer_is_named(tmp_path, capsys, monkeypatc
     assert not fix.exists()
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_simulate_names_the_points_flag(tmp_path, capsys, points):
+    fix = tmp_path / "fix"
+    assert run(["simulate", fix, "--points", points]) == 1
+    assert capsys.readouterr() == ("", f"error: --points must be at least 1, got {points}\n")
+    assert not fix.exists()
+
+
 @pytest.mark.parametrize("source", ["--seed", "QUEST_SEED"])
 @pytest.mark.parametrize("command", [
     ["simulate", "{tmp}/fix"],

@@ -1,17 +1,30 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from quest import bench, coeffs, core, polymat
-from quest.coeffs import build_A, build_triple_matrix, coefficient_row
+from quest.coeffs import R_POLY, build_A, build_triple_matrix, coefficient_row
 from quest.core import Correspondence, monomial_positions, monomial_vector, monomials_of_degree
 from quest.errors import DegenerateTripleError, InsufficientPointsError
 from conftest import random_correspondence
 
+POS2 = monomial_positions(2)
 POS4 = monomial_positions(4)
 POS6 = monomial_positions(6)
+
+
+def _canonical(row):
+    """row scaled to unit norm, its first coefficient above 1e-12 positive."""
+    row = row / np.linalg.norm(row)
+    for v in row:
+        if abs(v) > 1e-12:
+            if v < 0:
+                row = -row
+            break
+    return row
 
 
 def reference_row(ci, cj, ck):
@@ -24,13 +37,7 @@ def reference_row(ci, cj, ck):
     row = np.zeros(35)
     for e, c in quotient.terms.items():
         row[POS4[e]] = c
-    row = row / np.linalg.norm(row)
-    for v in row:
-        if abs(v) > 1e-12:
-            if v < 0:
-                row = -row
-            break
-    return row
+    return _canonical(row)
 
 
 def lstsq_row_oracle(ci, cj, ck):
@@ -46,13 +53,60 @@ def lstsq_row_oracle(ci, cj, ck):
         for e2, c in polymat.NORM_POLY.terms.items():
             N[POS6[tuple(np.add(e4, e2))], j] = c
     sol, _, _, _ = np.linalg.lstsq(N, d6, rcond=None)
-    row = sol / np.linalg.norm(sol)
-    for v in row:
-        if abs(v) > 1e-12:
-            if v < 0:
-                row = -row
-            break
-    return row
+    return _canonical(sol)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def exact_row(ci, cj, ck):
+    """The row contract in exact integer arithmetic, with none of the row
+    kernel's algebra: R's entries from R_POLY, the 6x6 determinant by the
+    Leibniz formula, long division by the norm polynomial with a zero
+    remainder asserted, then one rounding of the quotient. The rays are
+    scaled by one power of two that makes them integers, a scale the unit
+    norm removes."""
+    exact = [Fraction(float(v)) for c in (ci, cj, ck) for v in (*c.m, *c.n)]
+    scale = 2 ** max(v.denominator.bit_length() for v in exact)
+    mi, ni, mj, nj, mk, nk = (exact[s:s + 3] for s in range(0, 18, 3))
+    R = [[{e: int(c) for e, c in R_POLY[r, c].terms.items()} for c in range(3)] for r in range(3)]
+
+    def rm(m, sign):  # sign * R m, as three quadratics
+        return [{e: sign * sum(int(m[c] * scale) * R[r][c].get(e, 0) for c in range(3)) for e in POS2}
+                for r in range(3)]
+
+    def const(v):
+        return {(0, 0, 0, 0): int(v * scale)}
+
+    a, b, c = rm(mi, 1), rm(mj, -1), rm(mk, -1)
+    A = [[a[r], const(-ni[r]), b[r], const(nj[r]), {}, {}] for r in range(3)]
+    A += [[a[r], const(-ni[r]), {}, {}, c[r], const(nk[r])] for r in range(3)]
+    det = {}
+    for perm in permutations(range(6)):
+        entries = [A[r][col] for r, col in enumerate(perm)]
+        if all(entries):
+            term = {(0, 0, 0, 0): (-1) ** sum(p > q for p, q in combinations(perm, 2))}
+            for entry in entries:
+                term = _poly_mul(term, entry)
+            for e, v in term.items():
+                det[e] = det.get(e, 0) + v
+    quotient = {}
+    for (w, x, y, z) in monomials_of_degree(6):  # falling powers of w
+        v = det.get((w, x, y, z), 0)
+        if w < 2:
+            assert v == 0, "the norm polynomial does not divide the determinant"
+        elif v:
+            quotient[(w - 2, x, y, z)] = v
+            for e in ((w - 2, x + 2, y, z), (w - 2, x, y + 2, z), (w - 2, x, y, z + 2)):
+                det[e] = det.get(e, 0) - v
+    big = max(map(abs, quotient.values()))
+    return _canonical(np.array([quotient.get(e, 0) / big for e in monomials_of_degree(4)]))
 
 
 # --- build_triple_matrix ----------------------------------------------------
@@ -98,6 +152,15 @@ def test_row_matches_least_squares_oracle(rng):
         assert_allclose(coefficient_row(*pts), lstsq_row_oracle(*pts), atol=1e-10)
 
 
+def test_rows_match_exact_rational_oracle():
+    # the first eight 3-point scenes: a row builder that expanded the
+    # degree-6 determinant and divided by the norm in floats was off by up
+    # to 3.9e-14 on them
+    for seed in range(8):
+        pts = bench.generate_scene(bench.SceneConfig(n_points=3, rng_seed=seed)).correspondences
+        assert_allclose(coefficient_row(*pts), exact_row(*pts), rtol=0, atol=1e-14)
+
+
 def test_row_annihilates_true_monomials():
     scene = bench.generate_scene(bench.SceneConfig(n_points=3, rng_seed=4))
     row = coefficient_row(*scene.correspondences)
@@ -141,8 +204,8 @@ def test_batched_rows_match_reference_path(n):
 
 def test_coefficient_row_is_the_batched_row(rng):
     # one kernel: a triple's row does not depend on the other rows built
-    # with it, nor on the pass that builds it (13 points take five passes)
-    for n in (6, 7, 8, 13):
+    # with it, nor on the pass that builds it (20 points take five passes)
+    for n in (6, 7, 8, 20):
         pts = [random_correspondence(rng) for _ in range(n)]
         A = build_A(pts)
         for r, (i, j, k) in enumerate(combinations(range(n), 3)):
@@ -165,16 +228,16 @@ def _apply(x, cmap):
     return np.add.reduceat(terms, starts, axis=1)
 
 
-@pytest.mark.parametrize("t", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("t", [1, 63, 64, 65, 255, 256, 257, 300, 600])
 def test_batch_last_maps_match_reduceat_reference(t):
     # bit for bit, signed zeros included, on inputs of mixed magnitudes (so
     # the order of each sum shows) with exact +-0.0 entries and whole
     # batch columns of -0.0 and of +0.0
     rng = np.random.default_rng(t)
-    for dense, gmap in ((coeffs._product_map(4, 2), coeffs._MUL42),
-                        (np.hstack(coeffs._division_maps()), coeffs._DIVIDE)):
+    for dense, gmap, counts in ((coeffs._RP, coeffs._BILINEAR, (2, 3)),
+                                (coeffs._quadratic_product_map(), coeffs._MUL22, (1, 6))):
         terms = np.count_nonzero(dense, axis=0)
-        assert terms.min() == 1 and terms.max() == 8
+        assert (terms.min(), terms.max()) == counts
         x = rng.normal(size=(t, len(dense))) * 10.0 ** rng.integers(-8, 9, size=(t, len(dense)))
         x[rng.random(x.shape) < 0.2] = 0.0
         x[rng.random(x.shape) < 0.2] = -0.0

@@ -13,6 +13,6 @@ def test_digests_repeat_with_one_line_per_group():
                for method in ("quest6", "quest7") for kind in ("sigma=0", "sigma=1", "ransac")]
     assert [line.rsplit(" ", 2)[0] for line in lines] == groups
     for line in lines:
-        count, digest = line.split()[-2:]
-        assert count == ("n=1" if "ransac" in line or "c08" in line else "n=2")
+        group, count, digest = line.rsplit(" ", 2)
+        assert count == ("n=1" if "ransac" in group or "c08" in group else "n=2")
         assert len(digest) == 64 and int(digest, 16) >= 0

@@ -893,25 +893,24 @@ def test_ransac_rejects_twisted_pair():
 
 
 # ransac_pose(make_outlier_set(seed=s), "quest6", threshold=0.005,
-# max_iters=200, seed=s) as recorded when hypotheses moved to the epipolar
-# polish residual: q (w, x, y, z), t, and the mask as one character per
-# point.
+# max_iters=200, seed=s) as recorded when the coefficient rows took their
+# closed form: q (w, x, y, z), t, and the mask as one character per point.
 # Both tables are printed by tests/record_goldens.py.
 _RANSAC_GOLDEN = (
-    (('0x1.255121e5998bfp-1', '0x1.6a87470eac98ep-4', '-0x1.4eff70956522bp-2', '-0x1.7e19615d382e1p-1'),
-     ('-0x1.dc79576e900fap-2', '0x1.f86c63f626cb9p-2', '0x1.7888351aae35bp-1'),
+    (('0x1.255121e467b2dp-1', '0x1.6a874724b7a0ap-4', '-0x1.4eff7098e5d62p-2', '-0x1.7e19615d0ac40p-1'),
+     ('-0x1.dc795731bb67ep-2', '0x1.f86c63faa8f8bp-2', '0x1.7888352c6a2d0p-1'),
      '011111111111101111101011101101'),
-    (('0x1.b86735a0054fep-3', '0x1.052e8931b4613p-1', '0x1.a4343e0a88c59p-3', '-0x1.9d3e54f3e32a3p-1'),
-     ('-0x1.e89f8059926e8p-2', '-0x1.7679d28b93adfp-3', '0x1.b81a938f98f35p-1'),
+    (('0x1.b867359e49916p-3', '0x1.052e892dbe036p-1', '0x1.a4343dffd0319p-3', '-0x1.9d3e54f730418p-1'),
+     ('-0x1.e89f80a4dc06bp-2', '-0x1.7679d353a8653p-3', '0x1.b81a93700f6d6p-1'),
      '101111111111011110111101111100'),
-    (('0x1.273f85a117c63p-4', '-0x1.a1406899996d1p-3', '-0x1.3e21935daead3p-3', '-0x1.ed889274a8468p-1'),
-     ('0x1.cde1accf30625p-3', '0x1.31f318e053f4cp-1', '-0x1.89f611b7aec51p-1'),
+    (('0x1.273f85a1d3079p-4', '-0x1.a140689c6b70fp-3', '-0x1.3e219361e3b0dp-3', '-0x1.ed88927454fbfp-1'),
+     ('0x1.cde1acc3d71f5p-3', '0x1.31f318dcbf3d0p-1', '-0x1.89f611bb4b933p-1'),
      '011111110101011111110110111111'),
-    (('0x1.8df988b2a390ap-1', '-0x1.3c9a833c8dcc0p-3', '-0x1.02581e5a3f7d6p-1', '0x1.5ebbcafdb16f0p-2'),
-     ('-0x1.e23e032a63588p-7', '0x1.eefe5ce5b8880p-2', '0x1.c024b972ad667p-1'),
+    (('0x1.8df988b335ae9p-1', '-0x1.3c9a833dcb208p-3', '-0x1.02581e595b9ddp-1', '0x1.5ebbcafd72054p-2'),
+     ('-0x1.e23e0458c9c45p-7', '0x1.eefe5cdf28570p-2', '0x1.c024b9746905ep-1'),
      '111111101000111111111111101011'),
-    (('0x1.94ddd475209bep-1', '-0x1.4604d2ed9de51p-3', '0x1.543bcb456c884p-2', '0x1.f493bd4601db0p-2'),
-     ('0x1.bc3d58217f179p-2', '0x1.442bc6aa19c11p-1', '-0x1.4835099530399p-1'),
+    (('0x1.94ddd474c26f3p-1', '-0x1.4604d2eff73bdp-3', '0x1.543bcb473442fp-2', '0x1.f493bd459ade2p-2'),
+     ('0x1.bc3d582362914p-2', '0x1.442bc6a8e2234p-1', '-0x1.48350995c068cp-1'),
      '011111101011111100111011111111'),
 )
 
@@ -928,11 +927,11 @@ def test_ransac_golden_outputs(seed):
 
 # The same call with method "quest7" on outlier sets 0 and 1.
 _RANSAC_QUEST7_GOLDEN = (
-    (('0x1.2686c5cdfcf3ap-1', '0x1.7ac9ff197b7d7p-4', '-0x1.4c4a7feb0b8eap-2', '-0x1.7d8340aa5c12bp-1'),
-     ('-0x1.c9d37db457bf7p-2', '0x1.115a6cc5fd540p-1', '0x1.6f73a8f4ecdd7p-1'),
+    (('0x1.2686c5cd5d4f9p-1', '0x1.7ac9ff0da7a51p-4', '-0x1.4c4a7feb45d16p-2', '-0x1.7d8340aaf99a0p-1'),
+     ('-0x1.c9d37dc7c9645p-2', '0x1.115a6cbbb1960p-1', '0x1.6f73a8f68729bp-1'),
      '011111111111101101101011101101'),
-    (('0x1.b4d3b04d88a8fp-3', '0x1.02d45410aa982p-1', '0x1.a1a0799b85756p-3', '-0x1.9f1eaca57fc3bp-1'),
-     ('-0x1.097028c37001fp-1', '-0x1.d08b6b72a6ecap-3', '0x1.a622e009e12cep-1'),
+    (('0x1.b4d3b0547ca3bp-3', '0x1.02d45414576a5p-1', '0x1.a1a079a1543dbp-3', '-0x1.9f1eaca2629b4p-1'),
+     ('-0x1.097028a457103p-1', '-0x1.d08b6ab50da4fp-3', '0x1.a622e02a79554p-1'),
      '101111111111011110111101111100'),
 )
 
