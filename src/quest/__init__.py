@@ -22,7 +22,7 @@ from .core import (
     rot_error,
     trans_error,
 )
-from .coeffs import build_A, build_triple_matrix, coefficient_row
+from .coeffs import build_A, coefficient_row
 from .solver import (
     estimate_pose,
     quest6_rotations,
@@ -54,7 +54,6 @@ __all__ = [
     "SyntheticCamera",
     "add_pixel_noise",
     "build_A",
-    "build_triple_matrix",
     "coefficient_row",
     "decompose_essential",
     "eight_point",

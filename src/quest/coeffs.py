@@ -23,9 +23,11 @@ product of two quadratics is a fixed map from their 100 coefficient
 products to 35; both maps are built once at import. So build_A computes
 all C(n, 3) rows in a few passes of array operations and returns them as
 a plain C(n, 3) x 35 array, one row per triple in itertools.combinations
-order (the triple index table is cached per n). `build_triple_matrix` and
-the generic cofactor expansion in `polymat` stay as the test oracle the
-rows are checked against.
+order (the triple index table is cached per n). The entry map of R comes
+from the numeric rotation formula by polarization, so the library needs
+no polynomial algebra; the symbolic 6x6 matrix and its generic cofactor
+expansion live beside the tests (tests/symbolic_oracle.py) as the oracle
+the rows are checked against.
 """
 
 from __future__ import annotations
@@ -37,27 +39,26 @@ import numpy as np
 
 from .core import Correspondence, _rays, _rotation_entries, monomial_positions, monomials_of_degree
 from .errors import DegenerateTripleError, InsufficientPointsError
-from .polymat import Poly4, PolyMatrix, ZERO
 
 _DEG2 = monomials_of_degree(2)
-_POS2 = monomial_positions(2)
 
-# Symbolic rotation matrix: the numeric formula core._rotation_entries run
-# on the variables (w, x, y, z), so each entry is a homogeneous quadratic.
-# For a unit quaternion it equals the rotation matrix; for a general
-# quaternion it carries an extra factor w^2 + x^2 + y^2 + z^2.
-_R_ENTRIES = _rotation_entries(*map(Poly4.variable, range(4)))
-R_POLY = PolyMatrix([_R_ENTRIES[r:r + 3] for r in (0, 3, 6)])
+def _entry_map() -> np.ndarray:
+    """The rotation formula core._rotation_entries as one dense map over the
+    degree-2 monomials: row 3c + r holds the coefficients of R[r, c], so it
+    takes the products x_c y_r of two 3-vectors to the quadratic y . R x
+    (9 x 10). Each entry f is a quadratic form in (w, x, y, z), read off by
+    polarization on unit vectors: the coefficient of q_i^2 is f(e_i), that
+    of q_i q_j (i < j) is f(e_i + e_j) - f(e_i) - f(e_j)."""
 
-# R_POLY as one dense map over the degree-2 monomials: row 3c + r holds the
-# coefficients of R[r, c], so it takes the products x_c y_r of two 3-vectors
-# to the quadratic y . R x (9 rows x 10 monomials).
-_RP = np.zeros((3, 3, len(_DEG2)))
-for _r in range(3):
-    for _c in range(3):
-        for _exp, _coeff in R_POLY[_r, _c].terms.items():
-            _RP[_c, _r, _POS2[_exp]] = _coeff
-_RP = _RP.reshape(9, -1)
+    def f(q):  # the entries at each row of q, entry R[r, c] in row 3c + r
+        return np.reshape(_rotation_entries(*q.T), (3, 3, -1)).transpose(1, 0, 2).reshape(9, -1)
+
+    i, j = np.array([np.repeat(range(4), e) for e in _DEG2]).T
+    ei, ej = np.eye(4)[i], np.eye(4)[j]
+    return np.where(i == j, f(ei), f(ei + ej) - f(ei) - f(ej))
+
+
+_RP = _entry_map()
 
 
 def _quadratic_product_map() -> np.ndarray:
@@ -107,24 +108,6 @@ _MUL22 = _gather_map(_quadratic_product_map())
 _VIEW, _A, _B, _RAY = np.array([1, 1, 0, 0]), [0, 1, 2, 2], [2, 2, 1, 0], [0, 1, 1, 0]
 
 
-def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> PolyMatrix:
-    """The 6x6 polynomial matrix whose null vector is (ui, vi, uj, vj, uk, vk).
-
-    Rows 0-2 encode the translation-free constraint between points i and j,
-    rows 3-5 the one between i and k. Odd columns (0-based 1, 3, 5) are
-    constants; even columns are quadratics."""
-
-    def rm(m):
-        return [R_POLY[r, 0] * m[0] + R_POLY[r, 1] * m[1] + R_POLY[r, 2] * m[2] for r in range(3)]
-
-    rmi, rmj, rmk = rm(ci.m), rm(cj.m), rm(ck.m)
-    rows = [[rmi[r], Poly4.constant(-ci.n[r]), -1.0 * rmj[r], Poly4.constant(cj.n[r]), ZERO, ZERO]
-            for r in range(3)]
-    rows += [[rmi[r], Poly4.constant(-ci.n[r]), ZERO, ZERO, -1.0 * rmk[r], Poly4.constant(ck.n[r])]
-             for r in range(3)]
-    return PolyMatrix(rows)
-
-
 # Triples per pass of the row kernel: at ~4 KB of temporaries per triple a
 # pass stays in cache. A row does not depend on the others in its pass.
 _TRIPLES_PER_PASS = 256
@@ -139,8 +122,8 @@ def _rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
     triples holds the point indices of each row (T x 3). Each row is the
     6x6 determinant divided by the norm polynomial, scaled to unit norm
     and sign-fixed so its first non-negligible coefficient is positive.
-    Raises DegenerateTripleError naming the first triple whose row
-    vanishes."""
+    A row that vanishes (repeated or collinear points) comes out as
+    zeros, and no other row does."""
     rays = np.stack([M.T, N.T], axis=1)  # (entry, view, point)
     return np.concatenate([_triple_rows(rays, triples[s:s + _TRIPLES_PER_PASS])
                            for s in range(0, len(triples), _TRIPLES_PER_PASS)])
@@ -161,20 +144,29 @@ def _triple_rows(rays: np.ndarray, triples: np.ndarray) -> np.ndarray:
     prod = quad[:, None, 0] * quad[None, :, 2]
     prod -= quad[:, None, 1] * quad[None, :, 3]
     quot = np.ascontiguousarray(_apply_map(prod.reshape(-1, t), _MUL22).T)
-    bad = np.abs(quot).max(axis=1) < 1e-12
-    if bad.any():
-        triple = tuple(triples[int(np.argmax(bad))].tolist())
-        raise DegenerateTripleError(
-            f"triple {triple}: constraint row vanished (repeated or collinear points?)")
-    rows = quot / np.linalg.norm(quot, axis=1, keepdims=True)
+    norm = np.linalg.norm(quot, axis=1, keepdims=True)
+    norm[np.abs(quot).max(axis=1) < 1e-12] = np.inf  # a vanished row comes out as zeros
+    rows = quot / norm
     first = np.argmax(np.abs(rows) > 1e-12, axis=1)
     return rows * np.copysign(1.0, rows[np.arange(t), first])[:, None]
+
+
+def _checked_rows(M: np.ndarray, N: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """The rows of _rows; raises DegenerateTripleError naming the first
+    triple whose row vanished."""
+    rows = _rows(M, N, triples)
+    vanished = ~rows.any(axis=1)
+    if vanished.any():
+        triple = tuple(triples[int(np.argmax(vanished))].tolist())
+        raise DegenerateTripleError(
+            f"triple {triple}: constraint row vanished (repeated or collinear points?)")
+    return rows
 
 
 def coefficient_row(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> np.ndarray:
     """One unit-norm constraint row (35 monomial coefficients) for a triple:
     the row build_A makes for it, from the same kernel."""
-    return _rows(*_rays([ci, cj, ck]), np.array([(0, 1, 2)]))[0]
+    return _checked_rows(*_rays([ci, cj, ck]), np.array([(0, 1, 2)]))[0]
 
 
 @lru_cache(maxsize=8)
@@ -193,4 +185,4 @@ def build_A(points) -> np.ndarray:
     n = len(points)
     if n < 6:
         raise InsufficientPointsError(f"need at least 6 correspondences, got {n}")
-    return _rows(*_rays(points), _triples(n))
+    return _checked_rows(*_rays(points), _triples(n))

@@ -334,6 +334,8 @@ def score_candidates(A: np.ndarray, qs, live=None):
     (S, k) marking the candidates, returns per sample the positions in k
     of the best 4, their residuals and which of them are filled, each
     (S, min(k, 4)), with the bits of each sample's own call."""
+    if A.shape[-1] != 35:
+        raise ValueError(f"score_candidates requires 35 monomial columns, got shape {A.shape}")
     single = live is None
     if single and not qs:
         raise NoSolutionError("no rotation candidates to score")
@@ -484,8 +486,11 @@ def estimate_pose(points, method: str = "quest6"):
             gauged = _apply_gauge(N, g)
             if gauged is None:
                 continue
+            rows = _rows(M, gauged, _triples(minimal))
+            if not rows.any(axis=1).all():  # a row vanished
+                continue
             try:
-                gauged_qs = rotations(_rows(M, gauged, _triples(minimal)))
+                gauged_qs = rotations(rows)
             except DegeneracyError:
                 continue
             # the w-degeneracy test lives in the gauged frame
@@ -694,9 +699,6 @@ def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.nd
     return t
 
 
-_NO_CANDIDATES = (np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros((0, 3, 3)), np.zeros((0, 3)))
-
-
 def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
     """Per minimal sample (a row of idx into the rays M, N), its candidates
     in scoring order with hypothesis-grade translations
@@ -705,28 +707,26 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
     rotation solve, scoring call and translation call serve the block. A
     sample whose rank test failed, or none of whose candidates has
     |w| >= _MIN_W, takes estimate_pose's candidates; one where that raises,
-    or whose own build raised, gets none. When the block's build raises,
-    each sample is solved as a block of its own."""
-    try:
-        A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
-    except DegeneracyError:
-        if len(idx) == 1:
-            return _NO_CANDIDATES
-        parts = [_block_candidates(M, N, sample[None], method) for sample in idx]
-        return tuple(map(np.concatenate, zip(*[(p[0] + s, *p[1:]) for s, p in enumerate(parts)])))
+    or with a vanished coefficient row (a repeated match, say), gets none.
+    A sample's rows and solve do not depend on the other samples of its
+    block, so the block drops such a sample and solves the rest together."""
+    A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
+    whole = np.flatnonzero(A.any(axis=2).all(axis=1))  # no row vanished
+    A = A[whole]
     U, live, _ = _rotation_stack(A, method)
     Q = np.zeros(live.shape + (4,))
     Q[live] = U
     order, _, valid = score_candidates(A, Q, live)
-    sample = np.nonzero(valid)[0]
-    q = Q[sample, order[valid]]
+    at = np.nonzero(valid)[0]
+    q = Q[at, order[valid]]
+    sample = whole[at]
     R = _rotation_matrices(q)
     cands = sample, q, R, _epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
-    solved = np.isin(np.arange(len(idx)), sample[np.abs(q[:, 0]) >= _MIN_W])
-    if solved.all():
+    unsolved = whole[~np.isin(whole, sample[np.abs(q[:, 0]) >= _MIN_W])]
+    if not len(unsolved):
         return cands
-    parts = [tuple(a[solved[cands[0]]] for a in cands)]
-    for s in np.flatnonzero(~solved).tolist():
+    parts = [tuple(a[~np.isin(sample, unsolved)] for a in cands)]
+    for s in unsolved.tolist():
         try:
             pose = estimate_pose(map(Correspondence, M[idx[s]], N[idx[s]]), method)
         except DegeneracyError:

@@ -1,8 +1,12 @@
-"""Sparse polynomial arithmetic in the four quaternion variables (w, x, y, z).
+"""The symbolic test oracle: sparse polynomial arithmetic in the four
+quaternion variables (w, x, y, z), the symbolic rotation R_POLY and the
+6x6 polynomial matrix of a 3-point subset (build_triple_matrix).
 
-Supports expanding the 6x6 determinant whose vanishing encodes the rigid
-motion constraint for a 3-point subset, and dividing out the quaternion
-norm factor w^2 + x^2 + y^2 + z^2 that the determinant always contains.
+The tests expand that matrix's determinant with the generic cofactor
+expansion, divide out the quaternion norm factor w^2 + x^2 + y^2 + z^2
+that the determinant always contains, and compare the quotient with the
+closed-form rows of quest.coeffs. The library itself never imports this
+module.
 
 Polynomials are kept sparse as {exponent tuple: coefficient} maps with
 float coefficients; the image coordinates feeding them are floats already,
@@ -13,6 +17,8 @@ values as immutable: every operation returns a new instance.
 from __future__ import annotations
 
 import numpy as np
+
+from quest.core import Correspondence, _rotation_entries
 
 
 class Poly4:
@@ -220,3 +226,29 @@ def poly_div_exact(p: Poly4, d: Poly4):
         else:
             remainder_max = max(remainder_max, abs(coeff))
     return Poly4(quotient), remainder_max / scale
+
+
+# Symbolic rotation matrix: the numeric formula core._rotation_entries run
+# on the variables (w, x, y, z), so each entry is a homogeneous quadratic.
+# For a unit quaternion it equals the rotation matrix; for a general
+# quaternion it carries an extra factor w^2 + x^2 + y^2 + z^2.
+_R_ENTRIES = _rotation_entries(*map(Poly4.variable, range(4)))
+R_POLY = PolyMatrix([_R_ENTRIES[r:r + 3] for r in (0, 3, 6)])
+
+
+def build_triple_matrix(ci: Correspondence, cj: Correspondence, ck: Correspondence) -> PolyMatrix:
+    """The 6x6 polynomial matrix whose null vector is (ui, vi, uj, vj, uk, vk).
+
+    Rows 0-2 encode the translation-free constraint between points i and j,
+    rows 3-5 the one between i and k. Odd columns (0-based 1, 3, 5) are
+    constants; even columns are quadratics."""
+
+    def rm(m):
+        return [R_POLY[r, 0] * m[0] + R_POLY[r, 1] * m[1] + R_POLY[r, 2] * m[2] for r in range(3)]
+
+    rmi, rmj, rmk = rm(ci.m), rm(cj.m), rm(ck.m)
+    rows = [[rmi[r], Poly4.constant(-ci.n[r]), -1.0 * rmj[r], Poly4.constant(cj.n[r]), ZERO, ZERO]
+            for r in range(3)]
+    rows += [[rmi[r], Poly4.constant(-ci.n[r]), ZERO, ZERO, -1.0 * rmk[r], Poly4.constant(ck.n[r])]
+             for r in range(3)]
+    return PolyMatrix(rows)

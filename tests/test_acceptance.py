@@ -15,11 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from quest import baseline, bench, coeffs, core, polymat, solver
+from quest import baseline, bench, coeffs, core, solver
 from quest.bench import SceneConfig, SyntheticCamera
 from quest.core import monomial_vector
 from quest.errors import CriticalSurfaceError, DegeneracyError
 from conftest import make_outlier_set, random_correspondence
+from symbolic_oracle import NORM_POLY, build_triple_matrix, poly_det, poly_div_exact, poly_eval
 
 CAM = SyntheticCamera()
 
@@ -127,15 +128,15 @@ def test_c03_coefficient_oracle_equivalence(rng):
     worst_rem = 0.0
     for _ in range(1000):
         pts = [random_correspondence(rng) for _ in range(3)]
-        M = coeffs.build_triple_matrix(*pts)
-        det = polymat.poly_det(M)
+        M = build_triple_matrix(*pts)
+        det = poly_det(M)
         for _ in range(20):
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
-            sym = polymat.poly_eval(det, q)
+            sym = poly_eval(det, q)
             num = np.linalg.det(M.eval_at(q))
             worst_eval = max(worst_eval, abs(sym - num) / max(1.0, abs(sym), abs(num)))
-        _, rem = polymat.poly_div_exact(det, polymat.NORM_POLY)
+        _, rem = poly_div_exact(det, NORM_POLY)
         worst_rem = max(worst_rem, rem)
     ok = worst_eval < 1e-8 and worst_rem < 1e-9
     assert report(3, ok, f"worst eval rel diff {worst_eval:.2e}, worst remainder {worst_rem:.2e}")

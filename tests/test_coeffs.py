@@ -1,15 +1,20 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quest import bench, coeffs, core, polymat
-from quest.coeffs import R_POLY, build_A, build_triple_matrix, coefficient_row
+from quest import bench, coeffs, core
+from quest.coeffs import build_A, coefficient_row
 from quest.core import Correspondence, monomial_positions, monomial_vector, monomials_of_degree
 from quest.errors import DegenerateTripleError, InsufficientPointsError
 from conftest import random_correspondence
+from symbolic_oracle import NORM_POLY, R_POLY, build_triple_matrix, poly_det, poly_div_exact
 
 POS2 = monomial_positions(2)
 POS4 = monomial_positions(4)
@@ -28,11 +33,11 @@ def _canonical(row):
 
 
 def reference_row(ci, cj, ck):
-    """The row contract spelled out with the generic polymat operations:
+    """The row contract spelled out with the symbolic oracle's operations:
     determinant, exact division by the norm polynomial, canonical layout,
     unit norm, sign fix."""
-    det = polymat.poly_det(build_triple_matrix(ci, cj, ck))
-    quotient, rem = polymat.poly_div_exact(det, polymat.NORM_POLY)
+    det = poly_det(build_triple_matrix(ci, cj, ck))
+    quotient, rem = poly_div_exact(det, NORM_POLY)
     assert rem < 1e-6
     row = np.zeros(35)
     for e, c in quotient.terms.items():
@@ -44,13 +49,13 @@ def lstsq_row_oracle(ci, cj, ck):
     """Independent extraction of the degree-4 coefficients: solve the linear
     map 'multiply by the norm polynomial' from the 35 unknowns to the 84
     degree-6 coefficients in least squares."""
-    det = polymat.poly_det(build_triple_matrix(ci, cj, ck))
+    det = poly_det(build_triple_matrix(ci, cj, ck))
     d6 = np.zeros(84)
     for e, c in det.terms.items():
         d6[POS6[e]] = c
     N = np.zeros((84, 35))
     for j, e4 in enumerate(monomials_of_degree(4)):
-        for e2, c in polymat.NORM_POLY.terms.items():
+        for e2, c in NORM_POLY.terms.items():
             N[POS6[tuple(np.add(e4, e2))], j] = c
     sol, _, _, _ = np.linalg.lstsq(N, d6, rcond=None)
     return _canonical(sol)
@@ -107,6 +112,27 @@ def exact_row(ci, cj, ck):
                 det[e] = det.get(e, 0) - v
     big = max(map(abs, quotient.values()))
     return _canonical(np.array([quotient.get(e, 0) / big for e in monomials_of_degree(4)]))
+
+
+# --- the symbolic oracle ---------------------------------------------------
+
+def test_entry_map_is_the_symbolic_rotation():
+    # the polarized rotation formula, coefficient for coefficient
+    want = np.zeros((3, 3, len(POS2)))
+    for r in range(3):
+        for c in range(3):
+            for e, v in R_POLY[r, c].terms.items():
+                want[c, r, POS2[e]] = v
+    assert np.array_equal(coeffs._RP, want.reshape(9, -1))
+
+
+def test_import_loads_no_symbolic_layer():
+    code = ("import sys, quest; print(hasattr(quest, 'build_triple_matrix'), "
+            "sorted(m for m in sys.modules if 'polymat' in m or 'oracle' in m))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False", "[]"]
 
 
 # --- build_triple_matrix ----------------------------------------------------

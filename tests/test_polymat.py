@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quest.polymat import (
+from quest.core import Quaternion, quat_to_rotation
+from conftest import random_correspondence
+from symbolic_oracle import (
     NORM_POLY,
+    R_POLY,
     Poly4,
     PolyMatrix,
+    build_triple_matrix,
     poly_add,
     poly_det,
     poly_div_exact,
@@ -15,9 +19,6 @@ from quest.polymat import (
     poly_scale,
     poly_sub,
 )
-from quest.coeffs import R_POLY, build_triple_matrix
-from quest.core import Quaternion, quat_to_rotation
-from conftest import random_correspondence
 
 W, X, Y, Z = (Poly4.variable(i) for i in range(4))
 

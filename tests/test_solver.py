@@ -565,6 +565,12 @@ def test_score_empty_candidates_raises():
         solver.score_candidates(coeffs.build_A(sc.correspondences), [])
 
 
+def test_score_rejects_a_matrix_without_35_monomial_columns():
+    for A in (np.zeros((20, 34)), np.zeros((3, 20, 36))):
+        with pytest.raises(ValueError, match="35 monomial columns"):
+            solver.score_candidates(A, [core.IDENTITY_QUATERNION])
+
+
 def test_score_ranking_invariant_to_row_rescaling(rng):
     # arbitrary positive per-row scalings vanish under unit normalization,
     # so candidate ranking cannot depend on them
@@ -1078,8 +1084,7 @@ def _record_blocks(monkeypatch):
     block = solver._block_candidates
 
     def recording_block(M, N, idx, method):
-        # a block whose coefficient build raised solves each of its
-        # samples again as a block of its own; those are not new draws
+        # a block that calls _block_candidates again draws nothing new
         if not nested:
             drawn.append(idx)
         nested.append(idx)
@@ -1169,8 +1174,26 @@ def test_ransac_survives_a_duplicated_match():
 
 def test_ransac_block_matches_reference_on_duplicated_match(monkeypatch):
     points, _ = _duplicated_match_set()
-    builds, _, _ = _assert_matches_reference(points, "quest6", 0, monkeypatch, "_rows")
-    assert not all(builds)  # a block's coefficient build raised
+    _, _, drawn = _assert_matches_reference(points, "quest6", 0, monkeypatch)
+    # a block drew samples holding both copies, whose rows vanish: it drops
+    # just those and solves its other samples as one stack
+    dup = next(i for i in range(len(points)) if points[i] is points[i + 1])
+    for idx in drawn:
+        both = np.isin(idx, dup).any(axis=1) & np.isin(idx, dup + 1).any(axis=1)
+        if both.any():
+            break
+    assert 0 < both.sum() < len(idx)
+    stacks = []
+    rotation_stack = solver._rotation_stack
+    monkeypatch.setattr(solver, "_rotation_stack",
+                        lambda A, method: stacks.append(len(A)) or rotation_stack(A, method))
+    rays = core._rays(points)
+    sample = solver._block_candidates(*rays, idx, "quest6")[0]
+    assert stacks[0] == len(idx) - both.sum()
+    assert not np.isin(np.flatnonzero(both), sample).any()
+    assert np.isin(np.flatnonzero(~both), sample).any()
+    # a block of such samples alone has no candidates
+    assert all(len(a) == 0 for a in solver._block_candidates(*rays, idx[both], "quest6"))
 
 
 def test_ransac_block_matches_reference_near_half_turn(monkeypatch):
