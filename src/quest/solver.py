@@ -18,9 +18,9 @@ QUEST7_SPLIT):
 Every step works on whole arrays and keeps the bits of a per-vector loop.
 Both methods take their rank test and pseudo-inverse from one SVD of A2,
 and fill B from index tables built at import.
-Eigenvector alignment, selection, quaternion extraction and scoring act
-on a stack of eigenvector matrices at once, with a mask of each
-matrix's candidates, and translation treats all candidates as one stack.
+Eigenvector selection, quaternion extraction and scoring act on a stack
+of eigenvector matrices at once, with a mask of each matrix's
+candidates, and translation treats all candidates as one stack.
 
 Translation and both views' depths come from the null vector of the
 stacked rigid-motion system, and candidates are ranked by the algebraic
@@ -97,7 +97,6 @@ _PINV_RCOND = 1e-10
 # Regularizing the pseudo-inverse (harmless) and declaring a structural
 # rank collapse (fatal) need different tolerances.
 _RANK_FLOOR = 1e-12
-_IMAG_RATIO = 1e-6
 
 #: Minimal point count per pose method: the only method table.
 MINIMAL_POINTS = {"quest6": 6, "quest7": 7, "eightpt": 8}
@@ -153,39 +152,16 @@ def _pinv(mat: np.ndarray):
     return np.swapaxes(vt, -1, -2) @ (inv[..., :, None] * np.swapaxes(u, -1, -2)), s
 
 
-def _aligned_columns(V: np.ndarray):
-    """Phase-aligned real parts of the eigenvector stack V (all real or all
-    complex) and the mask of its kept columns; see _near_real_eigenvectors."""
-    S, k, _ = V.shape
-    peak = V[np.arange(S)[:, None], np.abs(V).argmax(axis=1), np.arange(k)][:, None]
-    aligned = V / (peak / np.abs(peak))
-    cols = aligned.transpose(0, 2, 1)
-    kept = _row_norms(cols.imag) <= _IMAG_RATIO * _row_norms(cols.real)
-    return aligned.real, kept | (kept.sum(axis=1) < 2)[:, None]
-
-
 def _near_real_eigenvectors(B: np.ndarray):
-    """Eigenvectors of each real matrix in the stack B (S x k x k) that are
-    real up to a complex phase: the real parts V (S x k x k) of all k
-    phase-aligned eigenvectors, as columns, and a mask (S x k) of the
-    columns kept. The eigen solve is one stacked call.
-
-    Each eigenvector is rotated so its largest component is real positive;
-    vectors whose imaginary part stays below _IMAG_RATIO of the real part
-    are kept. If fewer than 2 survive (noise can push a real pair
-    slightly complex), all of the matrix's columns are kept instead."""
+    """Eigenvectors of each real matrix in the stack B (S x k x k) from one
+    stacked call: the real parts V (S x k x k) of LAPACK's vectors, as
+    columns, and a mask (S x k) that keeps those whose eigenvalue has an
+    imaginary part of exactly 0, or all of a matrix with none (noise can
+    push a real pair slightly complex); extraction ignores a column's sign.
+    The name is kept for perfbench/spans.py, which traces it as solver.eig."""
     vals, vecs = np.linalg.eig(B)
-    # eig returns a lone matrix's vectors as real when its eigenvalues all
-    # are, but a stack's as complex when any matrix has a complex pair, and
-    # complex phase alignment rounds differently: a mixed stack aligns its
-    # real spectra as reals
-    if len(B) == 1 or not np.iscomplexobj(vecs):
-        return _aligned_columns(vecs)
-    real = ~np.any(vals.imag, axis=1)
-    V, kept = np.empty(B.shape), np.empty(B.shape[:2], dtype=bool)
-    for group, W in ((real, vecs[real].real), (~real, vecs[~real])):
-        V[group], kept[group] = _aligned_columns(W)
-    return V, kept
+    kept = vals.imag == 0.0
+    return vecs.real, kept | ~kept.any(axis=1)[:, None]
 
 
 def _quat_from_cubic_vector(V: np.ndarray, kept: np.ndarray):
@@ -371,11 +347,11 @@ def recover_translation_depths(cands, points):
     points stack into a 3k x (2k + 3) system whose null vector holds
     (t, u1, v1, ..., uk, vk); the rightmost singular vector recovers them
     up to one common scale. The global sign is flipped so most depths are
-    positive, then the result is scaled to ||t|| = 1 unless the
-    translation is negligible against the depths, in which case the mean
-    absolute depth is scaled to 1 (so a near-zero translation stays near
-    zero). All candidates' systems are solved as one stack on the list of
-    matches `points`, and each candidate gets the bits it would get alone."""
+    positive (on a tie, their sum), then the result is scaled to ||t|| = 1
+    unless the translation is negligible against the depths, in which case
+    the mean absolute depth is scaled to 1, so a near-zero t stays near zero.
+    All candidates' systems are solved as one stack on the list of matches
+    `points`, and each candidate gets the bits it would get alone."""
     # rays indexed (point, 1, xyz), broadcast over the candidates
     M, N = (rays.reshape(-1, 1, 3) for rays in _rays(list(points)))
     k = len(M)
@@ -398,7 +374,8 @@ def recover_translation_depths(cands, points):
     padded = np.concatenate([svals, np.zeros((len(cands), Vt.shape[1] - svals.shape[1]))], axis=1)
     ambiguous = (padded[:, -2] - padded[:, -1]) < 1e-8 * padded[:, 0]
 
-    flip = np.sum(Y[:, 3:] > 0.0, axis=1) < np.sum(Y[:, 3:] < 0.0, axis=1)
+    votes = np.sign(Y[:, 3:]).sum(axis=1)  # positive minus negative depths
+    flip = np.where(votes != 0.0, votes, Y[:, 3:].sum(axis=1)) < 0.0
     Y = np.where(flip[:, None], -Y, Y)
     depths = Y[:, 3:]
     chirality_ok = np.all(depths > 0.0, axis=1)

@@ -105,21 +105,12 @@ def test_pinv_is_numpy_pinv_with_its_singular_values():
 
 
 def _reference_near_real_eigenvectors(B):
-    # one eigenvector at a time: the oracle for the whole-matrix version
-    _, vecs = np.linalg.eig(B)
-    aligned = []
-    kept = []
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        v = v / phase
-        aligned.append(v.real)
-        if np.linalg.norm(v.imag) <= solver._IMAG_RATIO * np.linalg.norm(v.real):
-            kept.append(v.real)
-    if len(kept) < 2:
-        kept = aligned
-    return kept
+    # one eigenvector at a time: the oracle for the whole-matrix version; a
+    # real eigenvalue keeps its vector as LAPACK returns it, and a matrix
+    # with no real eigenvalue keeps the real parts of all its vectors
+    vals, vecs = np.linalg.eig(B)
+    kept = [vecs[:, i].real for i in range(len(vals)) if vals[i].imag == 0.0]
+    return kept or [vecs[:, i].real for i in range(len(vals))]
 
 
 def _reference_quat_from_cubic_vector(v):
@@ -201,6 +192,54 @@ def test_whole_matrix_extraction_matches_per_vector_reference():
     assert mixed > 0
 
 
+def test_kept_eigenvectors_are_lapacks_own():
+    # alone or in a stack that mixes real spectra with complex pairs, every
+    # column is the real part of LAPACK's vector, bit for bit and unscaled
+    rng = np.random.default_rng(909)
+    Bs = np.stack([_eigen_test_matrix(rng, c) for c in (0, 1, 2, 0)])
+    V, kept = solver._near_real_eigenvectors(Bs)
+    negative_peaks = 0
+    for B, Vi, keep in zip(Bs, V, kept):
+        vals, vecs = np.linalg.eig(B)
+        real = vals.imag == 0.0
+        assert np.array_equal(keep, real if real.any() else np.ones_like(real))
+        assert np.array_equal(Vi, vecs.real)
+        peaks = Vi[np.abs(Vi).argmax(axis=0), np.arange(Vi.shape[1])]
+        negative_peaks += np.count_nonzero(peaks[real] < 0.0)
+    # columns whose largest entry is negative, which a phase alignment would negate
+    assert negative_peaks > 0
+
+
+def test_slightly_complex_pair_is_dropped_beside_real_eigenvalues():
+    # a pair 0.5 +- 1e-12 i whose eigenvectors are real to 1e-12, beside
+    # the real eigenvalues 2 and -1: only the real eigenvalues' columns stay
+    B = np.zeros((4, 4))
+    B[0, 0] = B[1, 1] = 0.5
+    B[0, 1], B[1, 0] = 1.0, -1e-24
+    B[2, 2], B[3, 3] = 2.0, -1.0
+    P = np.eye(4)[[2, 0, 3, 1]]
+    B = P @ B @ P.T
+    vals = np.linalg.eigvals(B)
+    assert 0.0 < np.abs(vals.imag).max() < 1e-11
+    _, (kept,) = solver._near_real_eigenvectors(B[None])
+    assert np.array_equal(kept, vals.imag == 0.0) and kept.sum() == 2
+    assert sorted(vals[kept].real.tolist()) == [-1.0, 2.0]
+
+
+def test_extraction_ignores_column_signs():
+    # a column and its negation give the same quaternion, bit for bit, for
+    # quest6's 20-entry columns and quest7's 4-entry ones
+    rng = np.random.default_rng(910)
+    B = _eigen_test_matrix(rng, 0)
+    for V in (np.linalg.eig(B)[1], rng.normal(size=(4, 12))):
+        signs = np.where(rng.random(V.shape[1]) < 0.5, -1.0, 1.0)
+        assert (signs < 0.0).any() and (signs > 0.0).any()
+        kept = np.ones((1, V.shape[1]), dtype=bool)
+        U, live = solver._quat_from_cubic_vector(V[None], kept)
+        U_neg, live_neg = solver._quat_from_cubic_vector((V * signs)[None], kept)
+        assert np.array_equal(U, U_neg) and np.array_equal(live, live_neg)
+
+
 def _per_sample(U, live):
     # the rows of an extraction's quaternions that belong to each sample
     return np.split(U, np.cumsum(live.sum(axis=1))[:-1])
@@ -224,9 +263,9 @@ def test_stacked_layers_give_each_sample_its_stack_of_one_bits():
         return np.array([[a, -1.5], [1.5, a]])
 
     # eig and extraction: quest6 matrices with all-real spectra, a mix of
-    # real vectors and complex pairs, and only complex pairs (fewer than
-    # two near-real eigenvectors, so all are kept); quest7's 4x4 matrices
-    # the same three ways
+    # real eigenvalues and complex pairs, and only complex pairs (no real
+    # eigenvalue, so all columns are kept); quest7's 4x4 matrices the same
+    # three ways
     zero = np.zeros((2, 2))
     for Bs in (np.stack([_eigen_test_matrix(rng, c) for c in (0, 1, 2, 1, 0)]),
                np.stack([similar(np.diag(rng.normal(size=4))),
@@ -641,7 +680,8 @@ def _reference_translation(q, points):
     padded = np.concatenate([svals, np.zeros(Vt.shape[0] - svals.shape[0])])
     ambiguous = bool((padded[-2] - padded[-1]) < 1e-8 * padded[0])
     depths = y[3:]
-    if np.sum(depths > 0.0) < np.sum(depths < 0.0):
+    votes = np.sum(depths > 0.0) - np.sum(depths < 0.0)
+    if votes < 0 or (votes == 0 and np.sum(depths) < 0.0):
         y = -y
         depths = y[3:]
     chirality_ok = bool(np.all(depths > 0.0))
@@ -680,6 +720,30 @@ def test_stacked_translation_matches_per_candidate_reference():
                 chirality_ok, ratio, ambiguous, note)
             notes.add(note)
     assert notes == {"unit-translation", "unit-mean-depth"}
+
+
+def test_tied_depth_signs_do_not_take_the_svd_sign(monkeypatch):
+    # negating u and vt together is as valid an SVD and leaves the
+    # pseudo-inverse's bits alone; candidates whose depth signs split
+    # evenly must come out the same, so the sum of their depths decides
+    points = list(scene(1, n=6, geometry="coplanar").correspondences)
+    cands = solver.estimate_pose(points, "quest6")
+    assert any(np.sign(np.concatenate([c.depths_u, c.depths_v])).sum() == 0.0 for c in cands)
+    svd = np.linalg.svd
+
+    def negated(*args, **kwargs):
+        u, s, vt = svd(*args, **kwargs)
+        return -u, s, -vt
+
+    monkeypatch.setattr(np.linalg, "svd", negated)
+    again = solver.estimate_pose(points, "quest6")
+    assert len(again) == len(cands)
+    for c, d in zip(cands, again):
+        assert c.q == d.q and c.algebraic_residual == d.algebraic_residual
+        for field in ("t", "depths_u", "depths_v"):
+            assert np.array_equal(getattr(c, field), getattr(d, field))
+        assert (c.chirality_ok, c.scale_note, c.t_depth_ratio, c.ambiguous_depths) == (
+            d.chirality_ok, d.scale_note, d.t_depth_ratio, d.ambiguous_depths)
 
 
 # --- estimate_pose ----------------------------------------------------------
