@@ -12,8 +12,8 @@ QUEST7_SPLIT):
 - 6 points (A is 20x35): x1 is the twenty monomials containing w. With
   v = x1 / w, the relation x * v = w * B @ v holds for a 20x20 matrix B
   whose rows are unit selectors when x * v stays inside x1 and rows of
-  -pinv(A2) @ A1 otherwise; eigenvectors deliver the cubes of the
-  quaternion components, with eigenvalue x / w.
+  -pinv(A2) @ A1 otherwise; eigenvectors hold the degree-3 monomials
+  of q, with eigenvalue x / w.
 
 Every step works on whole arrays and keeps the bits of a per-vector loop.
 Both methods take their rank test and pseudo-inverse from one SVD of A2,
@@ -131,6 +131,9 @@ _BBAR_SOURCE = _x2_rows(QUEST6_SPLIT, [g for g in _X_TIMES if g[0] == 0])
 _MIXED = np.array([[_POS3[tuple(2 * (i == a) + (i == o) for i in range(4))] for o in range(4)]
                    for a in range(4)])
 _CUBES = _MIXED.diagonal()
+# A component below 1e-3 of the anchor (its cube below _CUBE_RATIO of the
+# anchor's) is read linearly: a cube root amplifies a near-zero cube's rounding.
+_CUBE_RATIO = 1e-9
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -170,28 +173,24 @@ def _quat_from_cubic_vector(V: np.ndarray, kept: np.ndarray):
     columns that give one, in row-major order.
 
     Columns of 4 entries are the quaternions themselves (quest7). Columns
-    of 20 entries hold the degree-3 monomials (quest6): component
-    magnitudes come from cube roots of the w^3, x^3, y^3, z^3 entries;
-    signs come from the mixed monomials anchored at the largest cube entry
-    (numerically larger when a component is small), falling back to the
-    cube entry's own sign. Columns that vanish are skipped. The norm squares
+    of 20 entries hold the degree-3 monomials (quest6): with a the
+    component of the largest |cube|, component o is cbrt(|o^3|) with the
+    sign of the entry a^2 o, or a^2 o / cbrt(|a^3|)^2 when |o^3| is below
+    _CUBE_RATIO |a^3|. Columns that vanish are skipped. The norm squares
     with libm pow as Python's ** does (np.float_power, not numpy's x*x) and
     sums in Quaternion.norm's order, for Quaternion.normalized's bits."""
     cols = V.transpose(0, 2, 1)[kept]
     if V.shape[1] == 20:
-        scale = np.abs(cols).max(axis=1)[:, None]
         at = np.arange(len(cols))
-        cubes = cols[:, _CUBES]
-        anchor = np.abs(cubes).argmax(axis=1)
-        flip = cubes[at, anchor][:, None] < 0.0
-        cols = np.where(flip, -cols, cols)
-        cubes = np.where(flip, -cubes, cubes)
-        mags = np.cbrt(np.abs(cubes))
-        mixed = cols[at[:, None], _MIXED[anchor]]
-        sign_source = np.where(np.abs(mixed) > 1e-12 * scale, mixed, cubes)
+        cubes = np.abs(cols[:, _CUBES])
+        anchor = cubes.argmax(axis=1)
+        mags = np.cbrt(cubes)
+        peak, root = cubes[at, anchor][:, None], mags[at, anchor][:, None]
+        mixed = cols[at[:, None], _MIXED[anchor]]  # a^2 o; a^3 at the anchor
+        linear = np.divide(mixed, root * root, out=np.zeros_like(mixed), where=root > 0.0)
+        comps = np.where(cubes >= _CUBE_RATIO * peak, np.copysign(mags, mixed), linear)
         # a vanishing column gets zero components, which the norm test drops
-        cols = np.where((sign_source != 0.0) & (scale >= 1e-12),
-                        np.copysign(mags, sign_source), 0.0)
+        cols = np.where(np.abs(cols).max(axis=1)[:, None] >= 1e-12, comps, 0.0)
     sq = np.float_power(cols, 2.0)
     norms = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
     good = norms >= 1e-12
@@ -375,8 +374,8 @@ def recover_translation_depths(cands, points):
     ambiguous = (padded[:, -2] - padded[:, -1]) < 1e-8 * padded[:, 0]
 
     votes = np.sign(Y[:, 3:]).sum(axis=1)  # positive minus negative depths
-    flip = np.where(votes != 0.0, votes, Y[:, 3:].sum(axis=1)) < 0.0
-    Y = np.where(flip[:, None], -Y, Y)
+    negate = np.where(votes != 0.0, votes, Y[:, 3:].sum(axis=1)) < 0.0
+    Y = np.where(negate[:, None], -Y, Y)
     depths = Y[:, 3:]
     chirality_ok = np.all(depths > 0.0, axis=1)
     t_norm = _row_norms(Y[:, :3])

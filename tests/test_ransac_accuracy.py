@@ -15,7 +15,7 @@ def test_each_section_prints_its_figures():
     # the first two outlier sets are solved within the bound, every inlier kept
     line = ransac_accuracy.c08_line(quest, make_outlier_set, "quest6", sets=2)
     assert re.fullmatch(r"c08 quest6 precision=1\.0000 recall=1\.0000 rot_median=0\.00\d\d "
-                        r"rot_max=0\.00\d\d raised=none", line), line
+                        r"rot_max=0\.00\d\d polished_max=0\.0\d{3} raised=none", line), line
     lines = ransac_accuracy.half_turn_lines(quest, make_outlier_set, ws=(0.0, 0.1), seeds=1)
     assert [line.split(" misses=")[0] for line in lines] == [
         "half-turn w=0.00", "half-turn w=0.10", "half-turn"]

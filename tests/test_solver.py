@@ -113,29 +113,30 @@ def _reference_near_real_eigenvectors(B):
     return kept or [vecs[:, i].real for i in range(len(vals))]
 
 
+_CUBE_POSITIONS = [core.monomial_positions(3)[e]
+                   for e in [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]]
+
+
 def _reference_quat_from_cubic_vector(v):
-    scale = np.abs(v).max()
-    if scale < 1e-12:
+    # one column at a time: each component from its cube's root with the
+    # sign of the anchor's a^2 o entry, or linearly from that entry when its
+    # cube is below 1e-9 of the anchor's
+    if np.abs(v).max() < 1e-12:
         return None
     pos3 = core.monomial_positions(3)
-    cube_idx = [pos3[e] for e in [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]]
-    cubes = v[cube_idx]
-    anchor = int(np.argmax(np.abs(cubes)))
-    if cubes[anchor] < 0.0:
-        v = -v
-        cubes = -cubes
-    mags = np.cbrt(np.abs(cubes))
+    cubes = np.abs(v[_CUBE_POSITIONS])
+    mags = np.cbrt(cubes)
+    anchor = int(np.argmax(cubes))
     comps = np.zeros(4)
-    comps[anchor] = mags[anchor]
     for other in range(4):
-        if other == anchor:
-            continue
         exp = [0, 0, 0, 0]
-        exp[anchor] = 2
-        exp[other] = 1
-        mixed = v[pos3[tuple(exp)]]
-        sign_source = mixed if abs(mixed) > 1e-12 * scale else cubes[other]
-        comps[other] = math.copysign(mags[other], sign_source) if sign_source != 0.0 else 0.0
+        exp[anchor] += 2
+        exp[other] += 1
+        mixed = v[pos3[tuple(exp)]]  # the anchor's own cube when other == anchor
+        if cubes[other] >= 1e-9 * cubes[anchor]:
+            comps[other] = math.copysign(mags[other], mixed)
+        else:
+            comps[other] = mixed / (mags[anchor] * mags[anchor])
     q = Quaternion.from_array(comps)
     if q.norm() < 1e-12:
         return None
@@ -178,14 +179,21 @@ def test_whole_matrix_extraction_matches_per_vector_reference():
         # all 20 kept (real), some kept (mixed), or none kept (all returned)
         assert V.shape[1] == 20 if trial % 3 != 1 else 2 <= V.shape[1] <= 20
         mixed += trial % 3 == 1 and V.shape[1] < 20
-        # sign fallbacks and skipped columns: zero entries, entries near
-        # the 1e-12 relative cut, columns of very different scale and a
-        # vanishing column
+        # both read-offs and skipped columns: zero entries, a cube just
+        # above, at or just below 1e-9 of the anchor's, columns of very
+        # different scale, one whose cube entries are all zero and a
+        # vanishing one
         W = np.where(rng.random(V.shape) < 0.2, 0.0, V)
-        W = np.where(rng.random(V.shape) < 0.2, 1e-12 * rng.uniform(0.1, 10.0, V.shape) * W, W)
+        at = np.arange(W.shape[1])
+        cubes = W[_CUBE_POSITIONS]
+        anchor = np.abs(cubes).argmax(axis=0)
+        near = np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])[rng.integers(3, size=len(at))]
+        W[np.take(_CUBE_POSITIONS, (anchor + rng.integers(1, 4, len(at))) % 4), at] = (
+            1e-9 * cubes[anchor, at] * near * np.where(rng.random(len(at)) < 0.5, -1.0, 1.0))
         W = W * 10.0 ** rng.uniform(-6, 6, W.shape[1])
-        j = rng.integers(W.shape[1])
+        j, k = rng.choice(W.shape[1], size=2, replace=False)
         W[:, j] = 1e-13 * V[:, j]
+        W[_CUBE_POSITIONS, k] = 0.0
         ref_qs = [q for q in map(_reference_quat_from_cubic_vector, W.T) if q is not None]
         got = solver._quat_from_cubic_vector(W[None], np.ones((1, W.shape[1]), bool))
         assert _quats(got[0]) == ref_qs
@@ -336,6 +344,27 @@ def test_quest6_recovers_noiseless_rotation():
         qs = solver.quest6_rotations(coeffs.build_A(sc.correspondences))
         assert len(qs) <= 20
         assert min(core.rot_error(q, sc.pose.q) for q in qs) < 1e-6
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_quest6_recovers_noiseless_rotations_about_a_coordinate_axis(axis):
+    # two of q's components vanish; read by their cube roots they carried
+    # errors of up to 4e-5 pi
+    for angle in (1e-3, 0.01, 0.1, 1.0):
+        for seed in (0, 1, 2):
+            q = _rotation_about(core.IDENTITY_QUATERNION, np.eye(3)[axis], angle)
+            sc = scene(seed, fixed_rotation=tuple(q))
+            cands = solver.estimate_pose(sc.correspondences, "quest6")
+            assert min(core.rot_error(c.q, sc.pose.q) for c in cands) <= 1e-10, (angle, seed)
+
+
+def test_quest6_recovers_a_rotation_with_a_near_zero_component():
+    # acceptance criterion 1's scene 1092: y = -1.4e-4, read linearly
+    sc = scene(1092)
+    assert abs(sc.pose.q.y) < 2e-4
+    (best, *_) = solver.estimate_pose(sc.correspondences[:6], "quest6")
+    assert core.rot_error(best.q, sc.pose.q) <= 1e-9
+    assert core.trans_error(best.t, sc.pose.t) <= 1e-9
 
 
 def test_quest6_recovers_coplanar_rotation():
