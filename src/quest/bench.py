@@ -298,13 +298,16 @@ _TIME_WARMUP = 10
 def run_time_benchmark(methods, trials: int, cfg: SceneConfig, cam: SyntheticCamera,
                        seed: int = 0):
     """Wall-clock per solve over a mix of general/coplanar scenes and noise
-    levels. The first _TIME_WARMUP trials are run but discarded. Returns
-    (records, {method: TimingStats}); failed solves still count toward the
-    timing statistics, since a failed attempt costs real time."""
+    levels: the geometry alternates trial by trial and the noise level
+    steps through _TIME_SIGMAS every second trial, so every (geometry,
+    sigma) pair comes up once in 8 trials. The first _TIME_WARMUP trials
+    are run but discarded. Returns (records, {method: TimingStats}); failed
+    solves still count toward the timing statistics, since a failed
+    attempt costs real time."""
     records = []
     for trial in range(_TIME_WARMUP + trials):
         geometry = "general" if trial % 2 == 0 else "coplanar"
-        sigma = _TIME_SIGMAS[trial % len(_TIME_SIGMAS)]
+        sigma = _TIME_SIGMAS[trial // 2 % len(_TIME_SIGMAS)]
         scene_seed, noise_seed = _derived_seeds(seed, 9999, trial)
         scene = generate_scene(replace(cfg, rng_seed=scene_seed, geometry=geometry))
         noisy = add_pixel_noise(scene.correspondences, sigma, cam, noise_seed)

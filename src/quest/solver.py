@@ -40,10 +40,13 @@ constraint on their own sample's rays, one stacked k x 3 SVD for the
 whole block. They stay in each sample's scoring order, unranked, since
 the winner is picked by inlier count and mean error alone. The
 hypotheses are polished in lockstep on the sine of each ray's angle to
-its epipolar plane, which needs no triangulation; a hypothesis that this
-polish leaves below a minimal inlier set (no parallax hides t from that
+its epipolar plane, which needs no triangulation and comes from two
+per-ray tables of Kronecker products; a hypothesis that this polish
+leaves below a minimal inlier set (no parallax hides t from that
 residual) is polished again on the angular error consensus scores. The
-winner is refit with the full rigid-motion system.
+polish carries each pose's cost, gradient and Gauss-Newton matrix as
+one Gram matrix of its residual rows. The winner is refit with the full
+rigid-motion system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -528,10 +531,18 @@ def _rotation_exp(delta: np.ndarray) -> np.ndarray:
 
 
 # Forward-difference step of the polish Jacobian, and the three rotation
-# increments and translation offsets it perturbs a pose by.
+# increments it perturbs a pose by.
 _H = 1e-7
-_DR = _rotation_exp(_H * np.eye(3))
-_DT = _H * np.eye(3)
+_DR = _rotation_exp(_H * _EYE3)
+# The seven poses of one polish evaluation, a pose and its six
+# perturbations, as rotation factors (R_s = _STEP_R[s] @ R) and
+# translation offsets (t_s = t + _STEP_T[s]).
+_STEP_R = np.concatenate([_EYE3[None], _DR, np.repeat(_EYE3[None], 3, axis=0)])
+_STEP_T = np.concatenate([np.zeros((4, 3)), _H * _EYE3])
+# Scales the Gram matrix of the rows [f; f_1 - f; ...; f_6 - f] to
+# [[f . f, (J^T f)^T], [J^T f, J^T J]], J the forward-difference Jacobian.
+_ROW_SCALE = np.r_[1.0, np.full(6, 1.0 / _H)]
+_GRAM_SCALE = np.outer(_ROW_SCALE, _ROW_SCALE)
 # Levenberg-Marquardt rounds per polish.
 _POLISH_ITERS = 8
 # Sine of the angle between R m and n at or below which a point has no
@@ -539,41 +550,55 @@ _POLISH_ITERS = 8
 _PARALLAX_FLOOR = 1e-8
 
 
-def _epipolar_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
-                     n_len: np.ndarray) -> np.ndarray:
+def _epipolar_tables(M: np.ndarray, N: np.ndarray):
+    """The per-ray tables of _epipolar_errors for the rays M, N (k, 3):
+    K and L (9, k), whose column i is n_i (x) m_i (a row of the eight-point
+    design matrix, Hartley 1997) and |n_i|^2 m_i (x) m_i."""
+    Mt, Nt = M.T, N.T
+    K = (Nt[:, None] * Mt[None]).reshape(9, -1)
+    L = (Mt[:, None] * Mt[None]).reshape(9, -1) * np.einsum("ij,ij->i", N, N)
+    return K, L
+
+
+def _epipolar_errors(R: np.ndarray, t: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Sine of the angle between each second-view ray n_i and its epipolar
     plane under the poses (R, t) (..., 3, 3), (..., 3): shape (..., k),
     n_i . (E m_i) / (|E m_i| |n_i|) with E = [t]x R, and 0 where E m_i = 0.
-    n_len holds |n_i|. No triangulation: one stacked E, one M @ E^T and
-    two einsums for every pose. The sine is signed, scale-free in t, and
-    blind to depth signs and to t wherever n_i is parallel to R m_i."""
+    K and L are _epipolar_tables of the rays: both terms are linear in a
+    pose's matrices, n_i . (E m_i) = vec(E) . (n_i (x) m_i) and
+    |E m_i|^2 |n_i|^2 = vec(E^T E) . (|n_i|^2 m_i (x) m_i), so a stack of
+    poses takes two products with the tables and no triangulation. The
+    sine is signed, scale-free in t, and blind to depth signs and to t
+    wherever n_i is parallel to R m_i."""
     E = (t @ _SKEW).reshape(t.shape[:-1] + (3, 3)) @ R
-    lines = M @ np.swapaxes(E, -1, -2)  # E m_i, indexed (..., point, xyz)
-    num = np.einsum("...ij,ij->...i", lines, N)
-    den = np.sqrt(np.einsum("...ij,...ij->...i", lines, lines)) * n_len
-    return num / np.where(den == 0.0, 1.0, den)
+    num = E.reshape(E.shape[:-2] + (9,)) @ K
+    # a copied transpose: numpy's A^T @ A path (syrk) is slower on small stacks
+    sq = (np.ascontiguousarray(np.swapaxes(E, -1, -2)) @ E).reshape(E.shape[:-2] + (9,)) @ L
+    # rounding can take sq to or below 0 where E m_i vanishes
+    return num / np.sqrt(np.where(sq > 0.0, sq, np.inf))
 
 
-def _errors_and_jacobian(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray,
-                         W: np.ndarray, norms=None, angular: bool = False):
-    """Residuals f (P, n) of the poses (R, t) and the transpose of their
-    forward-difference Jacobian (P, 6, n) over a rotation increment and t,
-    both zero on the rays a pose's weights W (P, n) leave out. The
-    residual is the epipolar sine (_epipolar_errors), or with `angular`
-    the angular error (_angular_errors); one call of it evaluates every
-    pose with its six perturbations. `norms`, when given, is
-    _ray_norms(N)."""
-    P = len(R)
-    Rs, ts = np.empty((P, 7, 3, 3)), np.empty((P, 7, 3))
-    Rs[:, 0], Rs[:, 1:4], Rs[:, 4:] = R, _DR @ R[:, None], R[:, None]
-    ts[:, :4], ts[:, 4:] = t[:, None], t[:, None] + _DT
-    norms = _ray_norms(N) if norms is None else norms
+def _gram(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray, tables,
+          angular: bool = False):
+    """The LM state of the poses (R, t) (P, 3, 3), (P, 3): per pose the
+    Gram matrix (7, 7) of its rows [f; f_1 - f; ...; f_6 - f] scaled by
+    _GRAM_SCALE, which holds the cost f . f at [0, 0], J^T f below it and
+    J^T J beside that. f is the residual of the pose and f_s those of its
+    three rotation increments and three translation offsets (_STEP_R,
+    _STEP_T), zero on the rays its weights W (P, n) leave out. The
+    residual is the epipolar sine (_epipolar_errors) with `tables` its
+    _epipolar_tables, or with `angular` the angular error
+    (_angular_errors) with `tables` its _ray_norms; one call of it
+    evaluates all seven poses of every pose."""
+    Rs, ts = _STEP_R @ R[:, None], t[:, None] + _STEP_T
     if angular:
-        fs, _, _ = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N, norms)
+        fs = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N, tables)[0]
     else:
-        fs = _epipolar_errors(Rs, ts, M, N, norms[1])
-    fs = np.where(W[:, None], fs.reshape(P, 7, -1), 0.0)
-    return fs[:, 0], (fs[:, 1:] - fs[:, :1]) / _H
+        fs = _epipolar_errors(Rs, ts, *tables)
+    F = np.where(W[:, None], fs.reshape(len(R), 7, -1), 0.0)
+    F[:, 1:] -= F[:, :1]
+    # a copied transpose, as in _epipolar_errors
+    return (F @ np.ascontiguousarray(np.swapaxes(F, -1, -2))) * _GRAM_SCALE
 
 
 def _lm_steps(H: np.ndarray, rhs: np.ndarray, live: np.ndarray):
@@ -601,42 +626,39 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     the rays M, N. W (P, n) holds each pose's 0/1 ray weights: a pose
     fits only the rays it weights. The residual is the sine of each ray's
     angle to its epipolar plane (_epipolar_errors), which needs no
-    triangulation; with `angular` it is the angular reprojection error
-    that consensus scores (_angular_errors). The epipolar residual cannot
-    see t on a ray with n parallel to R m, so a pose without parallax
-    needs the angular one.
+    triangulation and comes from per-ray tables built once per call; with
+    `angular` it is the angular reprojection error that consensus scores
+    (_angular_errors). The epipolar residual cannot see t on a ray with n
+    parallel to R m, so a pose without parallax needs the angular one.
 
     Each pose keeps its own damping and its own accept/reject decisions,
-    and a pose whose damped system turns singular stops where it is. A
-    round evaluates every trial pose together with its six perturbations:
-    an accepted trial brings the Jacobian of the next round, and a
-    rejected one leaves the current Jacobian in place. The sums over rays
-    are einsum reductions per pose, and each pose gets the bits it would
-    get in a stack of one. Deterministic."""
+    and a pose whose damped system turns singular stops where it is. The
+    LM state of a pose is (R, t, G), G the Gram matrix of its residual and
+    forward differences (_gram), which holds the cost, J^T f and J^T J. A
+    round evaluates every trial pose together with its six perturbations
+    in one residual call and one stacked product: an accepted trial
+    brings its G to the next round, and a rejected one leaves the current
+    G in place. Each pose gets the bits it would get in a stack of one.
+    Deterministic."""
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / _row_norms(t)[:, None]
-    norms = _ray_norms(N)
-    f, J = _errors_and_jacobian(R, t, M, N, W, norms, angular)
-    cost = np.einsum("pi,pi->p", f, f)
+    tables = _ray_norms(N) if angular else _epipolar_tables(M, N)
+    G = _gram(R, t, M, N, W, tables, angular)
     lam = np.full(len(R), 1e-4)
     live = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_ITERS):
-        H = np.einsum("pji,pki->pjk", J, J) + lam[:, None, None] * _EYE6
-        step, live = _lm_steps(H, -np.einsum("pji,pi->pj", J, f), live)
+        step, live = _lm_steps(G[:, 1:, 1:] + lam[:, None, None] * _EYE6, -G[:, 1:, 0], live)
         if not live.any():
             break
         R_new = _rotation_exp(step[:, :3]) @ R
         t_new = t + step[:, 3:]
         t_new = t_new / _row_norms(t_new)[:, None]
-        f_new, J_new = _errors_and_jacobian(R_new, t_new, M, N, W, norms, angular)
-        cost_new = np.einsum("pi,pi->p", f_new, f_new)
-        better = live & (cost_new < cost)
+        G_new = _gram(R_new, t_new, M, N, W, tables, angular)
+        better = live & (G_new[:, 0, 0] < G[:, 0, 0])
         R = np.where(better[:, None, None], R_new, R)
         t = np.where(better[:, None], t_new, t)
-        f = np.where(better[:, None], f_new, f)
-        J = np.where(better[:, None, None], J_new, J)
-        cost = np.where(better, cost_new, cost)
+        G = np.where(better[:, None, None], G_new, G)
         lam = np.where(better, np.maximum(lam * 0.3, 1e-10), lam * 10.0)
     return R, t
 

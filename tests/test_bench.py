@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 import math
 
 import numpy as np
@@ -215,6 +216,18 @@ def test_time_benchmark_shape():
         assert st.n == 20
         assert st.mean_s > 0 and st.median_s > 0
     assert len(records) == 40
+
+
+def test_time_benchmark_times_every_geometry_at_every_sigma():
+    # the geometry alternates with the trial's parity; each (geometry,
+    # sigma) pair comes up once in every 8 trials
+    records, _ = bench.run_time_benchmark(
+        ["eightpt"], trials=16, cfg=SceneConfig(), cam=SyntheticCamera(), seed=14
+    )
+    pairs = Counter((r.trial % 2, r.sigma_px) for r in records)
+    assert pairs == {(g, s): 2 for g in (0, 1) for s in bench._TIME_SIGMAS}
+    # the coplanar sigma = 0 scenes are timed: the 8-point method fails there
+    assert all(r.failed for r in records if r.trial % 2 and r.sigma_px == 0.0)
 
 
 def test_projection_consistency_loop():

@@ -992,24 +992,24 @@ def test_ransac_rejects_twisted_pair():
 
 
 # ransac_pose(make_outlier_set(seed=s), "quest6", threshold=0.005,
-# max_iters=200, seed=s) as recorded when the coefficient rows took their
-# closed form: q (w, x, y, z), t, and the mask as one character per point.
+# max_iters=200, seed=s) as recorded when the polish took its Gram form:
+# q (w, x, y, z), t, and the mask as one character per point.
 # Both tables are printed by tests/record_goldens.py.
 _RANSAC_GOLDEN = (
-    (('0x1.255121e467b2dp-1', '0x1.6a874724b7a0ap-4', '-0x1.4eff7098e5d62p-2', '-0x1.7e19615d0ac40p-1'),
-     ('-0x1.dc795731bb67ep-2', '0x1.f86c63faa8f8bp-2', '0x1.7888352c6a2d0p-1'),
+    (('0x1.255121ea77649p-1', '0x1.6a87474af3d2ap-4', '-0x1.4eff7083bafb0p-2', '-0x1.7e19615c76398p-1'),
+     ('-0x1.dc79574d2bd97p-2', '0x1.f86c64ce30313p-2', '0x1.788834dce3f1bp-1'),
      '011111111111101111101011101101'),
-    (('0x1.b867359e49916p-3', '0x1.052e892dbe036p-1', '0x1.a4343dffd0319p-3', '-0x1.9d3e54f730418p-1'),
-     ('-0x1.e89f80a4dc06bp-2', '-0x1.7679d353a8653p-3', '0x1.b81a93700f6d6p-1'),
+    (('0x1.b867359d2a884p-3', '0x1.052e892fafca1p-1', '0x1.a4343e041fe48p-3', '-0x1.9d3e54f5c29f7p-1'),
+     ('-0x1.e89f8078cf58cp-2', '-0x1.7679d30c584eep-3', '0x1.b81a938014419p-1'),
      '101111111111011110111101111100'),
-    (('0x1.273f85a1d3079p-4', '-0x1.a140689c6b70fp-3', '-0x1.3e219361e3b0dp-3', '-0x1.ed88927454fbfp-1'),
-     ('0x1.cde1acc3d71f5p-3', '0x1.31f318dcbf3d0p-1', '-0x1.89f611bb4b933p-1'),
+    (('0x1.273f85a0de281p-4', '-0x1.a1406897af4f2p-3', '-0x1.3e21935b0774ep-3', '-0x1.ed889274de137p-1'),
+     ('0x1.cde1acd848225p-3', '0x1.31f318e27761cp-1', '-0x1.89f611b55b12dp-1'),
      '011111110101011111110110111111'),
-    (('0x1.8df988b335ae9p-1', '-0x1.3c9a833dcb208p-3', '-0x1.02581e595b9ddp-1', '0x1.5ebbcafd72054p-2'),
-     ('-0x1.e23e0458c9c45p-7', '0x1.eefe5cdf28570p-2', '0x1.c024b9746905ep-1'),
+    (('0x1.8df988b379005p-1', '-0x1.3c9a833eab19ap-3', '-0x1.02581e58fcd21p-1', '0x1.5ebbcafd253a5p-2'),
+     ('-0x1.e23e0484c1a13p-7', '0x1.eefe5cd8c7a91p-2', '0x1.c024b97628e82p-1'),
      '111111101000111111111111101011'),
-    (('0x1.94ddd474c26f3p-1', '-0x1.4604d2eff73bdp-3', '0x1.543bcb473442fp-2', '0x1.f493bd459ade2p-2'),
-     ('0x1.bc3d582362914p-2', '0x1.442bc6a8e2234p-1', '-0x1.48350995c068cp-1'),
+    (('0x1.94ddd474d677fp-1', '-0x1.4604d2ef656b4p-3', '0x1.543bcb46d1fadp-2', '0x1.f493bd45b4986p-2'),
+     ('0x1.bc3d5822d6667p-2', '0x1.442bc6a938935p-1', '-0x1.483509959a76ep-1'),
      '011111101011111100111011111111'),
 )
 
@@ -1026,11 +1026,11 @@ def test_ransac_golden_outputs(seed):
 
 # The same call with method "quest7" on outlier sets 0 and 1.
 _RANSAC_QUEST7_GOLDEN = (
-    (('0x1.2686c5cd5d4f9p-1', '0x1.7ac9ff0da7a51p-4', '-0x1.4c4a7feb45d16p-2', '-0x1.7d8340aaf99a0p-1'),
-     ('-0x1.c9d37dc7c9645p-2', '0x1.115a6cbbb1960p-1', '0x1.6f73a8f68729bp-1'),
+    (('0x1.2686c5cdbd551p-1', '0x1.7ac9ff1252addp-4', '-0x1.4c4a7fea23ee9p-2', '-0x1.7d8340aadc0e3p-1'),
+     ('-0x1.c9d37dc3c190cp-2', '0x1.115a6cc4d43fcp-1', '0x1.6f73a8f0fccbap-1'),
      '011111111111101101101011101101'),
-    (('0x1.b4d3b0547ca3bp-3', '0x1.02d45414576a5p-1', '0x1.a1a079a1543dbp-3', '-0x1.9f1eaca2629b4p-1'),
-     ('-0x1.097028a457103p-1', '-0x1.d08b6ab50da4fp-3', '0x1.a622e02a79554p-1'),
+    (('0x1.b4d3b04f0425dp-3', '0x1.02d4541168893p-1', '0x1.a1a0799ba8800p-3', '-0x1.9f1eaca4ee2c5p-1'),
+     ('-0x1.097028bcc296dp-1', '-0x1.d08b6b5bf547ep-3', '0x1.a622e00fa3a23p-1'),
      '101111111111011110111101111100'),
 )
 
@@ -1415,44 +1415,46 @@ def _reference_epipolar_errors(R, t, M, N):
 
 
 def _reference_polish(R0, t0, M, N, w, residual, iters=8):
-    # Levenberg-Marquardt on one pose with a Jacobian built from seven
-    # separate evaluations of residual(R, t, M, N) per iteration, summed
-    # over the rows of all rays with those outside the 0/1 weights w
-    # zeroed: the oracle for the stacked _polish_pose
+    # Levenberg-Marquardt on one pose in the Gram form: the pose and its
+    # six forward-difference perturbations, built one by one, go to one
+    # call of residual(Rs, ts, M, N) (7 poses -> 7 x k), the rows outside
+    # the 0/1 weights w are zeroed, and the cost, J^T f and J^T J are read
+    # off the Gram matrix of [f; f_1 - f; ...; f_6 - f]. Every round
+    # recomputes the current pose's Gram matrix instead of carrying it,
+    # and a trial is scored by the [0, 0] entry of its own: the oracle for
+    # the stacked _polish_pose
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / np.linalg.norm(t)
-
-    def errors(R, t):
-        return np.where(w, residual(R, t, M, N), 0.0)
-    f = errors(R, t)
-    cost = float(np.einsum("i,i->", f, f))
-    lam = 1e-4
     h = 1e-7
-    for _ in range(iters):
-        J = np.zeros((6, len(M)))
+    scale = np.r_[1.0, np.full(6, 1.0 / h)]
+
+    def gram(R, t):
+        Rs, ts = [R] * 7, [t] * 7
         for k in range(3):
             d = np.zeros(3)
             d[k] = h
-            J[k] = (errors(solver._rotation_exp(d) @ R, t) - f) / h
-            J[3 + k] = (errors(R, t + d) - f) / h
-        g = np.einsum("ji,i->j", J, f)
-        H = np.einsum("ji,ki->jk", J, J) + lam * np.eye(6)
+            Rs[1 + k] = solver._rotation_exp(d) @ R
+            ts[4 + k] = t + d
+        F = np.where(w, residual(np.array(Rs), np.array(ts), M, N), 0.0)
+        F[1:] -= F[0]
+        return (F @ F.T.copy()) * np.outer(scale, scale)
+    lam = 1e-4
+    for _ in range(iters):
+        G = gram(R, t)
         try:
-            step = np.linalg.solve(H, -g)
+            step = np.linalg.solve(G[1:, 1:] + lam * np.eye(6), -G[1:, 0])
         except np.linalg.LinAlgError:
             break
         R_new = solver._rotation_exp(step[:3]) @ R
         t_new = t + step[3:]
         t_new = t_new / np.linalg.norm(t_new)
-        f_new = errors(R_new, t_new)
-        cost_new = float(np.einsum("i,i->", f_new, f_new))
-        if cost_new < cost:
-            R, t, f, cost = R_new, t_new, f_new, cost_new
+        if gram(R_new, t_new)[0, 0] < G[0, 0]:
+            R, t = R_new, t_new
             lam = max(lam * 0.3, 1e-10)
         else:
             lam *= 10.0
-    return R, t, f
+    return R, t
 
 
 def _polish_case(rng, k):
@@ -1472,27 +1474,46 @@ def _polish_case(rng, k):
     return R0, t0, M, N
 
 
-def _epipolar_residual(R, t, M, N):
-    return solver._epipolar_errors(R, t, M, N, np.linalg.norm(N, axis=1))
+def _epipolar_residual(Rs, ts, M, N):
+    return solver._epipolar_errors(Rs, ts, *solver._epipolar_tables(M, N))
+
+
+def _angular_residual(Rs, ts, M, N):
+    return np.array([_reference_angular_errors(R, t, M, N) for R, t in zip(Rs, ts)])
 
 
 def test_batched_polish_matches_per_axis_reference():
     # both residuals: the epipolar sine, and the angular error of the
     # fallback
-    for angular, reference, residual in (
-            (False, _reference_epipolar_errors, _epipolar_residual),
-            (True, _reference_angular_errors, lambda *a: solver._angular_errors(*a)[0])):
+    for angular, residual in ((False, _epipolar_residual), (True, _angular_residual)):
         rng = np.random.default_rng(2024)
         for case in range(60):
             k = int(rng.integers(8, 31))
             R0, t0, M, N = _polish_case(rng, k)
             w = np.ones(k, dtype=bool) if case % 3 == 0 else rng.random(k) < 0.7
-            R_ref, t_ref, f_ref = _reference_polish(R0, t0, M, N, w, reference)
+            R_ref, t_ref = _reference_polish(R0, t0, M, N, w, residual)
             (R,), (t,) = solver._polish_pose(R0[None], t0[None], M, N, w[None], angular=angular)
-            f = residual(R, t, M, N)
             assert np.array_equal(R, R_ref)
             assert np.array_equal(t, t_ref)
-            assert np.array_equal(np.where(w, f, 0.0), f_ref)
+
+
+def test_epipolar_errors_match_the_per_ray_reference():
+    # the Kronecker-table residual of a stack of poses against the per-ray
+    # sine; rays with E m_i = 0 give 0, not NaN: every ray when t = 0, and
+    # a ray on the optical axis when R = I and t runs along that axis
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        k = int(rng.integers(8, 31))
+        R0, t0, M, N = _polish_case(rng, k)
+        M[0] = (0.0, 0.0, 1.0)
+        Rs = np.concatenate([solver._rotation_exp(rng.normal(scale=0.1, size=(5, 3))) @ R0,
+                             [R0, np.eye(3)]])
+        ts = np.concatenate([t0 + rng.normal(scale=0.1, size=(5, 3)), [np.zeros(3), M[0]]])
+        got = solver._epipolar_errors(Rs[None], ts[None], *solver._epipolar_tables(M, N))[0]
+        for R, t, row in zip(Rs, ts, got):
+            assert np.allclose(row, _reference_epipolar_errors(R, t, M, N), rtol=0.0, atol=1e-14)
+        assert np.array_equal(got[5], np.zeros(k))
+        assert got[6, 0] == 0.0 and np.isfinite(got).all()
 
 
 def _singular_polish_pose():
@@ -1537,15 +1558,46 @@ def test_polish_stack_matches_stacks_of_one():
     assert singular_seen
 
 
+def test_angular_polish_stack_matches_stacks_of_one():
+    # the same on the angular residual, whose Gram state the singular pose
+    # (the only one weighting the axis ray) turns singular in the first
+    # round: the stack's fallback leaves it where it is, beside poses that
+    # move
+    rng = np.random.default_rng(8)
+    R_sing, t_sing, axis = _singular_polish_pose()
+    for _ in range(20):
+        k = int(rng.integers(8, 31))
+        R0, t0, M, N = _polish_case(rng, k)
+        M, N = np.vstack([axis, M]), np.vstack([axis, N])
+        P = int(rng.integers(2, 8))
+        Rs = solver._rotation_exp(rng.normal(scale=0.03, size=(P, 3))) @ R0
+        ts = t0 + rng.normal(scale=0.05, size=(P, 3))
+        W = rng.random((P, k + 1)) < rng.uniform(0.0, 1.0, (P, 1))
+        W[:, 0] = False
+        p = int(rng.integers(P))
+        Rs[p], ts[p] = R_sing, t_sing
+        W[p] = False
+        W[p, 0] = True
+        R, t = solver._polish_pose(Rs, ts, M, N, W, angular=True)
+        assert np.array_equal(R[p], R_sing)
+        for p in range(P):
+            (R1,), (t1,) = solver._polish_pose(Rs[p:p + 1], ts[p:p + 1], M, N, W[p:p + 1],
+                                               angular=True)
+            assert np.array_equal(R[p], R1)
+            assert np.array_equal(t[p], t1)
+
+
 def test_polish_leaves_a_pose_with_a_singular_system_where_it_is():
     R0, t0, axis = _singular_polish_pose()
     M = np.vstack([axis, [[0.1, 0.2, 1.0], [-0.3, 0.1, 1.0]]])
     # the angular residual: the epipolar one sees no singular system here,
     # and _lm_steps' fallback serves both
-    f, J = solver._errors_and_jacobian(R0[None], t0[None], M, M.copy(), np.array([[1, 0, 0]], bool),
-                                       angular=True)
-    assert J[0, 0, 0] == J[0, 1, 0] and abs(J[0, 0, 0]) > 1e6
-    H = np.einsum("pji,pki->pjk", J, J) + 1e-4 * np.eye(6)
+    (G,) = solver._gram(R0[None], t0[None], M, M.copy(), np.array([[1, 0, 0]], bool),
+                        solver._ray_norms(M), angular=True)
+    # the two rotation columns of J are equal and above 1e6: G's rows of
+    # J^T J for them are equal, J^2 > 1e12
+    assert np.array_equal(G[1], G[2]) and G[1, 1] > 1e12
+    H = G[None, 1:, 1:] + 1e-4 * np.eye(6)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(H, np.ones((1, 6, 1)))
     R, t = solver._polish_pose(np.stack([R0, R0]), np.stack([t0, t0]), M, M.copy(),
