@@ -163,11 +163,8 @@ def triangulate_uv(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
     determinant) has no depths: u = v = 0 there, so it passes no
     chirality test. The right-hand sides a.t and N.t are matmuls, so a
     stacked call gives each pose the bits of a single-pose call."""
-    return _triangulate(M @ np.swapaxes(R, -1, -2), t, N, np.einsum("...ij,...ij->...i", N, N))
-
-
-def _triangulate(a: np.ndarray, t: np.ndarray, N: np.ndarray, nn: np.ndarray):
-    """triangulate_uv from the rotated rays a = R m and nn = n . n of N."""
+    a = M @ np.swapaxes(R, -1, -2)
+    nn = np.einsum("...ij,...ij->...i", N, N)
     aa = np.einsum("...ij,...ij->...i", a, a)
     an = np.einsum("...ij,...ij->...i", a, N)
     rhs_u = -(a @ t[..., None])[..., 0]

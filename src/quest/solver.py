@@ -38,14 +38,14 @@ the hypotheses. RANSAC needs a hypothesis's translation only to score
 consensus, so a block's candidates take theirs from the epipolar
 constraint on their own sample's rays, one stacked k x 3 SVD for the
 whole block. They stay in each sample's scoring order, unranked, since
-the winner is picked by inlier count and mean error alone. The
-hypotheses are polished in lockstep on the sine of each ray's angle to
-its epipolar plane, which needs no triangulation and comes from two
-per-ray tables of Kronecker products; a hypothesis that this polish
-leaves below a minimal inlier set (no parallax hides t from that
-residual) is polished again on the angular error consensus scores. The
-polish carries each pose's cost, gradient and Gauss-Newton matrix as
-one Gram matrix of its residual rows. The winner is refit with the full
+the winner is picked by inlier count and mean error alone. A candidate
+whose sample leaves only t = 0 is a rotation-only hypothesis
+(_hypotheses); the others are polished in lockstep on the sine of
+each ray's angle to its epipolar plane, which needs no triangulation
+and comes from two per-ray tables of Kronecker products, and one that
+this polish leaves below a minimal inlier set is dropped. The polish
+carries each pose's cost, gradient and Gauss-Newton matrix as one Gram
+matrix of its residual rows. The winner is refit with the full
 rigid-motion system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
@@ -74,7 +74,6 @@ from .core import (
     triangulate_uv,
     _rays,
     _rotation_entries,
-    _triangulate,
 )
 from .errors import (
     CriticalSurfaceError,
@@ -482,23 +481,18 @@ def estimate_pose(points, method: str = "quest6"):
     return sorted(cands, key=lambda c: (not c.chirality_ok, c.algebraic_residual))
 
 
-def _ray_norms(N: np.ndarray):
-    """n . n and |n| of the rays N (k, 3), as triangulate_uv and norm give them."""
-    return np.einsum("...ij,...ij->...i", N, N), np.linalg.norm(N, axis=1)
-
-
-def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, norms=None):
+def _angular_errors(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Angle (radians) between each second-view ray and its reprojection,
     with the triangulated depths u, v. R and t may carry a leading pose
     axis (see triangulate_uv); the outputs then have shape (..., k).
 
     A pair without depths (u = v = 0: rays parallel under R, or t = 0)
     gets error pi, so consensus counts it as an outlier by both of its
-    tests. `norms`, when given, is _ray_norms(N)."""
-    nn, n_len = _ray_norms(N) if norms is None else norms
-    u, v, reproj = _triangulate(M @ np.swapaxes(R, -1, -2), t, N, nn)
+    tests."""
+    u, v, reproj = triangulate_uv(R, t, M, N)
     num = np.einsum("...ij,ij->...i", reproj, N)
-    den = np.sqrt(np.add.reduce(reproj * reproj, -1)) * n_len  # np.linalg.norm's formula
+    # np.linalg.norm's formula
+    den = np.sqrt(np.add.reduce(reproj * reproj, -1)) * np.linalg.norm(N, axis=1)
     den = np.where(den == 0.0, 1e-300, den)
     errs = np.arccos(np.minimum(np.maximum(num / den, -1.0), 1.0))  # np.clip, unwrapped
     return np.where((u == 0.0) & (v == 0.0), np.pi, errs), u, v
@@ -578,24 +572,17 @@ def _epipolar_errors(R: np.ndarray, t: np.ndarray, K: np.ndarray, L: np.ndarray)
     return num / np.sqrt(np.where(sq > 0.0, sq, np.inf))
 
 
-def _gram(R: np.ndarray, t: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray, tables,
-          angular: bool = False):
+def _gram(R: np.ndarray, t: np.ndarray, W: np.ndarray, tables):
     """The LM state of the poses (R, t) (P, 3, 3), (P, 3): per pose the
     Gram matrix (7, 7) of its rows [f; f_1 - f; ...; f_6 - f] scaled by
     _GRAM_SCALE, which holds the cost f . f at [0, 0], J^T f below it and
-    J^T J beside that. f is the residual of the pose and f_s those of its
+    J^T J beside that. f is the epipolar sine (_epipolar_errors, on the
+    rays' _epipolar_tables `tables`) of the pose and f_s those of its
     three rotation increments and three translation offsets (_STEP_R,
-    _STEP_T), zero on the rays its weights W (P, n) leave out. The
-    residual is the epipolar sine (_epipolar_errors) with `tables` its
-    _epipolar_tables, or with `angular` the angular error
-    (_angular_errors) with `tables` its _ray_norms; one call of it
-    evaluates all seven poses of every pose."""
+    _STEP_T), zero on the rays its weights W (P, n) leave out; one call
+    of it evaluates all seven poses of every pose."""
     Rs, ts = _STEP_R @ R[:, None], t[:, None] + _STEP_T
-    if angular:
-        fs = _angular_errors(Rs.reshape(-1, 3, 3), ts.reshape(-1, 3), M, N, tables)[0]
-    else:
-        fs = _epipolar_errors(Rs, ts, *tables)
-    F = np.where(W[:, None], fs.reshape(len(R), 7, -1), 0.0)
+    F = np.where(W[:, None], _epipolar_errors(Rs, ts, *tables), 0.0)
     F[:, 1:] -= F[:, :1]
     # a copied transpose, as in _epipolar_errors
     return (F @ np.ascontiguousarray(np.swapaxes(F, -1, -2))) * _GRAM_SCALE
@@ -618,18 +605,16 @@ def _lm_steps(H: np.ndarray, rhs: np.ndarray, live: np.ndarray):
     return step, live
 
 
-def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray,
-                 angular: bool = False):
+def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W: np.ndarray):
     """Levenberg-Marquardt over the rotation and the translation direction
-    (no residual sees the translation scale, so t stays on the unit
-    sphere) for a stack of poses R0 (P, 3, 3), t0 (P, 3) in lockstep, on
-    the rays M, N. W (P, n) holds each pose's 0/1 ray weights: a pose
+    (the residual does not see the translation scale, so t stays on the
+    unit sphere) for a stack of poses R0 (P, 3, 3), t0 (P, 3) in lockstep,
+    on the rays M, N. W (P, n) holds each pose's 0/1 ray weights: a pose
     fits only the rays it weights. The residual is the sine of each ray's
     angle to its epipolar plane (_epipolar_errors), which needs no
-    triangulation and comes from per-ray tables built once per call; with
-    `angular` it is the angular reprojection error that consensus scores
-    (_angular_errors). The epipolar residual cannot see t on a ray with n
-    parallel to R m, so a pose without parallax needs the angular one.
+    triangulation and comes from per-ray tables built once per call. It
+    cannot see t on a ray with n parallel to R m, so RANSAC does not
+    polish a rotation-only hypothesis (_hypotheses).
 
     Each pose keeps its own damping and its own accept/reject decisions,
     and a pose whose damped system turns singular stops where it is. The
@@ -643,8 +628,8 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     R = np.array(R0, dtype=float)
     t = np.asarray(t0, dtype=float)
     t = t / _row_norms(t)[:, None]
-    tables = _ray_norms(N) if angular else _epipolar_tables(M, N)
-    G = _gram(R, t, M, N, W, tables, angular)
+    tables = _epipolar_tables(M, N)
+    G = _gram(R, t, W, tables)
     lam = np.full(len(R), 1e-4)
     live = np.ones(len(R), dtype=bool)
     for _ in range(_POLISH_ITERS):
@@ -654,7 +639,7 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
         R_new = _rotation_exp(step[:, :3]) @ R
         t_new = t + step[:, 3:]
         t_new = t_new / _row_norms(t_new)[:, None]
-        G_new = _gram(R_new, t_new, M, N, W, tables, angular)
+        G_new = _gram(R_new, t_new, W, tables)
         better = live & (G_new[:, 0, 0] < G[:, 0, 0])
         R = np.where(better[:, None, None], R_new, R)
         t = np.where(better[:, None], t_new, t)
@@ -666,7 +651,8 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
 def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Hypothesis-grade unit translations (C, 3) of the rotations R
     (C, 3, 3) of the quaternions q (C, 4), each on its own sample's first-
-    and second-view rays M, N (C, k, 3).
+    and second-view rays M, N (C, k, 3), and which candidates are
+    rotation-only (C,).
 
     For a fixed rotation R the epipolar constraint t . (R m_i x n_i) = 0
     makes t the null vector of the k x 3 matrix of those rows, each scaled
@@ -674,11 +660,12 @@ def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.nd
     the sample's depths (triangulate_uv) in front of the cameras.
 
     A point whose rays R m_i and n_i are parallel to within
-    _PARALLAX_FLOOR leaves its row as rounding noise, yet it still pins
-    t: at finite depth it lies on the baseline, so t runs along its ray,
-    and two such points leave only t = 0 (a camera that only rotates).
-    A candidate with such a point takes recover_translation_depths on its
-    sample instead, which finds that near-zero t. Each candidate gets the
+    _PARALLAX_FLOOR has no parallax: its row is rounding noise, yet it
+    still pins t, since at finite depth it lies on the baseline and t runs
+    along its ray. A candidate with one such point takes
+    recover_translation_depths on its sample instead, which finds that t.
+    Two such points leave only t = 0, a camera that only rotates: the
+    candidate is rotation-only and gets t = 0. Each candidate gets the
     bits it would get alone."""
     a = M @ np.swapaxes(R, -1, -2)  # R m_i, indexed (candidate, point, xyz)
     rows = np.cross(a, N)
@@ -689,23 +676,27 @@ def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.nd
     u, v, _ = triangulate_uv(R, t, M, N)
     # more negative depths than positive ones: the sign flips
     t *= np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
-    for c in np.flatnonzero(~parallax.all(axis=1)):
+    flat = (~parallax).sum(axis=1)  # points without parallax
+    for c in np.flatnonzero(flat == 1):
         (full,) = recover_translation_depths(
             [PoseCandidate(q=Quaternion(*q[c].tolist()), algebraic_residual=0.0)],
             map(Correspondence, M[c], N[c]))
         t[c] = full.t
-    return t
+    still = flat >= 2
+    t[still] = 0.0
+    return t, still
 
 
 def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str):
     """Per minimal sample (a row of idx into the rays M, N), its candidates
     in scoring order with hypothesis-grade translations
     (_epipolar_translations): arrays of their samples (ascending), unit
-    quaternions, rotation matrices and translations. One coefficient build,
-    rotation solve, scoring call and translation call serve the block. A
-    sample whose rank test failed, or none of whose candidates has
-    |w| >= _MIN_W, takes estimate_pose's candidates; one where that raises,
-    or with a vanished coefficient row (a repeated match, say), gets none.
+    quaternions, rotation matrices, translations and rotation-only flags.
+    One coefficient build, rotation solve, scoring call and translation
+    call serve the block. A sample whose rank test failed, or none of
+    whose candidates has |w| >= _MIN_W, takes estimate_pose's candidates,
+    none of them rotation-only; one where that raises, or with a vanished
+    coefficient row (a repeated match, say), gets none.
     A sample's rows and solve do not depend on the other samples of its
     block, so the block drops such a sample and solves the rest together."""
     A = _rows(M, N, idx[:, _triples(idx.shape[1])].reshape(-1, 3)).reshape(len(idx), -1, 35)
@@ -719,7 +710,7 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
     q = Q[at, order[valid]]
     sample = whole[at]
     R = _rotation_matrices(q)
-    cands = sample, q, R, _epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
+    cands = sample, q, R, *_epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
     unsolved = whole[~np.isin(whole, sample[np.abs(q[:, 0]) >= _MIN_W])]
     if not len(unsolved):
         return cands
@@ -731,45 +722,47 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
             continue
         qs = np.array([[c.q.w, c.q.x, c.q.y, c.q.z] for c in pose])
         parts.append((np.full(len(pose), s), qs, _rotation_matrices(qs),
-                      np.array([c.t for c in pose])))
-    sample, q, R, t = map(np.concatenate, zip(*parts))
-    order = np.argsort(sample, kind="stable")
-    return sample[order], q[order], R[order], t[order]
+                      np.array([c.t for c in pose]), np.zeros(len(pose), dtype=bool)))
+    cands = tuple(map(np.concatenate, zip(*parts)))
+    order = np.argsort(cands[0], kind="stable")
+    return tuple(a[order] for a in cands)
 
 
 def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: int):
-    """The polished hypotheses of a block's candidates (_block_candidates),
-    in order, leaving out those whose consensus falls below `minimal`
+    """The hypotheses of a block's candidates (_block_candidates), in
+    order, leaving out those whose consensus falls below `minimal`
     inliers before or after polish: arrays of their samples, R, t, angular
-    errors and inlier masks. Consensus drops a candidate with t = 0: it
-    triangulates u = v = 0 at every match, so no match is an inlier.
+    errors and inlier masks. Candidates given without the rotation-only
+    flags are none of them rotation-only.
 
-    A candidate is polished on its provisional inliers with the epipolar
-    residual and re-masked with the same test, once more if the mask
-    changed and still holds `minimal` points. A pass whose re-mask falls
-    below `minimal` is redone from the pose before it with the angular
-    residual, which sees t on rays without parallax, and re-masked. Every
-    candidate goes through one stacked _consensus call; each pass is one
-    stacked _polish_pose call and one _consensus call over the candidates
-    it covers, plus one of each for the candidates it redoes."""
+    A rotation-only candidate keeps t = 0 and is not polished, since the
+    epipolar residual cannot see its rays: its errors are the angles
+    between n_i and R m_i, arctan2(|R m_i x n_i|, R m_i . n_i), and its
+    inliers those below `threshold`, with no depth test. Any other
+    candidate with t = 0 triangulates u = v = 0 at every match, so
+    consensus finds no inlier for it. The rest are polished on their
+    provisional inliers with the epipolar residual and re-masked with the
+    same test, once more if the mask changed and still holds `minimal`
+    points; a pass that leaves fewer drops the candidate. Every candidate
+    goes through one stacked _consensus call; each pass is one stacked
+    _polish_pose call and one _consensus call over the candidates it
+    covers."""
     sample, R, t = cands[0], cands[2].copy(), cands[3].copy()  # polished in place
+    still = cands[4] if len(cands) > 4 else np.zeros(len(sample), dtype=bool)
     errs, masks = _consensus(R, t, M, N, threshold)
+    if still.any():
+        a = M @ np.swapaxes(R[still], -1, -2)  # R m_i
+        errs[still] = np.arctan2(_row_norms(np.cross(a, N)), np.einsum("...ij,ij->...i", a, N))
+        masks[still] = errs[still] < threshold
     kept = masks.sum(axis=1) >= minimal
-    todo = np.flatnonzero(kept)
+    todo = np.flatnonzero(kept & ~still)
     for _ in range(2):
         if not len(todo):
             break
-        R0, t0, W = R[todo], t[todo], masks[todo]
-        R[todo], t[todo] = _polish_pose(R0, t0, M, N, W)
-        new_errs, new_masks = _consensus(R[todo], t[todo], M, N, threshold)
-        lost = new_masks.sum(axis=1) < minimal
-        if lost.any():
-            redo = todo[lost]
-            R[redo], t[redo] = _polish_pose(R0[lost], t0[lost], M, N, W[lost], angular=True)
-            new_errs[lost], new_masks[lost] = _consensus(R[redo], t[redo], M, N, threshold)
-        moved = (new_masks != W).any(axis=1)
-        errs[todo], masks[todo] = new_errs, new_masks
-        todo = todo[moved & (new_masks.sum(axis=1) >= minimal)]
+        W = masks[todo]
+        R[todo], t[todo] = _polish_pose(R[todo], t[todo], M, N, W)
+        errs[todo], masks[todo] = _consensus(R[todo], t[todo], M, N, threshold)
+        todo = todo[(masks[todo] != W).any(axis=1) & (masks[todo].sum(axis=1) >= minimal)]
     kept &= masks.sum(axis=1) >= minimal
     return sample[kept], R[kept], t[kept], errs[kept], masks[kept]
 
@@ -785,15 +778,16 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     minimal inlier set is locally polished on its provisional inliers and
     re-masked with the same test after each pass, which lets the true-pose
     basin reach its full consensus instead of being limited by
-    minimal-sample noise. The polish is LM on a triangulation-free
-    residual, the sine of each ray's angle to its epipolar plane under
-    E = [t]x R; that residual cannot see t on rays without parallax, so a
-    pass whose re-mask falls below a minimal inlier set is redone from
-    its start by LM on the angular metric consensus scores (in the spirit
-    of LO-RANSAC's local optimisation, Chum, Matas & Kittler 2003). The
-    candidate with the most inliers wins (ties: lower mean angular error
-    over its inliers); translation and depths are refit on the winning
-    inliers. Deterministic for a fixed seed; the iteration count shrinks
+    minimal-sample noise (in the spirit of LO-RANSAC's local
+    optimisation, Chum, Matas & Kittler 2003). The polish is LM on a
+    triangulation-free residual, the sine of each ray's angle to its
+    epipolar plane under E = [t]x R; a pass whose re-mask falls below a
+    minimal inlier set drops the candidate. A candidate whose sample
+    leaves only t = 0 (a camera that only rotates) is scored as a
+    rotation instead, unpolished (_hypotheses). The candidate with the
+    most inliers wins (ties: lower mean angular error over its inliers);
+    translation and depths are refit on the winning inliers.
+    Deterministic for a fixed seed; the iteration count shrinks
     adaptively once a large consensus is found. Only the quaternion
     methods sample; "eightpt" raises ValueError.
 
@@ -801,8 +795,8 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     one coefficient build, rotation solve, scoring call, epipolar
     translation call (consensus needs no more) and consensus call per
     block, then at most two lockstep polish passes over its hypotheses,
-    each one epipolar polish call plus one angular call for the
-    hypotheses it redoes. The samples are then walked in order as
+    each one polish call and one consensus call over the hypotheses
+    it covers. The samples are then walked in order as
     one-at-a-time sampling would: the same draws, stop and winner, and
     each hypothesis polished as it would be alone. No run whose consensus
     falls short of all n matches stops before the stop for a consensus of

@@ -15,7 +15,10 @@ w of HALF_TURN_W, where estimate_pose takes its gauge frames: per w,
 method and pixel noise 0 or 1, estimate_pose on make_outlier_set(seed=s,
 n=k + 4, outlier_fraction=0) for s = 0..59, on all points and on the
 first k (the method's minimal count); and per w and method, ransac_pose
-on make_outlier_set(seed=s) for s = 0..11.
+on make_outlier_set(seed=s) for s = 0..11; then the pure-rotation
+groups, a camera that only rotates: per method and pixel noise 0 or 1,
+ransac_pose on make_outlier_set(seed=s, sigma_px=sigma,
+fixed_translation=(0, 0, 0)) for s = 0..3.
 Each output is hashed as the float.hex of every candidate field (and the
 inlier mask), or as the error type and message when the call raised.
 """
@@ -76,7 +79,7 @@ def _digest(calls):
 
 
 def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100, c08=20,
-            half_turn=60, half_turn_ransac=12):
+            half_turn=60, half_turn_ransac=12, pure_rotation=4):
     """Lines "<group> n=<outputs> <sha256>", one per group."""
     lines = []
     solver = quest.solver
@@ -111,6 +114,12 @@ def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100
                 make_outlier_set(seed=s, fixed_rotation=turn)[0], m, threshold=0.005,
                 max_iters=200, seed=s) for s in range(half_turn_ransac))
             lines.append(f"half-turn w={w:.2f} {method} ransac n={n} {d}")
+    for method in ("quest6", "quest7"):
+        for sigma in (0.0, 1.0):
+            n, d = _digest(lambda s=s, m=method, sigma=sigma: solver.ransac_pose(
+                make_outlier_set(seed=s, sigma_px=sigma, fixed_translation=(0.0, 0.0, 0.0))[0], m,
+                threshold=0.005, max_iters=200, seed=s) for s in range(pure_rotation))
+            lines.append(f"pure-rotation {method} sigma={sigma:g} ransac n={n} {d}")
     return lines
 
 

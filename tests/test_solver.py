@@ -1067,18 +1067,19 @@ def _sample_rays(sample, count=1):
 
 def _epipolar_candidate(cand, sample):
     # the candidate with the epipolar translation of a stack of one on the
-    # sample's rays
-    (t,) = solver._epipolar_translations(cand.q.as_array()[None], quat_to_rotation(cand.q)[None],
-                                         *_sample_rays(sample))
-    return replace(cand, t=t)
+    # sample's rays, and its rotation-only flag
+    (t,), (still,) = solver._epipolar_translations(
+        cand.q.as_array()[None], quat_to_rotation(cand.q)[None], *_sample_rays(sample))
+    return replace(cand, t=t), bool(still)
 
 
 def _reference_candidates(sample, method):
     # one sample's candidates by the block path's rule, one sample at a
-    # time: its rotations, in scoring order, each with its epipolar
-    # translation on the sample's rays; or estimate_pose's candidates when its
-    # coefficient build, rank test or scoring raises, or when no candidate
-    # has |w| >= 0.1
+    # time, as (candidate, rotation-only flag): its rotations, in scoring
+    # order, each with its epipolar translation on the sample's rays; or
+    # estimate_pose's candidates, none rotation-only, when its coefficient
+    # build, rank test or scoring raises, or when no candidate has
+    # |w| >= 0.1
     rotations = solver.quest6_rotations if method == "quest6" else solver.quest7_rotations
     try:
         A = coeffs.build_A(sample)
@@ -1086,27 +1087,38 @@ def _reference_candidates(sample, method):
     except DegeneracyError:
         cands = []
     cands = [_epipolar_candidate(c, sample) for c in cands]
-    if any(abs(c.q.w) >= 0.1 for c in cands):
+    if any(abs(c.q.w) >= 0.1 for c, _ in cands):
         return cands
-    return solver.estimate_pose(sample, method)
+    return [(c, False) for c in solver.estimate_pose(sample, method)]
+
+
+def _rotation_only_errors(R, M, N):
+    # the angle between each n_i and R m_i, ray by ray
+    a = M @ R.T
+    return np.arctan2([np.linalg.norm(c) for c in np.cross(a, N)], np.einsum("ij,ij->i", a, N))
 
 
 def _reference_hypotheses(sample, method, M, N, threshold):
     # one sample's candidates (_reference_candidates), each scored,
     # polished as a stack of one and re-masked on its own, as ransac_pose
     # treated a sample before it polished whole blocks: (R, t, errs, mask)
-    # per candidate that keeps a minimal inlier set. A pass whose re-mask
-    # falls below a minimal set is redone on the angular residual
+    # per candidate that keeps a minimal inlier set. A rotation-only
+    # candidate keeps t = 0 and its angle-only mask, unpolished
     minimal = solver.MINIMAL_POINTS[method]
     try:
         cands = _reference_candidates(sample, method)
     except DegeneracyError:
         return []
     out = []
-    for cand in cands:
+    for cand, still in cands:
+        R = quat_to_rotation(cand.q)
+        if still:
+            errs = _rotation_only_errors(R, M, N)
+            if int((errs < threshold).sum()) >= minimal:
+                out.append((R, np.zeros(3), errs, errs < threshold))
+            continue
         if cand.t is None or float(np.linalg.norm(cand.t)) == 0.0:
             continue
-        R = quat_to_rotation(cand.q)
         t = np.asarray(cand.t, dtype=float)
         errs, mask = solver._consensus(R, t, M, N, threshold)
         if int(mask.sum()) < minimal:
@@ -1114,11 +1126,6 @@ def _reference_hypotheses(sample, method, M, N, threshold):
         for _ in range(2):
             (R1,), (t1,) = solver._polish_pose(R[None], t[None], M, N, mask[None])
             errs, new_mask = solver._consensus(R1, t1, M, N, threshold)
-            if int(new_mask.sum()) < minimal:
-                # the pass again from its start, on the angular residual
-                (R1,), (t1,) = solver._polish_pose(R[None], t[None], M, N, mask[None],
-                                                   angular=True)
-                errs, new_mask = solver._consensus(R1, t1, M, N, threshold)
             R, t = R1, t1
             stable = bool((new_mask == mask).all())
             mask = new_mask
@@ -1200,10 +1207,9 @@ def _assert_matches_reference(points, method, seed, monkeypatch, count=None):
     polish = solver._polish_pose
     polished = Counter()
 
-    def recording(R0, t0, M, N, W, angular=False):
-        polished.update((r.tobytes(), v.tobytes(), w.tobytes(), angular)
-                        for r, v, w in zip(R0, t0, W))
-        return polish(R0, t0, M, N, W, angular=angular)
+    def recording(R0, t0, M, N, W):
+        polished.update((r.tobytes(), v.tobytes(), w.tobytes()) for r, v, w in zip(R0, t0, W))
+        return polish(R0, t0, M, N, W)
 
     monkeypatch.setattr(solver, "_polish_pose", recording)
     ref, ref_mask, iterations = _reference_ransac(points, method, seed=seed)
@@ -1304,6 +1310,25 @@ def test_ransac_block_matches_reference_on_coplanar_scene(method, monkeypatch):
     assert (False in fallbacks) == (method == "quest7")
 
 
+@pytest.mark.parametrize("method", ["quest6", "quest7"])
+def test_ransac_block_matches_reference_on_pure_rotation(method, monkeypatch):
+    # exact rays of a camera that only rotates: samples whose true
+    # rotation leaves two points without parallax give rotation-only
+    # hypotheses
+    points, _, _ = make_outlier_set(seed=0, sigma_px=0.0, fixed_translation=(0.0, 0.0, 0.0))
+    flags = []
+    translations = solver._epipolar_translations
+
+    def recording(*args):
+        t, still = translations(*args)
+        flags.append(still)
+        return t, still
+
+    monkeypatch.setattr(solver, "_epipolar_translations", recording)
+    _assert_matches_reference(points, method, 0, monkeypatch)
+    assert np.concatenate(flags).any()
+
+
 def _ransac_floor(n, minimal, max_iters=200):
     # the adaptive stop for a consensus of n - 1: no run short of a full
     # consensus stops earlier
@@ -1380,27 +1405,6 @@ def test_ransac_max_iters_must_be_an_integer():
     assert a[0].q == b[0].q and np.array_equal(a[1], b[1])
 
 
-def _reference_angular_errors(R, t, M, N):
-    # one pose at a time, as the per-axis loop below evaluated it; a pair
-    # without depths (parallel under R, or t = 0) has error pi
-    a = M @ R.T
-    aa = np.einsum("ij,ij->i", a, a)
-    an = np.einsum("ij,ij->i", a, N)
-    nn = np.einsum("ij,ij->i", N, N)
-    rhs_u = -(a @ t)
-    rhs_v = N @ t
-    det = aa * nn - an * an
-    parallel = np.abs(det) < 1e-300
-    det = np.where(parallel, 1.0, det)
-    u = np.where(parallel, 0.0, (rhs_u * nn + an * rhs_v) / det)
-    v = np.where(parallel, 0.0, (an * rhs_u + aa * rhs_v) / det)
-    reproj = u[:, None] * a + t[None, :]
-    num = np.einsum("ij,ij->i", reproj, N)
-    den = np.linalg.norm(reproj, axis=1) * np.linalg.norm(N, axis=1)
-    den = np.where(den == 0.0, 1e-300, den)
-    return np.where((u == 0.0) & (v == 0.0), np.pi, np.arccos(np.clip(num / den, -1.0, 1.0)))
-
-
 def _reference_epipolar_errors(R, t, M, N):
     # one pose at a time: its epipolar lines E m_i, E = [t]x R, in one
     # product (per-ray products round differently), then ray by ray the
@@ -1414,10 +1418,10 @@ def _reference_epipolar_errors(R, t, M, N):
     return out
 
 
-def _reference_polish(R0, t0, M, N, w, residual, iters=8):
+def _reference_polish(R0, t0, M, N, w, iters=8):
     # Levenberg-Marquardt on one pose in the Gram form: the pose and its
     # six forward-difference perturbations, built one by one, go to one
-    # call of residual(Rs, ts, M, N) (7 poses -> 7 x k), the rows outside
+    # call of the epipolar residual (7 poses -> 7 x k), the rows outside
     # the 0/1 weights w are zeroed, and the cost, J^T f and J^T J are read
     # off the Gram matrix of [f; f_1 - f; ...; f_6 - f]. Every round
     # recomputes the current pose's Gram matrix instead of carrying it,
@@ -1428,6 +1432,7 @@ def _reference_polish(R0, t0, M, N, w, residual, iters=8):
     t = t / np.linalg.norm(t)
     h = 1e-7
     scale = np.r_[1.0, np.full(6, 1.0 / h)]
+    tables = solver._epipolar_tables(M, N)
 
     def gram(R, t):
         Rs, ts = [R] * 7, [t] * 7
@@ -1436,7 +1441,7 @@ def _reference_polish(R0, t0, M, N, w, residual, iters=8):
             d[k] = h
             Rs[1 + k] = solver._rotation_exp(d) @ R
             ts[4 + k] = t + d
-        F = np.where(w, residual(np.array(Rs), np.array(ts), M, N), 0.0)
+        F = np.where(w, solver._epipolar_errors(np.array(Rs), np.array(ts), *tables), 0.0)
         F[1:] -= F[0]
         return (F @ F.T.copy()) * np.outer(scale, scale)
     lam = 1e-4
@@ -1474,27 +1479,16 @@ def _polish_case(rng, k):
     return R0, t0, M, N
 
 
-def _epipolar_residual(Rs, ts, M, N):
-    return solver._epipolar_errors(Rs, ts, *solver._epipolar_tables(M, N))
-
-
-def _angular_residual(Rs, ts, M, N):
-    return np.array([_reference_angular_errors(R, t, M, N) for R, t in zip(Rs, ts)])
-
-
 def test_batched_polish_matches_per_axis_reference():
-    # both residuals: the epipolar sine, and the angular error of the
-    # fallback
-    for angular, residual in ((False, _epipolar_residual), (True, _angular_residual)):
-        rng = np.random.default_rng(2024)
-        for case in range(60):
-            k = int(rng.integers(8, 31))
-            R0, t0, M, N = _polish_case(rng, k)
-            w = np.ones(k, dtype=bool) if case % 3 == 0 else rng.random(k) < 0.7
-            R_ref, t_ref = _reference_polish(R0, t0, M, N, w, residual)
-            (R,), (t,) = solver._polish_pose(R0[None], t0[None], M, N, w[None], angular=angular)
-            assert np.array_equal(R, R_ref)
-            assert np.array_equal(t, t_ref)
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        k = int(rng.integers(8, 31))
+        R0, t0, M, N = _polish_case(rng, k)
+        w = np.ones(k, dtype=bool) if case % 3 == 0 else rng.random(k) < 0.7
+        R_ref, t_ref = _reference_polish(R0, t0, M, N, w)
+        (R,), (t,) = solver._polish_pose(R0[None], t0[None], M, N, w[None])
+        assert np.array_equal(R, R_ref)
+        assert np.array_equal(t, t_ref)
 
 
 def test_epipolar_errors_match_the_per_ray_reference():
@@ -1517,40 +1511,44 @@ def test_epipolar_errors_match_the_per_ray_reference():
 
 
 def _singular_polish_pose():
-    # the identity rotation, t = (-s, s, c) and a ray along the optical
-    # axis in both views: the pair is parallel, so it has no depths and
-    # error pi; rotating about x or about y by the Jacobian step sends the
-    # depths through mirror-image near-singular 2x2 systems that put the
-    # point in front, so the error drops to ~0 and the two rotation
-    # columns are equal and ~-3.1e7; with only that ray weighted, J^T J
-    # swamps the damping and H has two equal rows
-    s = math.sqrt(0.18)
-    return np.eye(3), np.array([-s, s, math.sqrt(1.0 - 2 * s * s)]), np.array([0.0, 0.0, 1.0])
+    # the identity rotation, t = (0, 0, 1) and a first-view ray m on the
+    # optical axis, so E m = t x m = 0 and the ray's residual is 0. Its
+    # second-view ray n = (0.5, 0.5, 1): rotating about x or about y by
+    # the Jacobian step turns E m to e_x or e_y, so the residual jumps to
+    # n_x / |n| or n_y / |n|, and shifting t along x or y gives -n_y / |n|
+    # and n_x / |n|. J's two rotation columns are equal and ~4e6; with only
+    # that ray weighted, J^T J (~1.7e13) swamps the damping and H has two
+    # equal rows
+    axis = np.array([0.0, 0.0, 1.0])
+    return np.eye(3), axis, axis, np.array([0.5, 0.5, 1.0])
 
 
 def test_polish_stack_matches_stacks_of_one():
     # each pose of a stack gets the bits of a stack of one: its own
-    # damping, accept/reject decisions and singular-system fallback
+    # damping, accept/reject decisions and singular-system fallback, which
+    # leaves the singular pose where it is beside poses that move
     rng = np.random.default_rng(7)
-    R_sing, t_sing, axis = _singular_polish_pose()
+    R_sing, t_sing, m, n = _singular_polish_pose()
     singular_seen = 0
     for _ in range(40):
         k = int(rng.integers(8, 31))
         R0, t0, M, N = _polish_case(rng, k)
-        M, N = np.vstack([axis, M]), np.vstack([axis, N])
+        M, N = np.vstack([m, M]), np.vstack([n, N])
         P = int(rng.integers(1, 10))
         Rs = solver._rotation_exp(rng.normal(scale=0.03, size=(P, 3))) @ R0
         ts = t0 + rng.normal(scale=0.05, size=(P, 3))
         # masks of different sizes, an empty one among them
         W = rng.random((P, k + 1)) < rng.uniform(0.0, 1.0, (P, 1))
         W[:, 0] = False
-        if rng.random() < 0.5:
-            p = int(rng.integers(P))
-            Rs[p], ts[p] = R_sing, t_sing
-            W[p] = False
-            W[p, 0] = True
+        sing = int(rng.integers(P)) if rng.random() < 0.5 else None
+        if sing is not None:
+            Rs[sing], ts[sing] = R_sing, t_sing
+            W[sing] = False
+            W[sing, 0] = True
             singular_seen += 1
         R, t = solver._polish_pose(Rs, ts, M, N, W)
+        if sing is not None:
+            assert np.array_equal(R[sing], R_sing) and np.array_equal(t[sing], t_sing)
         for p in range(P):
             (R1,), (t1,) = solver._polish_pose(Rs[p:p + 1], ts[p:p + 1], M, N, W[p:p + 1])
             assert np.array_equal(R[p], R1)
@@ -1558,53 +1556,26 @@ def test_polish_stack_matches_stacks_of_one():
     assert singular_seen
 
 
-def test_angular_polish_stack_matches_stacks_of_one():
-    # the same on the angular residual, whose Gram state the singular pose
-    # (the only one weighting the axis ray) turns singular in the first
-    # round: the stack's fallback leaves it where it is, beside poses that
-    # move
-    rng = np.random.default_rng(8)
-    R_sing, t_sing, axis = _singular_polish_pose()
-    for _ in range(20):
-        k = int(rng.integers(8, 31))
-        R0, t0, M, N = _polish_case(rng, k)
-        M, N = np.vstack([axis, M]), np.vstack([axis, N])
-        P = int(rng.integers(2, 8))
-        Rs = solver._rotation_exp(rng.normal(scale=0.03, size=(P, 3))) @ R0
-        ts = t0 + rng.normal(scale=0.05, size=(P, 3))
-        W = rng.random((P, k + 1)) < rng.uniform(0.0, 1.0, (P, 1))
-        W[:, 0] = False
-        p = int(rng.integers(P))
-        Rs[p], ts[p] = R_sing, t_sing
-        W[p] = False
-        W[p, 0] = True
-        R, t = solver._polish_pose(Rs, ts, M, N, W, angular=True)
-        assert np.array_equal(R[p], R_sing)
-        for p in range(P):
-            (R1,), (t1,) = solver._polish_pose(Rs[p:p + 1], ts[p:p + 1], M, N, W[p:p + 1],
-                                               angular=True)
-            assert np.array_equal(R[p], R1)
-            assert np.array_equal(t[p], t1)
-
-
 def test_polish_leaves_a_pose_with_a_singular_system_where_it_is():
-    R0, t0, axis = _singular_polish_pose()
-    M = np.vstack([axis, [[0.1, 0.2, 1.0], [-0.3, 0.1, 1.0]]])
-    # the angular residual: the epipolar one sees no singular system here,
-    # and _lm_steps' fallback serves both
-    (G,) = solver._gram(R0[None], t0[None], M, M.copy(), np.array([[1, 0, 0]], bool),
-                        solver._ray_norms(M), angular=True)
+    R0, t0, m, n = _singular_polish_pose()
+    M = np.vstack([m, [[0.1, 0.2, 1.0], [-0.3, 0.1, 1.0]]])
+    N = np.vstack([n, [[0.15, 0.1, 1.0], [-0.2, 0.3, 1.0]]])
+    (G,) = solver._gram(R0[None], t0[None], np.array([[1, 0, 0]], bool),
+                        solver._epipolar_tables(M, N))
     # the two rotation columns of J are equal and above 1e6: G's rows of
     # J^T J for them are equal, J^2 > 1e12
     assert np.array_equal(G[1], G[2]) and G[1, 1] > 1e12
     H = G[None, 1:, 1:] + 1e-4 * np.eye(6)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(H, np.ones((1, 6, 1)))
-    R, t = solver._polish_pose(np.stack([R0, R0]), np.stack([t0, t0]), M, M.copy(),
-                               np.array([[1, 0, 0], [1, 1, 1]], bool), angular=True)
-    assert np.array_equal(R[0], R0)
-    assert np.array_equal(t[0], t0 / np.linalg.norm(t0))
+    # _lm_steps' fallback: the singular pose stays, the other moves as
+    # it would alone
+    W = np.array([[1, 0, 0], [1, 1, 1]], bool)
+    R, t = solver._polish_pose(np.stack([R0, R0]), np.stack([t0, t0]), M, N, W)
+    assert np.array_equal(R[0], R0) and np.array_equal(t[0], t0)
     assert not np.array_equal(R[1], R0)
+    (R1,), (t1,) = solver._polish_pose(R0[None], t0[None], M, N, W[1:])
+    assert np.array_equal(R[1], R1) and np.array_equal(t[1], t1)
 
 
 def test_rotation_exp_stack_matches_single_increments():
@@ -1654,7 +1625,7 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
             monkeypatch.setattr(solver, name, traced)
         block = solver._block_candidates(M, N, idx, method)
         monkeypatch.undo()
-        owner, q, R, t = block
+        owner, q, R, t, still = block
         assert np.array_equal(owner, np.sort(owner))
         empty = rescued = 0
         for r, sample in enumerate(idx):
@@ -1668,13 +1639,14 @@ def test_block_translation_is_one_call_matching_per_sample_translation(monkeypat
                 continue
             if r % 4 == 3:
                 # rescued by the gauge frames: estimate_pose's candidates
-                want = solver.estimate_pose(pts, method)
+                want = [(c, False) for c in solver.estimate_pose(pts, method)]
                 rescued += 1
             else:
                 want = _reference_candidates(pts, method)
-            assert np.array_equal(q[mine], [[c.q.w, c.q.x, c.q.y, c.q.z] for c in want])
-            assert np.array_equal(R[mine], [quat_to_rotation(c.q) for c in want])
-            assert np.array_equal(t[mine], [c.t for c in want])
+            assert np.array_equal(q[mine], [[c.q.w, c.q.x, c.q.y, c.q.z] for c, _ in want])
+            assert np.array_equal(R[mine], [quat_to_rotation(c.q) for c, _ in want])
+            assert np.array_equal(t[mine], [c.t for c, _ in want])
+            assert np.array_equal(still[mine], [flag for _, flag in want])
         assert empty == (8 if method == "quest7" else 4)
         assert rescued == 4
         # one call of each layer for the block; full translation, and the
@@ -1700,8 +1672,8 @@ def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
         for method in ("quest6", "quest7"):
             best = solver.estimate_pose(pts, method)[0]
             R = quat_to_rotation(best.q)
-            (t,) = solver._epipolar_translations(best.q.as_array()[None], R[None], M, N)
-            assert best.scale_note == "unit-translation"
+            (t,), (still,) = solver._epipolar_translations(best.q.as_array()[None], R[None], M, N)
+            assert best.scale_note == "unit-translation" and not still
             assert np.abs(t - best.t).max() < 1e-9
             u, _, _ = core.triangulate_uv(R, t, M[0], N[0])
             assert np.abs(u / best.depths_u - 1.0).max() < 1e-6
@@ -1709,24 +1681,25 @@ def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
 
 def test_epipolar_translation_falls_back_without_parallax():
     # under the true rotation of a camera that only rotates every point
-    # has no parallax, and a candidate with even one such point takes
-    # recover_translation_depths on its sample; a candidate of a moving
-    # camera in the same stack keeps its epipolar t
+    # has no parallax. A candidate with one such point takes
+    # recover_translation_depths on its sample; one with two or more is
+    # rotation-only, with t = 0; a candidate of a moving camera in the
+    # same stack keeps its epipolar t
     still = scene(3, fixed_translation=(0.0, 0.0, 0.0))
     moving = scene(4)
     pts = list(still.correspondences)
-    half = pts[:4] + list(moving.correspondences)[4:]  # four points without parallax
-    qs = (still.pose.q, still.pose.q, moving.pose.q)
-    rays = [_sample_rays(p) for p in (pts, half, moving.correspondences)]
+    one, two = (pts[:k] + list(moving.correspondences)[k:] for k in (1, 2))
+    qs = (still.pose.q, still.pose.q, still.pose.q, moving.pose.q)
+    rays = [_sample_rays(p) for p in (pts, one, two, moving.correspondences)]
     M = np.concatenate([m for m, _ in rays])
     N = np.concatenate([n for _, n in rays])
-    t = solver._epipolar_translations(np.array([q.as_array() for q in qs]),
-                                      np.array([quat_to_rotation(q) for q in qs]), M, N)
-    for c, sample in enumerate((pts, half)):
-        (want,) = translate(still.pose.q, sample)
-        assert np.array_equal(t[c], want.t)
-    assert np.linalg.norm(t[0]) < 1e-8
-    assert core.trans_error(t[2], moving.pose.t) < 1e-9
+    t, flags = solver._epipolar_translations(np.array([q.as_array() for q in qs]),
+                                             np.array([quat_to_rotation(q) for q in qs]), M, N)
+    assert flags.tolist() == [True, False, True, False]
+    assert not t[0].any() and not t[2].any()
+    (want,) = translate(still.pose.q, one)
+    assert np.array_equal(t[1], want.t)
+    assert core.trans_error(t[3], moving.pose.t) < 1e-9
 
 
 # (true positives, false positives, false negatives) of quest6 RANSAC on
@@ -1741,8 +1714,9 @@ _PURE_ROTATION_FLOOR = {
 @pytest.mark.parametrize("sigma, seed", sorted(_PURE_ROTATION_FLOOR))
 def test_ransac_pure_rotation_keeps_precision_and_recall(sigma, seed):
     # a camera that only rotates: at sigma 0 the inliers have no parallax
-    # under the true rotation, so a hypothesis holding one takes the full
-    # translation; the outliers stay out as when every hypothesis took it
+    # under the true rotation, so an all-inlier sample gives a
+    # rotation-only hypothesis; the outliers stay out as when every
+    # hypothesis took the full translation
     points, mask_true, pose = make_outlier_set(seed=seed, sigma_px=sigma,
                                                fixed_translation=(0.0, 0.0, 0.0))
     cand, mask = solver.ransac_pose(points, "quest6", threshold=0.005, max_iters=200, seed=seed)
@@ -1751,7 +1725,9 @@ def test_ransac_pure_rotation_keeps_precision_and_recall(sigma, seed):
     tp0, fp0, fn0 = _PURE_ROTATION_FLOOR[sigma, seed]
     assert tp / (tp + fp) >= tp0 / (tp0 + fp0)
     assert tp / (tp + fn) >= tp0 / (tp0 + fn0)
-    assert core.rot_error(cand.q, pose.q) < 0.01
+    # exact rays: the winner is a rotation-only hypothesis, the minimal
+    # solve's rotation unpolished
+    assert core.rot_error(cand.q, pose.q) <= (1e-10 if sigma == 0.0 else 0.01)
 
 
 def test_parallel_rays_are_outliers_with_undefined_depths():
@@ -1854,6 +1830,34 @@ def test_consensus_drops_a_zero_translation_hypothesis(threshold):
     assert len(want[0]) and len(idx) not in got[0]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_a_sample_without_parallax_gives_a_rotation_only_hypothesis():
+    # exact rays of a camera that only rotates, then a moving camera's.
+    # Four inliers and two outliers of the first set give the true
+    # rotation as a candidate, under which the four inliers have no
+    # parallax: it keeps t = 0, unpolished, and its inliers are the
+    # matches whose angle between n and R m is below the threshold,
+    # though none of them has depths. A sample of the moving camera has
+    # parallax, and none of its hypotheses gets t = 0
+    still, still_true, _ = make_outlier_set(seed=0, sigma_px=0.0,
+                                            fixed_translation=(0.0, 0.0, 0.0))
+    moving, moving_true, _ = make_outlier_set(seed=1)
+    M, N = core._rays(still + moving)
+    inliers, outliers = np.flatnonzero(still_true), np.flatnonzero(~still_true)
+    idx = np.array([np.r_[inliers[:4], outliers[:2]], len(still) + np.flatnonzero(moving_true)[:6]])
+    cands = solver._block_candidates(M, N, idx, "quest6")
+    sample, _, R, t, flags = cands
+    assert flags[sample == 0].sum() == 1 and not flags[sample == 1].any()
+    assert not t[flags].any()
+    owner, Rs, ts, errs, masks = solver._hypotheses(cands, M, N, 0.005, 6)
+    zero = ~ts.any(axis=1)
+    assert owner[zero].tolist() == [0] and (owner == 1).any()
+    (R_still,) = R[flags]
+    assert np.array_equal(Rs[zero][0], R_still)
+    assert np.array_equal(errs[zero][0], _rotation_only_errors(R_still, M, N))
+    assert np.array_equal(masks[zero][0], np.r_[still_true, np.zeros(len(moving), bool)])
+    assert not solver._consensus(R_still, np.zeros(3), M, N, 0.005)[1].any()
 
 
 def test_rotation_matrices_of_a_stack_match_quat_to_rotation_bit_for_bit():
