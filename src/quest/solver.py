@@ -233,13 +233,16 @@ def _rotation_stack(A: np.ndarray, method: str):
     DegeneracyError its rank test raises (it gets no candidates).
 
     Both methods share one elimination: one stacked SVD of the x2 block
-    gives the pseudo-inverse and the rank test (the smallest singular value
-    above the pseudo-inverse's cutoff), and only the B-fill differs. The
-    B-fills, eigen solves and extractions run as stacked calls over the
-    whole stack; a stack in which every matrix fails stops before them."""
+    gives the pseudo-inverse and the rank test, and only the B-fill
+    differs. The rank test asks for the smallest singular value above the
+    pseudo-inverse's cutoff and the largest above _RANK_FLOOR: A's rows
+    have unit norm, so a block of rounding noise fails however its
+    singular values compare with each other. The B-fills, eigen solves
+    and extractions run as stacked calls over the whole stack; a stack in
+    which every matrix fails stops before them."""
     x1, x2 = QUEST6_SPLIT if method == "quest6" else QUEST7_SPLIT
     pinv, svals = _pinv(A[:, :, x2])
-    ok = svals[:, -1] > _PINV_RCOND * svals[:, 0]
+    ok = (svals[:, -1] > _PINV_RCOND * svals[:, 0]) & (svals[:, 0] > _RANK_FLOOR)
     failed = [None if k else _rank_error(s, method) for k, s in zip(ok.tolist(), svals)]
     if not ok.any():
         return np.zeros((0, 4)), np.zeros((len(A), len(x1)), dtype=bool), failed
@@ -732,8 +735,7 @@ def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: 
     """The hypotheses of a block's candidates (_block_candidates), in
     order, leaving out those whose consensus falls below `minimal`
     inliers before or after polish: arrays of their samples, R, t, angular
-    errors and inlier masks. Candidates given without the rotation-only
-    flags are none of them rotation-only.
+    errors and inlier masks.
 
     A rotation-only candidate keeps t = 0 and is not polished, since the
     epipolar residual cannot see its rays: its errors are the angles
@@ -747,8 +749,8 @@ def _hypotheses(cands, M: np.ndarray, N: np.ndarray, threshold: float, minimal: 
     goes through one stacked _consensus call; each pass is one stacked
     _polish_pose call and one _consensus call over the candidates it
     covers."""
-    sample, R, t = cands[0], cands[2].copy(), cands[3].copy()  # polished in place
-    still = cands[4] if len(cands) > 4 else np.zeros(len(sample), dtype=bool)
+    sample, _, R, t, still = cands
+    R, t = R.copy(), t.copy()  # polished in place
     errs, masks = _consensus(R, t, M, N, threshold)
     if still.any():
         a = M @ np.swapaxes(R[still], -1, -2)  # R m_i
@@ -800,13 +802,14 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     one-at-a-time sampling would: the same draws, stop and winner, and
     each hypothesis polished as it would be alone. No run whose consensus
     falls short of all n matches stops before the stop for a consensus of
-    n - 1, its floor. The first block holds one sample, so a run whose
-    first sample explains every match solves just that one; each later
-    block holds the larger of twice the samples walked before it and what
-    is left of the floor, and no more than the current stop allows. Past
+    n - 1, its floor. Each block holds the larger of twice the samples
+    walked before it and what is left of the floor, and no more than the
+    current stop allows: the first block is the floor, and the later ones
+    double. A run whose first sample explains every match, which only
+    outlier-free input gives, still solves the whole first block. Past
     the stop a run solves at most twice the samples it walked before its
-    last block, unless a sample of the block that reaches the floor
-    explains every match."""
+    last block, unless a sample of the first block explains every
+    match."""
     points = list(points)
     if method == "eightpt" or method not in MINIMAL_POINTS:
         raise ValueError(f"RANSAC sampling is only defined for quest6/quest7, not {method!r}")
@@ -844,7 +847,7 @@ def ransac_pose(points, method: str = "quest6", threshold: float = 0.005,
     needed = max_iters
     it = 0
     while it < needed:
-        size = min(needed - it, max(2 * it, floor - it)) if it else 1
+        size = min(needed - it, max(2 * it, floor - it))
         idx = np.array([rng.choice(n, size=minimal, replace=False) for _ in range(size)])
         owner, Rs, ts, errs, masks = _hypotheses(_block_candidates(M, N, idx, method), M, N,
                                                  threshold, minimal)

@@ -576,6 +576,24 @@ def test_zero_motion_quest7_degenerates():
         solver.quest7_rotations(coeffs.build_A(list(sc.correspondences)[:7]))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_ulp_motion_is_zero_motion(seed):
+    # second rays one ulp off the first: the quest6 elimination block is
+    # rounding noise, whose singular values stand within 1e-3 of each
+    # other, so only its scale tells it from a full-rank block. quest6
+    # returns the identity alone, and quest7 reports the collapse
+    M = np.array([c.m for c in scene(seed, n=7).correspondences])
+    N = M.copy()
+    N[:, :2] = np.nextafter(M[:, :2], np.inf)
+    pts = [core.Correspondence(m, n) for m, n in zip(M, N)]
+    sv = np.linalg.svd(coeffs.build_A(pts[:6])[:, solver.QUEST6_SPLIT[1]], compute_uv=False)
+    assert sv[0] < solver._RANK_FLOOR and sv[-1] > solver._PINV_RCOND * sv[0]
+    (cand,) = solver.estimate_pose(pts[:6], "quest6")
+    assert cand.q == core.IDENTITY_QUATERNION
+    with pytest.raises(CriticalSurfaceError):
+        solver.estimate_pose(pts, "quest7")
+
+
 def test_rotation_solvers_reject_wrong_point_count():
     sc = scene(0, n=8)
     A = coeffs.build_A(sc.correspondences)
@@ -1340,15 +1358,24 @@ def test_ransac_block_matches_reference_when_stop_lands_mid_block(monkeypatch):
     points = make_outlier_set(seed=0)[0]
     _, iterations, drawn = _assert_matches_reference(points, "quest6", 0, monkeypatch)
     # the last block's samples past the stop are solved but never walked.
-    # One sample first, then the rest of the floor in one block; after that
-    # a block holds at most twice the samples drawn before it, so at most
-    # twice those walked before the last block are solved past the stop
+    # The floor first, in one block; after that a block holds at most twice
+    # the samples drawn before it, so at most twice those walked before the
+    # last block are solved past the stop
     floor = _ransac_floor(len(points), 6)
     sizes = [len(idx) for idx in drawn]
-    assert sizes[0] == 1 and sizes[1] == floor - 1 and len(sizes) > 2
-    assert all(size <= max(2 * sum(sizes[:j]), floor - sum(sizes[:j]))
-               for j, size in enumerate(sizes) if j >= 2)
+    assert sizes[0] == floor and len(sizes) > 2
+    assert all(size <= 2 * sum(sizes[:j]) for j, size in enumerate(sizes) if j >= 1)
     assert 0 < sum(sizes) - iterations <= 2 * sum(sizes[:-1])
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.4], ids=["outlier_free", "outliers_40"])
+def test_ransac_block_matches_reference_across_outlier_fractions(fraction, monkeypatch):
+    # 1 px noise: an outlier-free set whose walk goes past the first block,
+    # and a set of 40% outliers that walks to max_iters
+    points = make_outlier_set(seed=2, outlier_fraction=fraction)[0]
+    _, iterations, drawn = _assert_matches_reference(points, "quest6", 2, monkeypatch)
+    assert len(drawn) > 1
+    assert iterations > _ransac_floor(len(points), 6)
 
 
 def _setup_scene_points(monkeypatch):
@@ -1366,19 +1393,23 @@ def _setup_scene_points(monkeypatch):
 @pytest.mark.parametrize("setup_scene", [False, True], ids=["outlier_free_30", "setup_8"])
 def test_ransac_stops_after_one_block_when_the_first_sample_explains_every_match(
         setup_scene, monkeypatch):
+    # exact outlier-free input: the first block holds the floor (9 samples
+    # on 30 points, 24 on 8), and the walk stops at its first sample, whose
+    # consensus is every match, with the reference's pose and mask
     if setup_scene:
         points = _setup_scene_points(monkeypatch)
     else:
         points = list(scene(77, n=30).correspondences)
-    drawn = _record_blocks(monkeypatch)
+    _, iterations, drawn = _assert_matches_reference(points, "quest6", 0, monkeypatch)
+    assert [len(idx) for idx in drawn] == [_ransac_floor(len(points), 6)]
+    assert iterations == 1
     _, mask = solver.ransac_pose(points, "quest6", threshold=0.005, max_iters=200, seed=0)
     assert mask.all()
-    assert [len(idx) for idx in drawn] == [1]
 
 
 def test_ransac_c08_runs_take_at_most_five_blocks(monkeypatch):
-    # one sample, then the floor in one block, then blocks of twice the
-    # samples walked: 1 + 8 + 18 + 54 reaches the c08 runs' stops
+    # the floor in one block, then blocks of twice the samples walked:
+    # 9 + 18 + 54 + 119 reaches max_iters
     drawn = _record_blocks(monkeypatch)
     for run in range(20):
         start = len(drawn)
@@ -1822,7 +1853,9 @@ def test_consensus_drops_a_zero_translation_hypothesis(threshold):
     idx = np.random.default_rng(3).choice(len(points), size=(4, 6), replace=False)
     cands = solver._block_candidates(M, N, idx, "quest6")
     # the first candidate once more, with t = 0, as a sample of its own
-    extra = (np.array([len(idx)]), cands[1][:1], cands[2][:1], np.zeros((1, 3)))
+    # that is not rotation-only
+    extra = (np.array([len(idx)]), cands[1][:1], cands[2][:1], np.zeros((1, 3)),
+             np.zeros(1, dtype=bool))
     still = tuple(np.concatenate(pair) for pair in zip(cands, extra))
     with np.errstate(all="raise"):
         got = solver._hypotheses(still, M, N, threshold, 6)
