@@ -23,9 +23,10 @@ of eigenvector matrices at once, with a mask of each matrix's
 candidates, and translation treats all candidates as one stack.
 
 Translation and both views' depths come from the null vector of the
-stacked rigid-motion system, and candidates are ranked by the algebraic
-residual ||A @ x(q)|| with chirality (all depths positive) used to demote
-mirrored solutions.
+stacked rigid-motion system C, taken from one stacked eigh of C^T C; a
+candidate whose null space is not isolated takes the SVD of C.
+Candidates are ranked by the algebraic residual ||A @ x(q)|| with
+chirality (all depths positive) used to demote mirrored solutions.
 
 A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
 shape. estimate_pose builds one per frame, a gauge frame's from rotated
@@ -344,13 +345,25 @@ def score_candidates(A: np.ndarray, qs, live=None):
             for i, r in zip(order[valid].tolist(), residuals[valid].tolist())]
 
 
+# The eigenvector of C^T C's smallest eigenvalue is off by up to about
+# eps ||C||^2 / gap (Golub & Van Loan, Matrix Computations, 8.6): a
+# candidate whose two smallest eigenvalues lie within this fraction of
+# the largest one takes the SVD of C instead.
+_GRAM_GAP = 1e-6
+
+
 def recover_translation_depths(cands, points):
     """The candidates with translation and per-point depths filled in.
 
     For each candidate's rotation the rigid-motion constraints of all k
-    points stack into a 3k x (2k + 3) system whose null vector holds
-    (t, u1, v1, ..., uk, vk); the rightmost singular vector recovers them
-    up to one common scale. The global sign is flipped so most depths are
+    points stack into a 3k x (2k + 3) system C whose null vector holds
+    (t, u1, v1, ..., uk, vk) up to one common scale. It is the
+    eigenvector of the smallest eigenvalue of C^T C, unless the two
+    smallest eigenvalues are closer than _GRAM_GAP of the largest (pure
+    rotation, small parallax, a near-double minimum); such a candidate
+    takes the rightmost singular vector of C. The depths are ambiguous
+    when the two smallest singular values of C differ by less than 1e-8
+    of the largest. The global sign is flipped so most depths are
     positive (on a tie, their sum), then the result is scaled to ||t|| = 1
     unless the translation is negligible against the depths, in which case
     the mean absolute depth is scaled to 1, so a near-zero t stays near zero.
@@ -370,13 +383,19 @@ def recover_translation_depths(cands, points):
     # since R @ M.T would round differently
     blocks[:, i, :, 3 + 2 * i] = (R @ M[..., None])[..., 0]
     blocks[:, i, :, 4 + 2 * i] = -N
-    # k = 2 needs the full Vt for its null vector; for k >= 3 the reduced
-    # SVD gives the same bits but measured no faster
-    _, svals, Vt = np.linalg.svd(C, full_matrices=True)
-    Y = Vt[:, -1]
-    # With fewer rows than columns the trailing singular values are exact zeros.
-    padded = np.concatenate([svals, np.zeros((len(cands), Vt.shape[1] - svals.shape[1]))], axis=1)
-    ambiguous = (padded[:, -2] - padded[:, -1]) < 1e-8 * padded[:, 0]
+    # eigenpairs of C^T C, ascending: the null vector is the first one's
+    lam, V = np.linalg.eigh(C.swapaxes(1, 2) @ C)
+    Y = V[:, :, 0]
+    svals = np.sqrt(np.maximum(lam[:, ::-1], 0.0))  # C's, descending
+    close = np.flatnonzero(lam[:, 1] - lam[:, 0] < _GRAM_GAP * lam[:, -1])
+    if len(close):
+        # k = 2 needs the full Vt for its null vector
+        _, s, Vt = np.linalg.svd(C[close], full_matrices=True)
+        Y[close] = Vt[:, -1]
+        # With fewer rows than columns the trailing singular values are exact zeros.
+        svals[close] = 0.0
+        svals[close, :s.shape[1]] = s
+    ambiguous = (svals[:, -2] - svals[:, -1]) < 1e-8 * svals[:, 0]
 
     votes = np.sign(Y[:, 3:]).sum(axis=1)  # positive minus negative depths
     negate = np.where(votes != 0.0, votes, Y[:, 3:].sum(axis=1)) < 0.0

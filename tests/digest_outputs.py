@@ -78,10 +78,10 @@ def _digest(calls):
     return n, h.hexdigest()
 
 
-def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100, c08=20,
-            half_turn=60, half_turn_ransac=12, pure_rotation=4):
-    """Lines "<group> n=<outputs> <sha256>", one per group."""
-    lines = []
+def groups(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100, c08=20,
+           half_turn=60, half_turn_ransac=12, pure_rotation=4):
+    """(group name, calls) per group, in order: each call a function of no
+    arguments that makes one solver call."""
     solver = quest.solver
     for name in workloads:
         for seed in seeds:
@@ -89,17 +89,16 @@ def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100
             for method, k in workload.METHODS.items():
                 pts = [item.points if method == "eightpt" else item.points[:k]
                        for item in mins[:minimal]]
-                n, d = _digest(lambda p=p, m=method: solver.estimate_pose(p, m) for p in pts)
-                lines.append(f"{name} seed={seed} {method} n={n} {d}")
-            n, d = _digest(lambda it=it: solver.ransac_pose(it.points, seed=it.ransac_seed,
-                                                            **workload.RANSAC_ARGS)
-                           for it in rans[:ransac])
-            lines.append(f"{name} seed={seed} ransac n={n} {d}")
+                yield (f"{name} seed={seed} {method}",
+                       [lambda p=p, m=method: solver.estimate_pose(p, m) for p in pts])
+            yield (f"{name} seed={seed} ransac",
+                   [lambda it=it: solver.ransac_pose(it.points, seed=it.ransac_seed,
+                                                     **workload.RANSAC_ARGS)
+                    for it in rans[:ransac]])
     for method in ("quest6", "quest7"):
-        n, d = _digest(lambda s=s, m=method: solver.ransac_pose(
+        yield f"c08 {method}", [lambda s=s, m=method: solver.ransac_pose(
             make_outlier_set(seed=s)[0], m, threshold=0.005, max_iters=200, seed=s)
-            for s in range(c08))
-        lines.append(f"c08 {method} n={n} {d}")
+            for s in range(c08)]
     for w in HALF_TURN_W:
         turn = (w, 0.0, 0.0, math.sqrt(1.0 - w * w))
         for method in ("quest6", "quest7"):
@@ -107,19 +106,29 @@ def digests(workloads=workload.WORKLOADS, seeds=(1, 7), minimal=1500, ransac=100
             for sigma in (0.0, 1.0):
                 sets = [make_outlier_set(seed=s, n=k + 4, outlier_fraction=0.0, sigma_px=sigma,
                                          fixed_rotation=turn)[0] for s in range(half_turn)]
-                n, d = _digest(lambda p=p, m=method: solver.estimate_pose(p, m)
-                               for pts in sets for p in (pts, pts[:k]))
-                lines.append(f"half-turn w={w:.2f} {method} sigma={sigma:g} n={n} {d}")
-            n, d = _digest(lambda s=s, m=method: solver.ransac_pose(
-                make_outlier_set(seed=s, fixed_rotation=turn)[0], m, threshold=0.005,
-                max_iters=200, seed=s) for s in range(half_turn_ransac))
-            lines.append(f"half-turn w={w:.2f} {method} ransac n={n} {d}")
+                yield (f"half-turn w={w:.2f} {method} sigma={sigma:g}",
+                       [lambda p=p, m=method: solver.estimate_pose(p, m)
+                        for pts in sets for p in (pts, pts[:k])])
+            yield f"half-turn w={w:.2f} {method} ransac", [
+                lambda s=s, m=method, turn=turn: solver.ransac_pose(
+                    make_outlier_set(seed=s, fixed_rotation=turn)[0], m, threshold=0.005,
+                    max_iters=200, seed=s) for s in range(half_turn_ransac)]
     for method in ("quest6", "quest7"):
         for sigma in (0.0, 1.0):
-            n, d = _digest(lambda s=s, m=method, sigma=sigma: solver.ransac_pose(
-                make_outlier_set(seed=s, sigma_px=sigma, fixed_translation=(0.0, 0.0, 0.0))[0], m,
-                threshold=0.005, max_iters=200, seed=s) for s in range(pure_rotation))
-            lines.append(f"pure-rotation {method} sigma={sigma:g} ransac n={n} {d}")
+            yield (f"pure-rotation {method} sigma={sigma:g} ransac",
+                   [lambda s=s, m=method, sigma=sigma: solver.ransac_pose(
+                       make_outlier_set(seed=s, sigma_px=sigma,
+                                        fixed_translation=(0.0, 0.0, 0.0))[0], m,
+                       threshold=0.005, max_iters=200, seed=s) for s in range(pure_rotation)])
+
+
+def digests(**sizes):
+    """Lines "<group> n=<outputs> <sha256>", one per group; `sizes` as for
+    groups."""
+    lines = []
+    for group, calls in groups(**sizes):
+        n, d = _digest(calls)
+        lines.append(f"{group} n={n} {d}")
     return lines
 
 

@@ -710,8 +710,8 @@ def test_translation_needs_two_points():
         translate(sc.pose.q, sc.correspondences[:1])
 
 
-def _reference_translation(q, points):
-    # one candidate at a time: the oracle for the stacked version
+def _rigid_motion_matrix(q, points):
+    # the 3k x (2k + 3) system of one candidate, point i's rows 3i..3i+2
     k = len(points)
     R = quat_to_rotation(q)
     M = np.array([c.m for c in points])
@@ -722,10 +722,17 @@ def _reference_translation(q, points):
     blocks[:, :, 0:3] = np.eye(3)
     blocks[i, :, 3 + 2 * i] = (R @ M[:, :, None])[:, :, 0]
     blocks[i, :, 4 + 2 * i] = -N
+    return C
+
+
+def _svd_null_vector(C):
+    # the rightmost singular vector and whether the depths are ambiguous
     _, svals, Vt = np.linalg.svd(C, full_matrices=True)
-    y = Vt[-1]
     padded = np.concatenate([svals, np.zeros(Vt.shape[0] - svals.shape[0])])
-    ambiguous = bool((padded[-2] - padded[-1]) < 1e-8 * padded[0])
+    return Vt[-1], bool((padded[-2] - padded[-1]) < 1e-8 * padded[0])
+
+
+def _signed_and_scaled(y, ambiguous):
     depths = y[3:]
     votes = np.sum(depths > 0.0) - np.sum(depths < 0.0)
     if votes < 0 or (votes == 0 and np.sum(depths) < 0.0):
@@ -744,22 +751,40 @@ def _reference_translation(q, points):
     return y[:3], y[3::2], y[4::2], chirality_ok, ratio, ambiguous, note
 
 
-def test_stacked_translation_matches_per_candidate_reference():
+def _reference_translation(q, points):
+    # one candidate at a time: the oracle for the stacked version. The
+    # null vector is the eigenvector of C^T C's smallest eigenvalue, or the
+    # SVD's when the two smallest eigenvalues are close
+    C = _rigid_motion_matrix(q, points)
+    lam, V = np.linalg.eigh(C.T @ C)
+    if lam[1] - lam[0] < solver._GRAM_GAP * lam[-1]:
+        return _signed_and_scaled(*_svd_null_vector(C))
+    svals = np.sqrt(np.maximum(lam[::-1], 0.0))
+    return _signed_and_scaled(V[:, 0], bool((svals[-2] - svals[-1]) < 1e-8 * svals[0]))
+
+
+def _translation_scenes():
+    # k = 2..30 points, every fifth scene with t = 0, the true rotation
+    # and 0-3 random ones per scene
     rng = np.random.default_rng(707)
-    notes = set()
     for trial in range(60):
         k = int(rng.integers(2, 31))
         fixed_t = (0.0, 0.0, 0.0) if trial % 5 == 0 else None
         sc = scene(trial, n=k, fixed_translation=fixed_t)
         qs = [sc.pose.q] + [Quaternion.from_array(rng.normal(size=4)).normalized().canonical()
                             for _ in range(int(rng.integers(0, 4)))]
+        yield list(sc.correspondences), qs
+
+
+def test_stacked_translation_matches_per_candidate_reference():
+    notes = set()
+    for points, qs in _translation_scenes():
         cands = [core.PoseCandidate(q=q, algebraic_residual=float(j)) for j, q in enumerate(qs)]
-        got = solver.recover_translation_depths(cands, sc.correspondences)
+        got = solver.recover_translation_depths(cands, points)
         assert [c.q for c in got] == qs
         assert [c.algebraic_residual for c in got] == [c.algebraic_residual for c in cands]
         for c, q in zip(got, qs):
-            t, du, dv, chirality_ok, ratio, ambiguous, note = _reference_translation(
-                q, list(sc.correspondences))
+            t, du, dv, chirality_ok, ratio, ambiguous, note = _reference_translation(q, points)
             assert np.array_equal(c.t, t)
             assert np.array_equal(c.depths_u, du)
             assert np.array_equal(c.depths_v, dv)
@@ -769,21 +794,105 @@ def test_stacked_translation_matches_per_candidate_reference():
     assert notes == {"unit-translation", "unit-mean-depth"}
 
 
-def test_tied_depth_signs_do_not_take_the_svd_sign(monkeypatch):
-    # negating u and vt together is as valid an SVD and leaves the
-    # pseudo-inverse's bits alone; candidates whose depth signs split
-    # evenly must come out the same, so the sum of their depths decides
+def test_translation_matches_the_svd_of_every_candidate(monkeypatch):
+    # the SVD of C for every candidate is the accuracy reference: the
+    # eigenvector of C^T C may differ from it by rounding only
+    svd, through_svd = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        through_svd.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    total = 0
+    for points, qs in _translation_scenes():
+        cands = [core.PoseCandidate(q=q, algebraic_residual=0.0) for q in qs]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        got = solver.recover_translation_depths(cands, points)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        total += len(cands)
+        for c, q in zip(got, qs):
+            t, du, dv, chirality_ok, ratio, ambiguous, note = _signed_and_scaled(
+                *_svd_null_vector(_rigid_motion_matrix(q, points)))
+            assert (c.chirality_ok, c.scale_note, c.ambiguous_depths) == (
+                chirality_ok, note, ambiguous)
+            assert np.abs(c.t - t).max() <= 1e-9
+            for got_depths, depths in ((c.depths_u, du), (c.depths_v, dv)):
+                assert np.abs(got_depths - depths).max() <= 1e-9 * np.abs(depths).max()
+            assert abs(c.t_depth_ratio - ratio) <= 1e-9 * ratio
+    # the t = 0 scenes' true rotations leave a k-dimensional null space
+    assert 0 < sum(through_svd) < total
+
+
+# quest6's third candidate on the benchmark's minimal input 757 (`coplanar`,
+# seed 3): the two smallest eigenvalues of C^T C are 1.17e-6 and 1.46e-6 of
+# the largest, close to each other but not to zero, and the eigenvector of
+# the smallest put t 4.7e-9 off the SVD's. Rays as (x, y) of (x, y, 1).
+_NEAR_DOUBLE_Q = ('0x1.80d5b725a4a8ap-1', '-0x1.fb4156547e7bdp-4', '0x1.1d00ee9c1a1dfp-1',
+                  '0x1.53673d2cfc599p-2')
+_NEAR_DOUBLE_RAYS = (
+    (('0x1.39364b7604a10p-6', '0x1.3564298bcbb68p-4'),
+     ('0x1.068c7ae0bd5bcp+1', '0x1.c4701222f203fp+0')),
+    (('0x1.696ca3338a286p-4', '0x1.0ad90be497cacp-7'),
+     ('0x1.4118bf490d06cp+1', '0x1.ea4ef6d14c840p+0')),
+    (('-0x1.4b437c9b28049p-5', '-0x1.3f2f5d8b16d45p-5'),
+     ('0x1.066336432f178p+1', '0x1.61943bf5ef547p+0')),
+    (('0x1.a63e0b023daebp-5', '0x1.3f944d536408bp-2'),
+     ('0x1.c07371808fe55p+0', '0x1.22cb36f23bd0bp+1')),
+    (('-0x1.a8e78df13974ep-5', '0x1.a7aa847761d97p-6'),
+     ('0x1.eb070d3a12cffp+0', '0x1.76a6a410e1b47p+0')),
+    (('-0x1.0471f0fa803a7p-3', '-0x1.21eabf69a3886p-3'),
+     ('0x1.f6f70ea46872dp+0', '0x1.0a157cbb18e6fp+0')),
+)
+
+
+def test_a_near_double_smallest_eigenvalue_takes_the_svd():
+    # the gap lambda_1 - lambda_0 decides, not lambda_1 alone
+    q = Quaternion(*map(float.fromhex, _NEAR_DOUBLE_Q))
+    points = [core.Correspondence(np.array([*map(float.fromhex, m), 1.0]),
+                                  np.array([*map(float.fromhex, n), 1.0]))
+              for m, n in _NEAR_DOUBLE_RAYS]
+    C = _rigid_motion_matrix(q, points)
+    lam = np.linalg.eigvalsh(C.T @ C)
+    assert lam[1] - lam[0] < solver._GRAM_GAP * lam[-1] <= lam[1]
+    (got,) = solver.recover_translation_depths([core.PoseCandidate(q=q, algebraic_residual=0.0)],
+                                               points)
+    t, du, dv, chirality_ok, ratio, ambiguous, note = _signed_and_scaled(*_svd_null_vector(C))
+    assert np.array_equal(got.t, t)
+    assert np.array_equal(got.depths_u, du) and np.array_equal(got.depths_v, dv)
+    assert (got.chirality_ok, got.t_depth_ratio, got.ambiguous_depths, got.scale_note) == (
+        chirality_ok, ratio, ambiguous, note)
+
+
+def _assert_tied_depth_signs_ignore_negated_vectors(monkeypatch, path):
+    # negating u and vt together is as valid an SVD, and negating the
+    # eigenvectors as valid an eigh; both leave the pseudo-inverse's bits
+    # alone. Candidates whose depth signs split evenly must come out the
+    # same, so the sum of their depths decides
     points = list(scene(1, n=6, geometry="coplanar").correspondences)
     cands = solver.estimate_pose(points, "quest6")
     assert any(np.sign(np.concatenate([c.depths_u, c.depths_v])).sum() == 0.0 for c in cands)
-    svd = np.linalg.svd
+    svd, eigh, calls = np.linalg.svd, np.linalg.eigh, []
 
-    def negated(*args, **kwargs):
-        u, s, vt = svd(*args, **kwargs)
+    def negated_svd(a, *args, **kwargs):
+        calls.append(("svd", a.shape))
+        u, s, vt = svd(a, *args, **kwargs)
         return -u, s, -vt
 
-    monkeypatch.setattr(np.linalg, "svd", negated)
+    def negated_eigh(a, *args, **kwargs):
+        lam, V = eigh(a, *args, **kwargs)
+        calls.append(("eigh", a.shape, bool((lam[:, 1] - lam[:, 0] >= solver._GRAM_GAP
+                                             * lam[:, -1]).all())))
+        return lam, -V
+
+    monkeypatch.setattr(np.linalg, "svd", negated_svd)
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
     again = solver.estimate_pose(points, "quest6")
+    # the elimination's SVD, then the translation of every candidate, the
+    # tied ones included, by the negated call of its path
+    translation = [("eigh", (len(cands), 15, 15), path == "eigh")]
+    if path == "svd":
+        translation.append(("svd", (len(cands), 18, 15)))
+    assert calls == [("svd", (1, 20, 15))] + translation
     assert len(again) == len(cands)
     for c, d in zip(cands, again):
         assert c.q == d.q and c.algebraic_residual == d.algebraic_residual
@@ -791,6 +900,16 @@ def test_tied_depth_signs_do_not_take_the_svd_sign(monkeypatch):
             assert np.array_equal(getattr(c, field), getattr(d, field))
         assert (c.chirality_ok, c.scale_note, c.t_depth_ratio, c.ambiguous_depths) == (
             d.chirality_ok, d.scale_note, d.t_depth_ratio, d.ambiguous_depths)
+
+
+def test_tied_depth_signs_do_not_take_the_svd_sign(monkeypatch):
+    _assert_tied_depth_signs_ignore_negated_vectors(monkeypatch, "eigh")
+
+
+def test_tied_depth_signs_do_not_take_the_sign_of_the_svd_fallback(monkeypatch):
+    # a gap bound of inf sends every candidate through the SVD of C
+    monkeypatch.setattr(solver, "_GRAM_GAP", math.inf)
+    _assert_tied_depth_signs_ignore_negated_vectors(monkeypatch, "svd")
 
 
 # --- estimate_pose ----------------------------------------------------------
@@ -1015,19 +1134,19 @@ def test_ransac_rejects_twisted_pair():
 # Both tables are printed by tests/record_goldens.py.
 _RANSAC_GOLDEN = (
     (('0x1.255121ea77649p-1', '0x1.6a87474af3d2ap-4', '-0x1.4eff7083bafb0p-2', '-0x1.7e19615c76398p-1'),
-     ('-0x1.dc79574d2bd97p-2', '0x1.f86c64ce30313p-2', '0x1.788834dce3f1bp-1'),
+     ('-0x1.dc79574d2caf8p-2', '0x1.f86c64ce2fc52p-2', '0x1.788834dce3d22p-1'),
      '011111111111101111101011101101'),
     (('0x1.b867359d2a884p-3', '0x1.052e892fafca1p-1', '0x1.a4343e041fe48p-3', '-0x1.9d3e54f5c29f7p-1'),
-     ('-0x1.e89f8078cf58cp-2', '-0x1.7679d30c584eep-3', '0x1.b81a938014419p-1'),
+     ('-0x1.e89f8078cd13fp-2', '-0x1.7679d30c536f8p-3', '0x1.b81a938015252p-1'),
      '101111111111011110111101111100'),
     (('0x1.273f85a0de281p-4', '-0x1.a1406897af4f2p-3', '-0x1.3e21935b0774ep-3', '-0x1.ed889274de137p-1'),
-     ('0x1.cde1acd848225p-3', '0x1.31f318e27761cp-1', '-0x1.89f611b55b12dp-1'),
+     ('0x1.cde1acd847c61p-3', '0x1.31f318e277437p-1', '-0x1.89f611b55b310p-1'),
      '011111110101011111110110111111'),
     (('0x1.8df988b379005p-1', '-0x1.3c9a833eab19ap-3', '-0x1.02581e58fcd21p-1', '0x1.5ebbcafd253a5p-2'),
-     ('-0x1.e23e0484c1a13p-7', '0x1.eefe5cd8c7a91p-2', '0x1.c024b97628e82p-1'),
+     ('-0x1.e23e0484cc98fp-7', '0x1.eefe5cd8c7ba6p-2', '0x1.c024b97628e2ap-1'),
      '111111101000111111111111101011'),
     (('0x1.94ddd474d677fp-1', '-0x1.4604d2ef656b4p-3', '0x1.543bcb46d1fadp-2', '0x1.f493bd45b4986p-2'),
-     ('0x1.bc3d5822d6667p-2', '0x1.442bc6a938935p-1', '-0x1.483509959a76ep-1'),
+     ('0x1.bc3d5822d695ep-2', '0x1.442bc6a938b9cp-1', '-0x1.483509959a40ep-1'),
      '011111101011111100111011111111'),
 )
 
@@ -1048,7 +1167,7 @@ _RANSAC_QUEST7_GOLDEN = (
      ('-0x1.c9d37dc3c190cp-2', '0x1.115a6cc4d43fcp-1', '0x1.6f73a8f0fccbap-1'),
      '011111111111101101101011101101'),
     (('0x1.b4d3b04f0425dp-3', '0x1.02d4541168893p-1', '0x1.a1a0799ba8800p-3', '-0x1.9f1eaca4ee2c5p-1'),
-     ('-0x1.097028bcc296dp-1', '-0x1.d08b6b5bf547ep-3', '0x1.a622e00fa3a23p-1'),
+     ('-0x1.097028bcc11fbp-1', '-0x1.d08b6b5bf0435p-3', '0x1.a622e00fa4e67p-1'),
      '101111111111011110111101111100'),
 )
 
