@@ -13,22 +13,42 @@ decompose_essential takes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import PoseCandidate, _rays, quat_from_rotation, triangulate_uv
 from .errors import ChiralityFailureError, DegenerateConfigurationError, InsufficientPointsError
 
+_W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+# the translation's sign per hypothesis (R1, t), (R1, -t), (R2, t), (R2, -t)
+_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
-def _hartley_normalization(xy: np.ndarray) -> np.ndarray:
-    """Similarity transform taking the 2D points to centroid 0 and RMS
-    radius sqrt(2). Conditioning step; without it the linear solve is
-    needlessly noise-fragile."""
-    centroid = xy.mean(axis=0)
-    rms = np.sqrt(np.mean(np.sum((xy - centroid) ** 2, axis=1)))
-    s = np.sqrt(2.0) / rms if rms > 0.0 else 1.0
-    return np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
+
+def _hartley_normalization(rays: np.ndarray) -> np.ndarray:
+    """Similarity transform taking the rays' 2D points to centroid 0 and
+    RMS radius sqrt(2). Conditioning step; without it the linear solve is
+    needlessly noise-fragile. The scalars are Python floats summed in the
+    order of numpy's mean over the rows: the centroid row by row, the
+    squared radii by numpy's pairwise sum."""
+    rows = rays.tolist()
+    cx, cy, _ = rows[0]
+    for x, y, _ in rows[1:]:
+        cx += x
+        cy += y
+    cx /= len(rows)
+    cy /= len(rows)
+    sq = np.add.reduce([(x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y, _ in rows])
+    rms = math.sqrt(sq / len(rows))
+    s = math.sqrt(2.0) / rms if rms > 0.0 else 1.0
+    return np.array([[s, 0.0, -s * cx], [0.0, s, -s * cy], [0.0, 0.0, 1.0]])
+
+
+def _det3(a) -> float:
+    """Determinant of the 3x3 nested list a by cofactors."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    return (a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
+            + a02 * (a10 * a21 - a11 * a20))
 
 
 def eight_point(points) -> np.ndarray:
@@ -43,29 +63,22 @@ def eight_point(points) -> np.ndarray:
     if len(points) < 8:
         raise InsufficientPointsError(f"need at least 8 correspondences, got {len(points)}")
     M, N = _rays(points)
-    T1 = _hartley_normalization(M[:, :2])
-    T2 = _hartley_normalization(N[:, :2])
+    T1 = _hartley_normalization(M)
+    T2 = _hartley_normalization(N)
     Mh = M @ T1.T
     Nh = N @ T2.T
-    design = np.stack(
-        [
-            Nh[:, 0] * Mh[:, 0], Nh[:, 0] * Mh[:, 1], Nh[:, 0] * Mh[:, 2],
-            Nh[:, 1] * Mh[:, 0], Nh[:, 1] * Mh[:, 1], Nh[:, 1] * Mh[:, 2],
-            Nh[:, 2] * Mh[:, 0], Nh[:, 2] * Mh[:, 1], Nh[:, 2] * Mh[:, 2],
-        ],
-        axis=1,
-    )
+    # row i is the outer product n_i m_i^T, read row-major
+    design = (Nh[:, :, None] * Mh[:, None, :]).reshape(-1, 9)
     _, svals, Vt = np.linalg.svd(design)
     if svals[7] <= 1e-10 * svals[0]:
         raise DegenerateConfigurationError(
             "epipolar design matrix has rank < 8; the correspondences do not "
             "determine a unique essential matrix (coplanar points?)"
         )
-    E = Vt[-1].reshape(3, 3)
-    E = T2.T @ E @ T1
+    E = T2.T @ Vt[-1].reshape(3, 3) @ T1
     U, s, Vt = np.linalg.svd(E)
     sbar = 0.5 * (s[0] + s[1])
-    E = U @ np.diag([sbar, sbar, 0.0]) @ Vt
+    E = (U * [sbar, sbar, 0.0]) @ Vt
     return E / np.linalg.norm(E)
 
 
@@ -75,38 +88,50 @@ def decompose_essential(E: np.ndarray, points) -> PoseCandidate:
 
     The returned candidate has unit-norm translation (the essential matrix
     carries no translation scale); algebraic_residual is the largest
-    epipolar residual |n^T E m| over the input points."""
+    epipolar residual |n^T E m| over the input points. Raises ValueError
+    when E is not a finite 3x3 array and InsufficientPointsError for an
+    empty match list."""
     points = list(points)
+    if not points:
+        raise InsufficientPointsError("need at least 1 correspondence, got 0")
+    E = np.asarray(E, dtype=float)
+    # LAPACK's SVD may not return on an infinite entry, so test before it
+    if E.shape != (3, 3) or not np.isfinite(E).all():
+        raise ValueError("essential matrix must be a finite 3x3 array")
     U, _, Vt = np.linalg.svd(E)
-    if np.linalg.det(U) < 0:
+    # U and Vt are orthogonal: their determinants are +-1, so the sign of
+    # the cofactor sum is exact
+    if _det3(U.tolist()) < 0:
         U = -U
-    if np.linalg.det(Vt) < 0:
+    if _det3(Vt.tolist()) < 0:
         Vt = -Vt
-    W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    t_unit = U[:, 2]
     M, N = _rays(points)
     # hypotheses (R1, t), (R1, -t), (R2, t), (R2, -t), scored in one call;
-    # argmax keeps the first of equal votes
-    R1, R2 = U @ W @ Vt, U @ W.T @ Vt
-    Rs = np.stack([R1, R1, R2, R2])
-    ts = np.stack([t_unit, -t_unit, t_unit, -t_unit])
+    # the first of equal votes wins
+    R1, R2 = U @ _W @ Vt, U @ _W.T @ Vt
+    Rs = np.array([R1, R1, R2, R2])
+    ts = U[:, 2] * _SIGNS
     us, vs, _ = triangulate_uv(Rs, ts, M, N)
-    votes = np.sum((us > 0.0) & (vs > 0.0), axis=1)
-    best = int(np.argmax(votes))
-    pos, R, t, u, v = int(votes[best]), Rs[best], ts[best], us[best], vs[best]
+    votes = (np.minimum(us, vs) > 0.0).sum(axis=1).tolist()
+    pos = max(votes)
+    best = votes.index(pos)
     if pos <= len(points) // 2:
         raise ChiralityFailureError(
             f"no decomposition places a majority of points in front of both cameras "
             f"(best {pos}/{len(points)})"
         )
+    t, u, v = ts[best], us[best], vs[best]
     residual = float(np.max(np.abs(np.einsum("ij,jk,ik->i", N, E, M))))
+    t_norm = np.linalg.norm(t)
+    # np.mean's own sum and division, without its wrapper
+    depth_scale = np.add.reduce(np.abs(np.concatenate([u, v]))) / (2 * len(points))
     return PoseCandidate(
-        q=quat_from_rotation(R),
+        q=quat_from_rotation(Rs[best]),
         algebraic_residual=residual,
-        t=t / np.linalg.norm(t),
+        t=t / t_norm,
         depths_u=u,
         depths_v=v,
-        chirality_ok=bool(np.all(u > 0.0) and np.all(v > 0.0)),
+        chirality_ok=pos == len(points),
         scale_note="unit-translation",
-        t_depth_ratio=float(np.linalg.norm(t) / np.mean(np.abs(np.concatenate([u, v])))),
+        t_depth_ratio=float(t_norm / depth_scale),
     )

@@ -239,28 +239,33 @@ def _rotation_entries(w, x, y, z) -> tuple:
 
 
 def quat_from_rotation(R) -> Quaternion:
-    """Extract the canonical unit quaternion from a rotation matrix.
+    """Extract the canonical unit quaternion from a rotation matrix, with
+    plain float components.
 
     Shepperd-style: branch on the largest of the trace and the diagonal
-    entries so the division is always well conditioned."""
+    entries so the division is always well conditioned. Raises ValueError
+    unless R is a finite 3x3 array."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError("rotation matrix must be 3x3")
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    choices = [R[0, 0], R[1, 1], R[2, 2], tr]
-    i = int(np.argmax(choices))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows = R.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
+        raise ValueError("rotation matrix contains NaN/Inf")
+    tr = r00 + r11 + r22
+    choices = (r00, r11, r22, tr)
+    i = choices.index(max(choices))  # the first of equal maxima
     if i == 3:
         s = math.sqrt(1.0 + tr) * 2.0
-        q = (0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s)
+        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
     elif i == 0:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = ((R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s)
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
     elif i == 1:
-        s = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-        q = ((R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s)
+        s = math.sqrt(1.0 - r00 + r11 - r22) * 2.0
+        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
     else:
-        s = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-        q = ((R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s)
+        s = math.sqrt(1.0 - r00 - r11 + r22) * 2.0
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
     return Quaternion(*q).normalized().canonical()
 
 

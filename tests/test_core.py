@@ -74,6 +74,24 @@ def test_hamilton_product_composes_rotations(a, b):
     )
 
 
+@pytest.mark.parametrize("q", [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+                               Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1),
+                               Quaternion(0.5, -0.5, 0.5, 0.5)])
+def test_quat_from_rotation_returns_plain_floats(q):
+    # one rotation per Shepperd branch: the trace and each diagonal entry
+    back = quat_from_rotation(quat_to_rotation(q))
+    assert [type(c) for c in (back.w, back.x, back.y, back.z)] == [float] * 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quat_from_rotation_rejects_non_finite(bad):
+    for i in range(9):
+        R = np.eye(3)
+        R.flat[i] = bad
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            quat_from_rotation(R)
+
+
 # --- canonicalization -------------------------------------------------------
 
 @given(unit_quaternions())
