@@ -28,26 +28,28 @@ candidate whose null space is not isolated takes the SVD of C.
 Candidates are ranked by the algebraic residual ||A @ x(q)|| with
 chirality (all depths positive) used to demote mirrored solutions.
 
-A is the plain C(n, 3) x 35 array of build_A; the solvers check only its
-shape. estimate_pose builds one per frame, a gauge frame's from rotated
-ray arrays; the original A scores every frame's candidates, and the kept
-ones are translated in one call. The elimination, B-fill, eigen
-solve, extraction and scoring take a leading sample axis: estimate_pose
-runs them on a stack of one, and ransac_pose on a block of minimal
-samples at once, whose candidates stay arrays from the eigen solve to
-the hypotheses. RANSAC needs a hypothesis's translation only to score
-consensus, so a block's candidates take theirs from the epipolar
-constraint on their own sample's rays, one stacked k x 3 SVD for the
-whole block. They stay in each sample's scoring order, unranked, since
-the winner is picked by inlier count and mean error alone. A candidate
-whose sample leaves only t = 0 is a rotation-only hypothesis
-(_hypotheses); the others are polished in lockstep on the sine of
-each ray's angle to its epipolar plane, which needs no triangulation
-and comes from two per-ray tables of Kronecker products, and one that
-this polish leaves below a minimal inlier set is dropped. The polish
-carries each pose's cost, gradient and Gauss-Newton matrix as one Gram
-matrix of its residual rows. The winner is refit with the full
-rigid-motion system.
+A is the plain C(n, 3) x 35 array of build_A; the solvers check its
+shape, and the one-matrix entry points that it is finite. estimate_pose
+builds one per frame, a gauge frame's from rotated ray arrays; the
+original A scores every frame's candidates, and the kept ones are
+translated in one call. The elimination, B-fill, eigen solve,
+extraction and scoring take a leading sample axis: estimate_pose runs
+them on a stack of one, and ransac_pose on a block of minimal samples
+at once, whose candidates stay arrays from the eigen solve to the
+hypotheses; a quest6 matrix of identical views (zero motion) keeps the
+identity alone in either. RANSAC needs a hypothesis's translation only
+to score consensus, so a block's candidates take theirs from the
+epipolar constraint on their own sample's rays, one stacked k x 3 SVD
+for the whole block. They stay in each sample's scoring order,
+unranked, since the winner is picked by inlier count and mean error
+alone. A candidate whose sample leaves only t = 0 is a rotation-only
+hypothesis (_hypotheses); the others are polished in lockstep on the
+sine of each ray's angle to its epipolar plane, which needs no
+triangulation and comes from two per-ray tables of Kronecker products,
+and one that this polish leaves below a minimal inlier set is dropped.
+The polish carries each pose's cost, gradient and Gauss-Newton matrix
+as one Gram matrix of its residual rows. The winner is refit with the
+full rigid-motion system.
 
 MINIMAL_POINTS is the one method table; estimate_pose also dispatches the
 8-point essential-matrix baseline ("eightpt") so every caller shares it.
@@ -64,7 +66,6 @@ from . import baseline
 from .coeffs import _rows, _triples, build_A
 from .core import (
     _CANONICAL_EPS,
-    IDENTITY_QUATERNION,
     Correspondence,
     PoseCandidate,
     Quaternion,
@@ -238,14 +239,21 @@ def _rotation_stack(A: np.ndarray, method: str):
     differs. The rank test asks for the smallest singular value above the
     pseudo-inverse's cutoff and the largest above _RANK_FLOOR: A's rows
     have unit norm, so a block of rounding noise fails however its
-    singular values compare with each other. The B-fills, eigen solves
-    and extractions run as stacked calls over the whole stack; a stack in
-    which every matrix fails stops before them."""
+    singular values compare with each other. A quest6 matrix of identical
+    views (zero motion) has rows w times a cubic: its w-free block fails,
+    and with a zero first column too its one candidate is the identity,
+    whose monomial vector (the first unit vector) solves every row. The
+    B-fills, eigen solves and extractions run as stacked calls over the
+    whole stack; a stack with no solved matrix stops before them."""
     x1, x2 = QUEST6_SPLIT if method == "quest6" else QUEST7_SPLIT
     pinv, svals = _pinv(A[:, :, x2])
-    ok = (svals[:, -1] > _PINV_RCOND * svals[:, 0]) & (svals[:, 0] > _RANK_FLOOR)
+    ok = solved = (svals[:, -1] > _PINV_RCOND * svals[:, 0]) & (svals[:, 0] > _RANK_FLOOR)
     failed = [None if k else _rank_error(s, method) for k, s in zip(ok.tolist(), svals)]
-    if not ok.any():
+    if method == "quest6" and any(failed):
+        still = ~ok & (_row_norms(A[:, :, 0]) <= _RANK_FLOOR)
+        solved = ok | still
+        failed = [None if z else e for z, e in zip(still.tolist(), failed)]
+    if not solved.any():
         return np.zeros((0, 4)), np.zeros((len(A), len(x1)), dtype=bool), failed
     X1 = -pinv @ A[:, :, x1]
     if method == "quest6":
@@ -255,7 +263,10 @@ def _rotation_stack(A: np.ndarray, method: str):
     else:
         B = X1[:, _QUEST7_ROWS]
     V, kept = _near_real_eigenvectors(B)
-    return (*_quat_from_cubic_vector(V, kept & ok[:, None]), failed)
+    kept &= ok[:, None]
+    if solved is not ok:  # the identity's column
+        V[still], kept[still, 0] = np.eye(20), True
+    return (*_quat_from_cubic_vector(V, kept), failed)
 
 
 def _rotations(A: np.ndarray, method: str):
@@ -264,6 +275,8 @@ def _rotations(A: np.ndarray, method: str):
     rows = math.comb(n, 3)
     if A.shape != (rows, 35):
         raise ValueError(f"{method} requires the {rows}x35 matrix built from exactly {n} points")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{method} requires a finite coefficient matrix")
     U, _, (error,) = _rotation_stack(A[None], method)
     if error is not None:
         raise error
@@ -288,18 +301,9 @@ def quest7_rotations(A: np.ndarray):
 
 
 def quest6_rotations(A: np.ndarray):
-    """Rotation candidates (at most 20) from a 6-point coefficient matrix.
-
-    Identical views (zero motion) make every row w times a cubic, so the
-    elimination block of the w-free monomials is zero and loses rank;
-    the identity, whose monomial vector is the first unit vector, then
-    solves every row and is the one candidate."""
-    try:
-        return _rotations(A, "quest6")
-    except DegenerateConfigurationError:
-        if np.linalg.norm(A[:, 0]) > _RANK_FLOOR:
-            raise
-        return [IDENTITY_QUATERNION]
+    """Rotation candidates (at most 20) from a 6-point coefficient matrix;
+    identical views (zero motion) give the identity alone (_rotation_stack)."""
+    return _rotations(A, "quest6")
 
 
 def score_candidates(A: np.ndarray, qs, live=None):
@@ -318,6 +322,8 @@ def score_candidates(A: np.ndarray, qs, live=None):
     if A.shape[-1] != 35:
         raise ValueError(f"score_candidates requires 35 monomial columns, got shape {A.shape}")
     single = live is None
+    if single and not np.isfinite(A).all():
+        raise ValueError("score_candidates requires a finite coefficient matrix")
     if single and not qs:
         raise NoSolutionError("no rotation candidates to score")
     Q = np.array([[[q.w, q.x, q.y, q.z] for q in qs]]) if single else qs
@@ -670,11 +676,10 @@ def _polish_pose(R0: np.ndarray, t0: np.ndarray, M: np.ndarray, N: np.ndarray, W
     return R, t
 
 
-def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.ndarray):
+def _epipolar_translations(R: np.ndarray, M: np.ndarray, N: np.ndarray):
     """Hypothesis-grade unit translations (C, 3) of the rotations R
-    (C, 3, 3) of the quaternions q (C, 4), each on its own sample's first-
-    and second-view rays M, N (C, k, 3), and which candidates are
-    rotation-only (C,).
+    (C, 3, 3), each on its own sample's first- and second-view rays M, N
+    (C, k, 3), and which candidates are rotation-only (C,).
 
     For a fixed rotation R the epipolar constraint t . (R m_i x n_i) = 0
     makes t the null vector of the k x 3 matrix of those rows, each scaled
@@ -682,13 +687,11 @@ def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.nd
     the sample's depths (triangulate_uv) in front of the cameras.
 
     A point whose rays R m_i and n_i are parallel to within
-    _PARALLAX_FLOOR has no parallax: its row is rounding noise, yet it
-    still pins t, since at finite depth it lies on the baseline and t runs
-    along its ray. A candidate with one such point takes
-    recover_translation_depths on its sample instead, which finds that t.
-    Two such points leave only t = 0, a camera that only rotates: the
-    candidate is rotation-only and gets t = 0. Each candidate gets the
-    bits it would get alone."""
+    _PARALLAX_FLOOR has no parallax: its row and its depths are rounding
+    noise, so the other points' rows give t and their depths its sign, as
+    they do in the sample without that point. Two such points leave only
+    t = 0, a camera that only rotates: the candidate is rotation-only and
+    gets t = 0. Each candidate gets the bits it would get alone."""
     a = M @ np.swapaxes(R, -1, -2)  # R m_i, indexed (candidate, point, xyz)
     rows = np.cross(a, N)
     lengths = _row_norms(rows)
@@ -696,15 +699,11 @@ def _epipolar_translations(q: np.ndarray, R: np.ndarray, M: np.ndarray, N: np.nd
     unit = np.divide(rows, lengths[..., None], out=np.zeros_like(rows), where=parallax[..., None])
     t = np.linalg.svd(unit, full_matrices=False)[2][:, -1]
     u, v, _ = triangulate_uv(R, t, M, N)
-    # more negative depths than positive ones: the sign flips
-    t *= np.where(np.sign(u).sum(axis=1) + np.sign(v).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
-    flat = (~parallax).sum(axis=1)  # points without parallax
-    for c in np.flatnonzero(flat == 1):
-        (full,) = recover_translation_depths(
-            [PoseCandidate(q=Quaternion(*q[c].tolist()), algebraic_residual=0.0)],
-            map(Correspondence, M[c], N[c]))
-        t[c] = full.t
-    still = flat >= 2
+    # more negative depths than positive ones among the points with
+    # parallax (the others' depths are rounding noise): the sign flips
+    votes = ((np.sign(u) + np.sign(v)) * parallax).sum(axis=1)
+    t *= np.where(votes < 0.0, -1.0, 1.0)[:, None]
+    still = (~parallax).sum(axis=1) >= 2  # points without parallax
     t[still] = 0.0
     return t, still
 
@@ -732,7 +731,7 @@ def _block_candidates(M: np.ndarray, N: np.ndarray, idx: np.ndarray, method: str
     q = Q[at, order[valid]]
     sample = whole[at]
     R = _rotation_matrices(q)
-    cands = sample, q, R, *_epipolar_translations(q, R, M[idx[sample]], N[idx[sample]])
+    cands = sample, q, R, *_epipolar_translations(R, M[idx[sample]], N[idx[sample]])
     unsolved = whole[~np.isin(whole, sample[np.abs(q[:, 0]) >= _MIN_W])]
     if not len(unsolved):
         return cands

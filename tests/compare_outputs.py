@@ -10,7 +10,8 @@ differ in error type (or where only one side raised), candidate count,
 q, algebraic residual, inlier mask, chirality_ok, scale_note or
 ambiguous_depths, and over the calls with the same candidate count the
 worst |dq|, |dt|, relative |d depth| (per depth vector, against its
-largest depth) and relative |d t_depth_ratio|. A last "total" line
+largest depth; a RANSAC run whose mask moved refits other inliers, so
+its depths are not compared) and relative |d t_depth_ratio|. A last "total" line
 sums the counts and takes the worst of each difference.
 
 A digest diff says only that a group moved; this says whether it moved
@@ -109,7 +110,8 @@ def compare_group(old: list, new: list) -> dict:
             flags["ambiguous_depths"] |= amb != amb2
             out["dq"] = max(out["dq"], float(np.abs(q - q2).max()))
             out["dt"] = max(out["dt"], float(np.abs(t - t2).max()))
-            out["ddepth"] = max(out["ddepth"], _relative(du, du2), _relative(dv, dv2))
+            if du.shape == du2.shape:  # a moved RANSAC mask (counted) refits other inliers
+                out["ddepth"] = max(out["ddepth"], _relative(du, du2), _relative(dv, dv2))
             out["dratio"] = max(out["dratio"], _ratio_change(ratio, ratio2))
         for name, differs in flags.items():
             out[name] += differs

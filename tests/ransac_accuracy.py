@@ -25,7 +25,9 @@ line. It prints:
   inlier mask's true positives, false positives and false negatives
   against the true mask, and the rotation error. A camera that only
   rotates leaves the inliers without parallax, which no section above
-  tests.
+  tests;
+- zero motion: the same on identical views, make_outlier_set(seed=s,
+  sigma_px=sigma, fixed_rotation=(1, 0, 0, 0), fixed_translation=(0, 0, 0)).
 
 Rotation errors are in units of pi, as rot_error gives them. A run takes
 about two minutes.
@@ -44,7 +46,7 @@ SEEDS = (1, 3, 7)
 C08_SETS = 20
 HALF_TURN_W = (0.0, 0.03, 0.07, 0.10)
 HALF_TURN_SEEDS = 12
-PURE_ROTATION_SEEDS = 4
+MOTIONLESS_SEEDS = 4
 ROT_BOUND = 0.01
 # further polish calls (8 LM rounds each) behind c08's polished_max
 POLISH_CALLS = 8
@@ -144,16 +146,15 @@ def half_turn_lines(quest, make_outlier_set, ws=HALF_TURN_W, seeds: int = HALF_T
     return lines
 
 
-def pure_rotation_lines(quest, make_outlier_set, seeds: int = PURE_ROTATION_SEEDS):
-    """Per pixel noise 0 and 1 and per seed, quest6 RANSAC on a camera that
-    only rotates: tp, fp and fn of its inlier mask and its rotation error,
-    or the error type it raised."""
+def motionless_lines(quest, make_outlier_set, name: str, seeds: int, **scene_kw):
+    """Per pixel noise 0 and 1 and per seed, quest6 RANSAC on
+    make_outlier_set(seed=s, sigma_px=sigma, **scene_kw): tp, fp and fn of
+    its inlier mask and its rotation error, or the error type it raised."""
     lines = []
     for sigma in (0.0, 1.0):
         for s in range(seeds):
-            points, truth, pose = make_outlier_set(seed=s, sigma_px=sigma,
-                                                   fixed_translation=(0.0, 0.0, 0.0))
-            head = f"pure-rotation sigma={sigma:g} seed={s}"
+            points, truth, pose = make_outlier_set(seed=s, sigma_px=sigma, **scene_kw)
+            head = f"{name} sigma={sigma:g} seed={s}"
             try:
                 cand, mask = quest.solver.ransac_pose(points, "quest6", threshold=0.005,
                                                       max_iters=200, seed=s)
@@ -164,6 +165,18 @@ def pure_rotation_lines(quest, make_outlier_set, seeds: int = PURE_ROTATION_SEED
                          f"fn={int((~mask & truth).sum())} "
                          f"rot_err={quest.core.rot_error(cand.q, pose.q):.2e}")
     return lines
+
+
+def pure_rotation_lines(quest, make_outlier_set, seeds: int = MOTIONLESS_SEEDS):
+    """motionless_lines of a camera that only rotates."""
+    return motionless_lines(quest, make_outlier_set, "pure-rotation", seeds,
+                            fixed_translation=(0.0, 0.0, 0.0))
+
+
+def zero_motion_lines(quest, make_outlier_set, seeds: int = MOTIONLESS_SEEDS):
+    """motionless_lines of identical views: a camera that does not move."""
+    return motionless_lines(quest, make_outlier_set, "zero-motion", seeds,
+                            fixed_rotation=(1.0, 0.0, 0.0, 0.0), fixed_translation=(0.0, 0.0, 0.0))
 
 
 def main(argv):
@@ -180,7 +193,8 @@ def main(argv):
         print(c08_line(quest, make_outlier_set, method), flush=True)
     for line in half_turn_lines(quest, make_outlier_set):
         print(line, flush=True)
-    for line in pure_rotation_lines(quest, make_outlier_set):
+    for line in pure_rotation_lines(quest, make_outlier_set) + zero_motion_lines(
+            quest, make_outlier_set):
         print(line, flush=True)
 
 

@@ -37,3 +37,16 @@ def test_compare_group_counts_changes_and_measures_rounding():
     assert diff == dict(error=1, count=1, q=0, residual=0, mask=1, chirality_ok=1,
                         scale_note=0, ambiguous_depths=0, dq=0.0, dt=1e-10, ddepth=0.0,
                         dratio=0.0)
+
+
+def test_compare_group_skips_depths_of_a_ransac_run_whose_mask_moved():
+    # one more inlier refits the winner on one more point: the mask counts
+    # the change, and depth vectors of two lengths are not compared
+    def record(k):
+        return (np.array([1.0, 0.0, 0.0, 0.0]), 0.5, np.array([0.0, 0.0, 1.0]), np.ones(k),
+                np.ones(k), True, "unit-translation", 0.25, False)
+
+    old = [("ransac", [record(2)], np.array([True, True, False]))]
+    new = [("ransac", [record(3)], np.array([True, True, True]))]
+    diff = compare_outputs.compare_group(old, new)
+    assert diff["mask"] == 1 and diff["ddepth"] == 0.0

@@ -26,6 +26,11 @@ def test_each_section_prints_its_figures():
     for line, sigma in zip(lines, ("0", "1"), strict=True):
         assert re.fullmatch(rf"pure-rotation sigma={sigma} seed=0 tp=\d+ fp=\d+ fn=\d+ "
                             r"rot_err=\d\.\d\de[-+]\d\d", line), line
+    # identical views without noise: the identity, with every inlier kept
+    lines = ransac_accuracy.zero_motion_lines(quest, make_outlier_set, seeds=1)
+    assert lines[0] == "zero-motion sigma=0 seed=0 tp=24 fp=0 fn=0 rot_err=0.00e+00"
+    assert re.fullmatch(r"zero-motion sigma=1 seed=0 (tp=\d+ fp=\d+ fn=\d+ "
+                        r"rot_err=\d\.\d\de[-+]\d\d|raised=\w+)", lines[1]), lines[1]
 
 
 def test_more_than_one_checkout_is_refused():

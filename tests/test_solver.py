@@ -298,13 +298,18 @@ def test_stacked_layers_give_each_sample_its_stack_of_one_bits():
     U, live = solver._quat_from_cubic_vector(cols.T[None], np.ones((1, len(cols)), bool))
     assert _quats(U) == [Quaternion(*c).normalized().canonical() for c in cols.tolist()]
     # rank tests: a block of general, coplanar (quest7 fails), still
-    # (both fail) and half-turn samples through the whole rotation solve
+    # (both fail), half-turn and zero-motion (quest6 keeps the identity
+    # alone, quest7 fails) samples through the whole rotation solve
     scenes = [scene(1), scene(2, geometry="coplanar"), scene(3, fixed_translation=(0, 0, 0)),
-              scene(4, fixed_rotation=(0.0, 0.0, 0.0, 1.0))]
+              scene(4, fixed_rotation=(0.0, 0.0, 0.0, 1.0)),
+              scene(5, fixed_rotation=(1.0, 0.0, 0.0, 0.0), fixed_translation=(0, 0, 0))]
     for method, n in (("quest6", 6), ("quest7", 7)):
         A = np.stack([coeffs.build_A(list(sc.correspondences)[:n]) for sc in scenes])
         U, live, failed = solver._rotation_stack(A, method)
         assert any(failed) and not all(failed)
+        assert (failed[4] is None) == (method == "quest6")
+        if method == "quest6":
+            assert _per_sample(U, live)[4].tolist() == [[1.0, 0.0, 0.0, 0.0]]
         for i, rows in enumerate(_per_sample(U, live)):
             U1, live1, (failed1,) = solver._rotation_stack(A[i:i + 1], method)
             assert np.array_equal(rows, U1) and np.array_equal(live[i], live1[0])
@@ -601,6 +606,23 @@ def test_rotation_solvers_reject_wrong_point_count():
         solver.quest6_rotations(A)
     with pytest.raises(ValueError, match="quest7 requires the 35x35 matrix built from exactly 7"):
         solver.quest7_rotations(A)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_rotation_solvers_and_scoring_reject_a_non_finite_matrix(bad, monkeypatch):
+    # refused before any SVD, which would fail on it in LAPACK, and before
+    # scoring, which would rank a NaN residual
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD of a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for rotations, n in ((solver.quest6_rotations, 6), (solver.quest7_rotations, 7)):
+        A = coeffs.build_A(scene(0, n=n).correspondences)
+        A[3, 5] = bad
+        with pytest.raises(ValueError, match="finite coefficient matrix"):
+            rotations(A)
+        with pytest.raises(ValueError, match="finite coefficient matrix"):
+            solver.score_candidates(A, [core.IDENTITY_QUATERNION])
 
 
 def test_x2_reconstruction_identity():
@@ -1205,8 +1227,8 @@ def _sample_rays(sample, count=1):
 def _epipolar_candidate(cand, sample):
     # the candidate with the epipolar translation of a stack of one on the
     # sample's rays, and its rotation-only flag
-    (t,), (still,) = solver._epipolar_translations(
-        cand.q.as_array()[None], quat_to_rotation(cand.q)[None], *_sample_rays(sample))
+    (t,), (still,) = solver._epipolar_translations(quat_to_rotation(cand.q)[None],
+                                                   *_sample_rays(sample))
     return replace(cand, t=t), bool(still)
 
 
@@ -1822,7 +1844,7 @@ def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
         for method in ("quest6", "quest7"):
             best = solver.estimate_pose(pts, method)[0]
             R = quat_to_rotation(best.q)
-            (t,), (still,) = solver._epipolar_translations(best.q.as_array()[None], R[None], M, N)
+            (t,), (still,) = solver._epipolar_translations(R[None], M, N)
             assert best.scale_note == "unit-translation" and not still
             assert np.abs(t - best.t).max() < 1e-9
             u, _, _ = core.triangulate_uv(R, t, M[0], N[0])
@@ -1831,10 +1853,10 @@ def test_epipolar_translation_matches_full_translation_on_noiseless_scenes():
 
 def test_epipolar_translation_falls_back_without_parallax():
     # under the true rotation of a camera that only rotates every point
-    # has no parallax. A candidate with one such point takes
-    # recover_translation_depths on its sample; one with two or more is
-    # rotation-only, with t = 0; a candidate of a moving camera in the
-    # same stack keeps its epipolar t
+    # has no parallax. A candidate with one such point takes its t from
+    # the other points' rows, as the sample without that point gives it;
+    # one with two or more is rotation-only, with t = 0; a candidate of a
+    # moving camera in the same stack keeps its epipolar t
     still = scene(3, fixed_translation=(0.0, 0.0, 0.0))
     moving = scene(4)
     pts = list(still.correspondences)
@@ -1843,12 +1865,12 @@ def test_epipolar_translation_falls_back_without_parallax():
     rays = [_sample_rays(p) for p in (pts, one, two, moving.correspondences)]
     M = np.concatenate([m for m, _ in rays])
     N = np.concatenate([n for _, n in rays])
-    t, flags = solver._epipolar_translations(np.array([q.as_array() for q in qs]),
-                                             np.array([quat_to_rotation(q) for q in qs]), M, N)
+    t, flags = solver._epipolar_translations(np.array([quat_to_rotation(q) for q in qs]), M, N)
     assert flags.tolist() == [True, False, True, False]
     assert not t[0].any() and not t[2].any()
-    (want,) = translate(still.pose.q, one)
-    assert np.array_equal(t[1], want.t)
+    (want,), (want_still,) = solver._epipolar_translations(quat_to_rotation(still.pose.q)[None],
+                                                           *_sample_rays(one[1:]))
+    assert np.abs(t[1] - want).max() <= 1e-12 and not want_still
     assert core.trans_error(t[3], moving.pose.t) < 1e-9
 
 
@@ -1878,6 +1900,48 @@ def test_ransac_pure_rotation_keeps_precision_and_recall(sigma, seed):
     # exact rays: the winner is a rotation-only hypothesis, the minimal
     # solve's rotation unpolished
     assert core.rot_error(cand.q, pose.q) <= (1e-10 if sigma == 0.0 else 0.01)
+
+
+def _identical_views(seed, outlier_fraction=0.0):
+    return make_outlier_set(seed=seed, sigma_px=0.0, outlier_fraction=outlier_fraction,
+                            fixed_rotation=(1.0, 0.0, 0.0, 0.0), fixed_translation=(0.0, 0.0, 0.0))
+
+
+def test_ransac_block_solves_zero_motion_samples_as_rotation_only_identity(monkeypatch):
+    # identical views: every sample's quest6 matrix fails its rank test
+    # with a zero first column, and the block's rotation solve keeps the
+    # identity alone, with no estimate_pose call. No point has parallax
+    # under it, so each hypothesis is rotation-only, explaining every match
+    points, _, _ = _identical_views(0)
+    M, N = core._rays(points)
+    idx = np.array([np.random.default_rng(s).choice(len(points), 6, replace=False)
+                    for s in range(8)])
+
+    def no_estimate_pose(*args):
+        raise AssertionError("estimate_pose on a zero-motion sample")
+
+    monkeypatch.setattr(solver, "estimate_pose", no_estimate_pose)
+    cands = solver._block_candidates(M, N, idx, "quest6")
+    sample, q, R, t, still = cands
+    assert sample.tolist() == list(range(8))
+    assert np.array_equal(q, np.tile([1.0, 0.0, 0.0, 0.0], (8, 1)))
+    assert np.array_equal(R, np.tile(np.eye(3), (8, 1, 1)))
+    assert still.all() and not t.any()
+    _, _, _, errs, masks = solver._hypotheses(cands, M, N, 0.005, 6)
+    assert masks.all() and errs.max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("outlier_fraction", [0.0, 0.2])
+def test_ransac_solves_identical_views(seed, outlier_fraction):
+    # quest6 returns the identity with the true mask; quest7's elimination
+    # block collapses on every sample of identical views
+    points, mask_true, _ = _identical_views(seed, outlier_fraction)
+    cand, mask = solver.ransac_pose(points, "quest6", seed=seed)
+    assert cand.q == core.IDENTITY_QUATERNION
+    assert np.array_equal(mask, mask_true)
+    with pytest.raises(RobustFailureError):
+        solver.ransac_pose(points, "quest7", seed=seed)
 
 
 def test_parallel_rays_are_outliers_with_undefined_depths():
